@@ -7,7 +7,6 @@
 //! large-page array, as in the baseline design.
 
 use avatar_sim::addr::{Ppn, Vpn, PAGES_PER_CHUNK};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::tlb::{TlbFill, TlbHit, TlbModel};
 
 /// Maximum pages one coalesced entry may cover (one PTE line = 16 PTEs).
@@ -193,55 +192,6 @@ impl TlbModel for ColtTlb {
 
     fn name(&self) -> &'static str {
         "colt"
-    }
-
-    // lint:exempt(checkpoint-field-parity: ways and large_capacity are construction-time geometry; load_state reads them only to validate the stream against the live config)
-    fn save_state(&self, w: &mut Writer) {
-        // Entries go in storage order: LRU victims are found by linear
-        // scan, so a reordered restore would evict differently.
-        let enc_entry = |w: &mut Writer, e: &Entry| {
-            w.u64(e.vpn);
-            w.u64(e.ppn);
-            w.u64(e.len);
-            w.u64(e.last_use);
-        };
-        w.u64(self.stamp);
-        w.u64(self.coalesced_fills);
-        w.seq(self.sets.iter(), |w, set| {
-            w.seq(set.iter(), enc_entry);
-        });
-        w.seq(self.large.iter(), enc_entry);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        fn dec_entry(r: &mut Reader<'_>) -> Result<Entry, CkptError> {
-            Ok(Entry { vpn: r.u64()?, ppn: r.u64()?, len: r.u64()?, last_use: r.u64()? })
-        }
-        self.stamp = r.u64()?;
-        self.coalesced_fills = r.u64()?;
-        let nsets = r.seq_len()?;
-        if nsets != self.sets.len() {
-            return Err(CkptError::Corrupt("CoLT TLB set count mismatch"));
-        }
-        for set in &mut self.sets {
-            let n = r.seq_len()?;
-            if n > self.ways {
-                return Err(CkptError::Corrupt("CoLT TLB set exceeds its associativity"));
-            }
-            set.clear();
-            for _ in 0..n {
-                set.push(dec_entry(r)?);
-            }
-        }
-        let n = r.seq_len()?;
-        if n > self.large_capacity {
-            return Err(CkptError::Corrupt("CoLT large-page array exceeds capacity"));
-        }
-        self.large.clear();
-        for _ in 0..n {
-            self.large.push(dec_entry(r)?);
-        }
-        Ok(())
     }
 }
 

@@ -15,7 +15,6 @@
 //! would never validate.
 
 use avatar_sim::addr::{Ppn, Vpn, PAGES_PER_CHUNK};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::tlb::{TlbFill, TlbHit, TlbModel};
 
 /// Page-table references charged per merge step (read + metadata update).
@@ -186,43 +185,6 @@ impl TlbModel for SnakeByteTlb {
 
     fn drain_extra_memory_refs(&mut self) -> u64 {
         std::mem::take(&mut self.extra_refs)
-    }
-
-    // lint:exempt(checkpoint-field-parity: capacity is construction-time geometry; load_state reads it only to reject streams larger than the live table)
-    fn save_state(&self, w: &mut Writer) {
-        // Storage order matters: merge buddies are found by `position`
-        // and LRU victims by linear scan.
-        w.u64(self.stamp);
-        w.u64(self.extra_refs);
-        w.u64(self.merges);
-        w.u64(self.splinters);
-        w.seq(self.entries.iter(), |w, e| {
-            w.u64(e.vpn);
-            w.u64(e.ppn);
-            w.u64(e.len);
-            w.u64(e.last_use);
-        });
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        self.stamp = r.u64()?;
-        self.extra_refs = r.u64()?;
-        self.merges = r.u64()?;
-        self.splinters = r.u64()?;
-        let n = r.seq_len()?;
-        if n > self.capacity {
-            return Err(CkptError::Corrupt("SnakeByte TLB exceeds its capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(Entry {
-                vpn: r.u64()?,
-                ppn: r.u64()?,
-                len: r.u64()?,
-                last_use: r.u64()?,
-            });
-        }
-        Ok(())
     }
 }
 

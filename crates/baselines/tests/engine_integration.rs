@@ -11,7 +11,6 @@ use avatar_sim::stats::Stats;
 use avatar_sim::tlb::{BaseTlb, TlbModel};
 
 /// A dense page-by-page sweep: ideal fodder for coalescing TLBs.
-#[derive(Clone)]
 struct Sweep {
     warps_per_sm: usize,
     pages_per_warp: u64,
@@ -19,10 +18,6 @@ struct Sweep {
 }
 
 impl WarpProgram for Sweep {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let slot = sm * self.warps_per_sm + warp;
         if self.pos[slot] >= self.pages_per_warp {

@@ -21,7 +21,6 @@ use avatar_sim::sm::{WarpOp, WarpProgram};
 use avatar_sim::tlb::{BaseTlb, TlbModel};
 
 /// A single-warp dependent-load chase with a fixed stride.
-#[derive(Clone)]
 struct Chase {
     stride: u64,
     span: u64,
@@ -30,10 +29,6 @@ struct Chase {
 }
 
 impl WarpProgram for Chase {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         if sm > 0 || warp > 0 || self.remaining == 0 {
             return None;

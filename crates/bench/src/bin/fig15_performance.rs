@@ -28,19 +28,12 @@ fn main() {
     let workloads = Workload::all();
 
     // One cell per (workload × {Baseline + column policies}), fanned across
-    // the thread pool; the grid is indexed back by fixed stride. `--shards`
-    // applies to every cell (the figure is pinned shard-count invariant:
-    // CI byte-diffs this binary's output across shard counts).
-    let shards = opts.shards;
-    let sharded = |s: Scenario| match shards {
-        Some(n) => s.with_tweak(move |c| c.shards = n),
-        None => s,
-    };
+    // the thread pool; the grid is indexed back by fixed stride.
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(sharded(Scenario::new("Baseline", w, baseline, ro.clone())));
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
         for (sel, label) in selections.iter().zip(&labels) {
-            scenarios.push(sharded(Scenario::new(label.clone(), w, *sel, ro.clone())));
+            scenarios.push(Scenario::new(label.clone(), w, *sel, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);

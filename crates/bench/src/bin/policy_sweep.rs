@@ -35,19 +35,14 @@ fn main() {
     let baseline = PolicySelection::parse("baseline").expect("baseline is in the registry");
     let workloads = Workload::all();
 
-    let shards = opts.shards;
-    let sharded = |s: Scenario| match shards {
-        Some(n) => s.with_tweak(move |c| c.shards = n),
-        None => s,
-    };
     let mut scenarios = Vec::new();
     for w in &workloads {
         // The reference cell comes first in each stride; a Baseline
         // column in the comparison set memoizes it (same content
         // address), so listing it costs nothing.
-        scenarios.push(sharded(Scenario::new("Baseline", w, baseline, ro.clone())));
+        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
         for (sel, label) in selections.iter().zip(&labels) {
-            scenarios.push(sharded(Scenario::new(label.clone(), w, *sel, ro.clone())));
+            scenarios.push(Scenario::new(label.clone(), w, *sel, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);

@@ -13,22 +13,14 @@
 //! One JSON entry is written per thread count to `BENCH_throughput.json`
 //! (override with `--json <path>`). `--quick` keeps it CI-sized.
 //!
-//! After the thread sweep, the same grid runs once per calendar shard
-//! count in [`SHARD_COUNTS`] (single-threaded): the sharded calendar is
-//! pinned digest-identical to the serial pass, so a divergence here is a
-//! hard `DETERMINISM VIOLATION` failure exactly like a thread-count
-//! divergence. A second sweep runs the grid once per intra-engine shard
-//! *worker* count in [`WORKER_COUNTS`] (one runner thread, four calendar
-//! shards): the parallel shard-lane engine is pinned digest-identical
-//! too, and its entries are what CI's conditional worker-scaling gate
-//! keys on. Entries carry `scaling_measured: false` when the host has
-//! one CPU (or the pass ran no host parallelism at all) — scaling
-//! numbers from a serialized box are noise and the regression gates must
-//! not key on them. On a one-CPU host the 2/4/8-thread passes are
-//! skipped outright: they would re-measure the serial pass three times
-//! for numbers the gate already refuses to key on. The shard and worker
-//! sweeps still run — digest parity is a correctness gate, not a
-//! scaling measurement.
+//! Every pass is pinned digest-identical to the serial pass, so a
+//! divergence is a hard `DETERMINISM VIOLATION` failure. Entries carry
+//! `scaling_measured: false` when the host has one CPU (or the pass ran
+//! on one thread) — scaling numbers from a serialized box are noise and
+//! the regression gates must not key on them. On a one-CPU host the
+//! 2/4/8-thread passes are skipped outright: they would re-measure the
+//! serial pass three times for numbers the gate already refuses to key
+//! on.
 //!
 //! The result cache is pinned **off** before argument parsing: every
 //! number this harness reports is a wall-clock measurement, and a replay
@@ -55,34 +47,18 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// tight tolerance needs (single runs were observed ±5% on one core).
 const MEASURE_REPEATS: usize = 5;
 
-/// Calendar shard-domain counts exercised after the thread sweep, each on
-/// one runner thread. Digest parity with the serial pass is enforced.
-const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
-
-/// Intra-engine shard worker counts exercised after the shard sweep,
-/// each on one runner thread with four calendar shards (workers can only
-/// split work that sharding already partitioned). Digest parity with the
-/// serial pass is enforced; CI's worker-scaling gate keys on these
-/// entries when the host has enough CPUs to make the number meaningful.
-const WORKER_COUNTS: [usize; 2] = [2, 4];
-
-fn grid(opts: &HarnessArgs, shards: Option<usize>, workers: usize) -> Vec<Scenario> {
-    let mut ro = opts.run_options();
-    ro.workers = Some(workers);
+fn grid(opts: &HarnessArgs) -> Vec<Scenario> {
+    let ro = opts.run_options();
     let mut scenarios = Vec::new();
     for w in Workload::all() {
         let w = Arc::new(w);
         for cfg in CONFIGS {
-            let mut s = Scenario::shared(
+            scenarios.push(Scenario::shared(
                 format!("{}/{}", w.abbr, cfg.label()),
                 Arc::clone(&w),
                 cfg,
                 ro.clone(),
-            );
-            if let Some(n) = shards {
-                s = s.with_tweak(move |c| c.shards = n);
-            }
-            scenarios.push(s);
+            ));
         }
     }
     scenarios
@@ -130,17 +106,6 @@ fn measure(results: &[ScenarioResult]) -> PassMeasure {
     m
 }
 
-/// One measurement pass of the grid: a runner thread count, an
-/// intra-engine shard worker count, plus an optional calendar
-/// shard-count tweak (`None` = the `--shards` / `AVATAR_SHARDS` default
-/// the thread sweep runs under).
-struct Pass {
-    threads: usize,
-    shards: usize,
-    workers: usize,
-    tweak: Option<usize>,
-}
-
 fn main() {
     // Pin the result cache off before `parse` can install one: this
     // harness measures wall time, and replayed cells would report as
@@ -148,8 +113,7 @@ fn main() {
     // AVATAR_CACHE cannot re-enable it here.
     avatar_bench::cache::configure(None);
     let opts = HarnessArgs::parse();
-    let base_workers = opts.effective_workers();
-    let n_cells = grid(&opts, None, base_workers).len();
+    let n_cells = grid(&opts).len();
 
     // Host environment + speed-knob provenance, recorded per JSON entry so
     // a benchmark number can never be quoted without the knobs it ran
@@ -157,40 +121,18 @@ fn main() {
     // is where the env-driven knobs are read.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let knobs = avatar_sim::config::GpuConfig::default();
-    let base_shards = opts.shards.unwrap_or(knobs.shards);
 
     // On a one-CPU host every multi-thread pass serializes into a repeat
     // of the serial measurement; skip them (the scaling gate ignores
-    // them anyway) and keep only the measurement pass. The shard sweep
-    // below is a digest-parity gate and runs regardless.
-    let mut passes: Vec<Pass> = THREAD_COUNTS
-        .iter()
-        .filter(|&&threads| threads == 1 || cpus > 1)
-        .map(|&threads| Pass {
-            threads,
-            shards: base_shards,
-            workers: base_workers,
-            tweak: opts.shards,
-        })
-        .collect();
+    // them anyway) and keep only the measurement pass.
+    let passes: Vec<usize> =
+        THREAD_COUNTS.iter().copied().filter(|&threads| threads == 1 || cpus > 1).collect();
     if cpus == 1 {
         eprintln!(
             "throughput: one-CPU host; skipping the {} multi-thread passes",
             THREAD_COUNTS.len() - passes.len()
         );
     }
-    passes.extend(SHARD_COUNTS.iter().map(|&n| Pass {
-        threads: 1,
-        shards: n,
-        workers: base_workers,
-        tweak: Some(n),
-    }));
-    passes.extend(WORKER_COUNTS.iter().map(|&w| Pass {
-        threads: 1,
-        shards: 4,
-        workers: w,
-        tweak: Some(4),
-    }));
 
     let mut json = Vec::new();
     let mut rows = Vec::new();
@@ -198,12 +140,10 @@ fn main() {
     let mut events_per_sec = 0.0f64;
     let mut serial_digest = 0u64;
     let mut total_failed = 0usize;
-    for (i, pass) in passes.iter().enumerate() {
-        let &Pass { threads, shards, workers, tweak } = pass;
+    for (i, &threads) in passes.iter().enumerate() {
         let serial_pass = i == 0;
         eprintln!(
-            "throughput: {n_cells} cells, pass {}/{} on {threads} thread(s), \
-             {shards} shard(s), {workers} worker(s){}...",
+            "throughput: {n_cells} cells, pass {}/{} on {threads} thread(s){}...",
             i + 1,
             passes.len(),
             if serial_pass { format!(" (best of {MEASURE_REPEATS})") } else { String::new() }
@@ -213,7 +153,7 @@ fn main() {
         let mut results = Vec::new();
         for _ in 0..repeats {
             let t0 = Instant::now(); // lint:allow(nondeterminism)
-            let pass = run_scenarios(threads, grid(&opts, tweak, workers));
+            let pass = run_scenarios(threads, grid(&opts));
             let s = t0.elapsed().as_secs_f64();
             if s < wall_s {
                 wall_s = s;
@@ -231,23 +171,19 @@ fn main() {
             serial_digest = digest;
         } else if digest != serial_digest {
             eprintln!(
-                "DETERMINISM VIOLATION: pass with {threads} thread(s), {shards} shard(s), \
-                 {workers} worker(s) digest {digest:#018x} != serial digest \
-                 {serial_digest:#018x}"
+                "DETERMINISM VIOLATION: pass with {threads} thread(s) digest {digest:#018x} \
+                 != serial digest {serial_digest:#018x}"
             );
             total_failed += 1;
         }
         let cells_per_sec = n_cells as f64 / wall_s;
         let scaling = serial_s / wall_s;
         // Scaling numbers only mean something when the pass was actually
-        // parallel (grid threads or intra-engine workers) on
-        // actually-parallel hardware; a one-CPU box serializes every
-        // pass and the "scaling" is scheduler noise.
-        let scaling_measured = cpus > 1 && (threads > 1 || workers > 1);
+        // parallel on actually-parallel hardware; a one-CPU box
+        // serializes every pass and the "scaling" is scheduler noise.
+        let scaling_measured = cpus > 1 && threads > 1;
         rows.push(vec![
             threads.to_string(),
-            shards.to_string(),
-            workers.to_string(),
             format!("{wall_s:.2}"),
             format!("{cells_per_sec:.3}"),
             if scaling_measured { format!("{scaling:.2}") } else { format!("{scaling:.2}*") },
@@ -258,8 +194,6 @@ fn main() {
         json.push(obj! {
             "cells": n_cells,
             "threads": threads,
-            "shards": shards,
-            "workers": workers,
             "cpus": cpus,
             "digest": format!("{digest:#018x}"),
             "events_processed": events,
@@ -281,10 +215,7 @@ fn main() {
     );
     println!("(* = scaling not measured: fully serial pass or one-CPU host)");
     print_table(
-        &[
-            "Threads", "Shards", "Workers", "Wall (s)", "Cells/sec", "Scaling", "Events/sec",
-            "FastPath", "Failed",
-        ],
+        &["Threads", "Wall (s)", "Cells/sec", "Scaling", "Events/sec", "FastPath", "Failed"],
         &rows,
     );
 

@@ -31,11 +31,11 @@
 //! avatar-lint rule denies `..` rest patterns in those functions).
 //!
 //! **Entry format.** One JSON file per key (`<dir>/<key:016x>.json`),
-//! schema-versioned (`avatar-cache/1`), holding the recorded engine
+//! schema-versioned (`avatar-cache/2`), holding the recorded engine
 //! fingerprint, the cell's `Stats::digest()`, its wall time, and the
-//! `Stats` payload hex-encoded via the checkpoint [`Writer`]. Writes go
-//! through a temp file + atomic rename so concurrent sweeps sharing a
-//! cache directory never observe a torn entry.
+//! `Stats` payload hex-encoded via the `Stats` codec's [`Writer`].
+//! Writes go through a temp file + atomic rename so concurrent sweeps
+//! sharing a cache directory never observe a torn entry.
 //!
 //! **Trust model.** A replayed entry is *re-verified*: the decoded
 //! `Stats::digest()` must equal the recorded digest, and both must be
@@ -61,7 +61,7 @@ use std::sync::OnceLock;
 
 /// Entry schema identifier; bump on any layout change. A file with a
 /// different schema is treated as a miss (old format, not corruption).
-pub const SCHEMA: &str = "avatar-cache/1";
+pub const SCHEMA: &str = "avatar-cache/2";
 
 /// Default cache directory when neither `--cache` nor `AVATAR_CACHE`
 /// names one.

@@ -8,10 +8,6 @@
 //! * `--scale <f>`, `--sms <n>`, `--warps <n>` — individual geometry knobs
 //! * `--threads <n>` — worker threads for the scenario grid (default:
 //!   `AVATAR_THREADS`, else available parallelism)
-//! * `--workers <n>` — intra-engine shard worker threads (default:
-//!   `AVATAR_SHARD_WORKERS`, else 1). Digest-invariant. Unless
-//!   `--threads` is explicit, the grid width is divided by this so
-//!   cells × intra-cell workers stays within the thread budget.
 //! * `--policy <name>` / `--policies <list>` — restrict a harness to
 //!   named translation policies from the registry (repeatable flag /
 //!   comma-separated list; see [`avatar_core::policy::REGISTRY`]).
@@ -63,21 +59,6 @@ pub struct HarnessArgs {
     pub json: Option<PathBuf>,
     /// Worker threads for the scenario grid.
     pub threads: usize,
-    /// Calendar shard-domain override (`--shards`); `None` keeps the
-    /// config default (`AVATAR_SHARDS`, else 1). Applied as a
-    /// [`GpuConfig`](avatar_sim::config::GpuConfig) tweak by harnesses —
-    /// the digest is pinned identical across shard counts, so this is a
-    /// structure knob, not a result knob.
-    pub shards: Option<usize>,
-    /// Intra-engine shard workers (`--workers`); `None` keeps the engine
-    /// default (`AVATAR_SHARD_WORKERS`, else 1). Host-side execution
-    /// width only — the digest is pinned identical for every value.
-    pub workers: Option<usize>,
-    /// Whether `--threads` was given explicitly. When it was not, the
-    /// nested thread budget divides the default grid width by the
-    /// effective worker count so cells × intra-cell workers stays within
-    /// `AVATAR_THREADS` (else all cores).
-    threads_explicit: bool,
     /// Chrome-trace destination (`--trace-out` / `AVATAR_TRACE_OUT`).
     pub trace_out: Option<PathBuf>,
     /// Result-cache directory override (`--cache`); `None` falls back to
@@ -114,9 +95,6 @@ impl Default for HarnessArgs {
             seed: RunOptions::default().seed,
             json: None,
             threads: default_threads(),
-            shards: None,
-            workers: None,
-            threads_explicit: false,
             trace_out: None,
             cache_dir: None,
             no_cache: false,
@@ -130,7 +108,7 @@ impl Default for HarnessArgs {
 pub fn usage(bin: &str, extras: &[ExtraFlag]) -> String {
     let mut s = format!(
         "usage: {bin} [--quick | --full] [--scale F] [--sms N] [--warps N]\n       \
-         [--threads N] [--shards N] [--workers N] [--seed N] [--json PATH]\n       \
+         [--threads N] [--seed N] [--json PATH]\n       \
          [--policy NAME]... [--policies LIST]\n       \
          [--trace-out PATH] [--cache DIR | --no-cache]"
     );
@@ -147,12 +125,6 @@ pub fn usage(bin: &str, extras: &[ExtraFlag]) -> String {
          --sms N            SM count (default 16)\n  \
          --warps N          warps per SM (default 32)\n  \
          --threads N        worker threads (default: AVATAR_THREADS, else all cores)\n  \
-         --shards N         calendar shard domains per engine (default:\n                     \
-         AVATAR_SHARDS, else 1; results are shard-count invariant)\n  \
-         --workers N        intra-engine shard worker threads (default:\n                     \
-         AVATAR_SHARD_WORKERS, else 1; results are worker-count\n                     \
-         invariant; the default --threads grid width is divided\n                     \
-         by this so total host threads stay within budget)\n  \
          --seed N           extra allocation seed (default 7)\n  \
          --json PATH        dump rows as JSON\n  \
          --policy NAME      restrict to a registry policy (repeatable;\n                     \
@@ -200,7 +172,6 @@ impl HarnessArgs {
                 if args.trace_out.is_none() {
                     args.trace_out = std::env::var_os("AVATAR_TRACE_OUT").map(PathBuf::from);
                 }
-                args.apply_thread_budget();
                 args.configure_cache();
                 args
             }
@@ -233,16 +204,7 @@ impl HarnessArgs {
                 "--sms" => opts.sms = value("--sms", args.next())?,
                 "--warps" => opts.warps = value("--warps", args.next())?,
                 "--seed" => opts.seed = value("--seed", args.next())?,
-                "--threads" => {
-                    opts.threads = value::<usize>("--threads", args.next())?.max(1);
-                    opts.threads_explicit = true;
-                }
-                "--shards" => {
-                    opts.shards = Some(value::<usize>("--shards", args.next())?.max(1))
-                }
-                "--workers" => {
-                    opts.workers = Some(value::<usize>("--workers", args.next())?.max(1))
-                }
+                "--threads" => opts.threads = value::<usize>("--threads", args.next())?.max(1),
                 "--full" => {
                     opts.scale = 1.0;
                     opts.sms = 46;
@@ -290,32 +252,6 @@ impl HarnessArgs {
             }
         }
         Ok(opts)
-    }
-
-    /// The effective intra-engine worker count: `--workers` if given,
-    /// else `AVATAR_SHARD_WORKERS` (the same environment default the
-    /// engine itself reads), else 1.
-    pub fn effective_workers(&self) -> usize {
-        if let Some(w) = self.workers {
-            return w;
-        }
-        std::env::var("AVATAR_SHARD_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&w| w >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Applies the nested thread budget: the *default* grid width
-    /// (`AVATAR_THREADS`, else all cores) is a budget on total host
-    /// threads, so when each cell runs `workers` intra-engine threads
-    /// the grid spawns `threads / workers` cells at a time. An explicit
-    /// `--threads` is taken literally — the caller asked for exactly
-    /// that many concurrent cells.
-    pub fn apply_thread_budget(&mut self) {
-        if !self.threads_explicit {
-            self.threads = (self.threads / self.effective_workers()).max(1);
-        }
     }
 
     /// Installs the process-global result cache from the resolved
@@ -372,18 +308,7 @@ impl HarnessArgs {
             warps: Some(self.warps),
             seed: self.seed,
             trace_out: self.trace_out.clone(),
-            workers: self.workers,
             ..RunOptions::default()
-        }
-    }
-
-    /// Applies the shared [`GpuConfig`](avatar_sim::config::GpuConfig)
-    /// tweak flags (currently `--shards`) to an assembled config.
-    /// Harnesses pass this as the `run_with` / `Scenario::with_tweak`
-    /// hook so every binary honours the flags identically.
-    pub fn apply_config(&self, cfg: &mut avatar_sim::config::GpuConfig) {
-        if let Some(n) = self.shards {
-            cfg.shards = n;
         }
     }
 
@@ -484,56 +409,6 @@ mod tests {
     fn threads_zero_clamps_to_one() {
         let o = parse(&["--threads", "0"]).expect("valid args");
         assert_eq!(o.threads, 1);
-    }
-
-    #[test]
-    fn shards_flag_tweaks_config() {
-        let o = parse(&["--shards", "4"]).expect("valid args");
-        assert_eq!(o.shards, Some(4));
-        let mut cfg = avatar_sim::config::GpuConfig::rtx3070();
-        o.apply_config(&mut cfg);
-        assert_eq!(cfg.shards, 4);
-        // Unset: the config keeps whatever default it was assembled with.
-        let d = parse(&[]).expect("valid args");
-        assert_eq!(d.shards, None);
-        let before = cfg.shards;
-        d.apply_config(&mut cfg);
-        assert_eq!(cfg.shards, before);
-        // Zero clamps to one shard (the classic single-domain calendar).
-        let z = parse(&["--shards", "0"]).expect("valid args");
-        assert_eq!(z.shards, Some(1));
-    }
-
-    #[test]
-    fn workers_flag_parses_and_flows_into_run_options() {
-        let o = parse(&["--workers", "4"]).expect("valid args");
-        assert_eq!(o.workers, Some(4));
-        assert_eq!(o.run_options().workers, Some(4));
-        // Zero clamps to one (serial drain).
-        let z = parse(&["--workers", "0"]).expect("valid args");
-        assert_eq!(z.workers, Some(1));
-        // Unset stays None so the engine's own default applies.
-        let d = parse(&[]).expect("valid args");
-        assert_eq!(d.workers, None);
-        assert_eq!(d.run_options().workers, None);
-    }
-
-    #[test]
-    fn thread_budget_divides_default_but_not_explicit_threads() {
-        // Default threads with --workers: the grid width shrinks so
-        // cells x intra-cell workers stays within the budget.
-        let mut o = parse(&["--workers", "4"]).expect("valid args");
-        let before = o.threads;
-        o.apply_thread_budget();
-        assert_eq!(o.threads, (before / 4).max(1));
-        // Explicit --threads is taken literally.
-        let mut e = parse(&["--threads", "8", "--workers", "4"]).expect("valid args");
-        e.apply_thread_budget();
-        assert_eq!(e.threads, 8);
-        // No workers: budget is a no-op (effective_workers >= 1 always).
-        let mut n = parse(&["--threads", "3"]).expect("valid args");
-        n.apply_thread_budget();
-        assert_eq!(n.threads, 3);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use crate::mod_table::ModTable;
 use crate::vpn_table::VpnTable;
 use avatar_sim::addr::{Ppn, Vpn};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::hooks::{SpecFillAction, SpecFillContext, TranslationPolicy, ValidationKind};
 
 /// Which contiguity predictor CAST uses.
@@ -139,32 +138,6 @@ impl TranslationPolicy for AvatarPolicy {
 
     fn propagates_cross_sm(&self) -> bool {
         self.cross_sm
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        // Knobs (predictor, validation, eaf, cross_sm) are assembly-time
-        // configuration; only the per-SM predictor tables train.
-        w.usize(self.mods.len());
-        for m in &self.mods {
-            m.save_state(w);
-        }
-        for v in &self.vpns {
-            v.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.mods.len() {
-            return Err(CkptError::Corrupt("Avatar policy per-SM table count mismatch"));
-        }
-        for m in &mut self.mods {
-            m.load_state(r)?;
-        }
-        for v in &mut self.vpns {
-            v.load_state(r)?;
-        }
-        Ok(())
     }
 }
 

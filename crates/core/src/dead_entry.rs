@@ -19,7 +19,6 @@
 //! behaviour all delegate to the wrapped policy.
 
 use avatar_sim::addr::{Ppn, Vpn};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::hooks::{
     PolicyCounters, SpecFillAction, SpecFillContext, TranslationPolicy, ValidationKind,
 };
@@ -146,57 +145,6 @@ impl TranslationPolicy for DeadEntryPolicy {
     fn policy_counters(&self) -> PolicyCounters {
         self.counters.merged(self.inner.policy_counters())
     }
-
-    /// Tables first (in SM order, slots in table order), then the
-    /// wrapped policy's stream — mirroring construction order.
-    fn save_state(&self, w: &mut Writer) {
-        w.usize(self.tables.len());
-        for t in &self.tables {
-            for slot in &t.slots {
-                match slot {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(e.region);
-                        w.u64(e.last_vpn);
-                        w.u8(e.streak);
-                    }
-                    None => w.u8(0),
-                }
-            }
-        }
-        w.u64(self.counters.installs);
-        w.u64(self.counters.evictions);
-        w.u64(self.counters.hits);
-        self.inner.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.tables.len() {
-            return Err(CkptError::Corrupt("dead-entry per-SM table count mismatch"));
-        }
-        for t in &mut self.tables {
-            for slot in &mut t.slots {
-                *slot = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let region = r.u64()?;
-                        let last_vpn = r.u64()?;
-                        let streak = r.u8()?;
-                        if streak > STREAK_MAX {
-                            return Err(CkptError::Corrupt("dead-entry streak above ceiling"));
-                        }
-                        Some(StreamEntry { region, last_vpn, streak })
-                    }
-                    _ => return Err(CkptError::Corrupt("dead-entry slot tag")),
-                };
-            }
-        }
-        self.counters.installs = r.u64()?;
-        self.counters.evictions = r.u64()?;
-        self.counters.hits = r.u64()?;
-        self.inner.load_state(r)
-    }
 }
 
 #[cfg(test)]
@@ -264,36 +212,5 @@ mod tests {
         let c = p.policy_counters();
         assert_eq!(c.installs, 1, "one region tracked");
         assert_eq!(c.hits, 1, "second miss found the entry");
-    }
-
-    #[test]
-    fn checkpoint_round_trips_through_the_wrapper() {
-        let mut p = DeadEntryPolicy::new(
-            2,
-            Box::new(crate::cast::AvatarPolicy::avatar(2, 32, 2)),
-        );
-        let base = 7 * PAGES_PER_CHUNK;
-        for i in 0..8u64 {
-            p.on_l1_tlb_miss(0, 0x100, Vpn(base + i));
-            p.on_translation_resolved(0, 0x100, Vpn(base + i), Ppn(base + i + 1000));
-        }
-        let mut w = Writer::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut twin = DeadEntryPolicy::new(
-            2,
-            Box::new(crate::cast::AvatarPolicy::avatar(2, 32, 2)),
-        );
-        twin.load_state(&mut Reader::new(&bytes)).expect("restore succeeds");
-        assert_eq!(twin.policy_counters(), p.policy_counters());
-        assert_eq!(
-            twin.l1_fill_priority(0, Vpn(base + 20)),
-            p.l1_fill_priority(0, Vpn(base + 20))
-        );
-        // The inner MOD table restored too: both twins speculate alike.
-        assert_eq!(
-            twin.on_l1_tlb_miss(0, 0x100, Vpn(base + 30)),
-            p.on_l1_tlb_miss(0, 0x100, Vpn(base + 30))
-        );
     }
 }

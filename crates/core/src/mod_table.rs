@@ -105,45 +105,6 @@ impl ModTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serializes the table's mutable state. Entries go in storage
-    /// order: lookups and LRU victims are found by linear scan, so a
-    /// reordered restore would train and evict differently.
-    // lint:exempt(checkpoint-field-parity: capacity is construction-time geometry; load_state reads it only to reject streams larger than the live table)
-    pub fn save_state(&self, w: &mut avatar_sim::checkpoint::Writer) {
-        w.u64(self.stamp);
-        w.seq(self.entries.iter(), |w, e| {
-            w.u64(e.pc);
-            w.u8(e.state);
-            w.u64(e.offset as u64);
-            w.u64(e.last_use);
-        });
-    }
-
-    /// Restores state written by [`save_state`](Self::save_state).
-    pub fn load_state(
-        &mut self,
-        r: &mut avatar_sim::checkpoint::Reader<'_>,
-    ) -> Result<(), avatar_sim::checkpoint::CkptError> {
-        use avatar_sim::checkpoint::CkptError;
-        self.stamp = r.u64()?;
-        let n = r.seq_len()?;
-        if n > self.capacity {
-            return Err(CkptError::Corrupt("MOD table exceeds its capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let pc = r.u64()?;
-            let state = r.u8()?;
-            if state > STATE_MAX {
-                return Err(CkptError::Corrupt("MOD confidence above the 2-bit maximum"));
-            }
-            let offset = r.u64()? as i64;
-            let last_use = r.u64()?;
-            self.entries.push(ModEntry { pc, state, offset, last_use });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

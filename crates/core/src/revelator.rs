@@ -23,7 +23,6 @@
 //! trade-off against CAST's associative MOD table.
 
 use avatar_sim::addr::{Ppn, Vpn};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::config::Cycle;
 use avatar_sim::hooks::{
     PolicyCounters, SpecFillAction, SpecFillContext, TranslationPolicy, ValidationKind,
@@ -48,7 +47,7 @@ pub struct RevelatorPolicy {
 }
 
 /// splitmix64 finalizer over the region id — the hash the seed table is
-/// indexed with. Stateless, so shard workers and the shared lane agree.
+/// indexed with.
 fn seed_slot(region: u64, mask: u64) -> usize {
     let mut z = region.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -131,44 +130,6 @@ impl TranslationPolicy for RevelatorPolicy {
     fn policy_counters(&self) -> PolicyCounters {
         self.counters
     }
-
-    /// Seed slots go in table order so a restored policy hashes into
-    /// identical slots.
-    // lint:exempt(checkpoint-field-parity: mask and latency are construction-time configuration; only the seed slots and counters mutate)
-    fn save_state(&self, w: &mut Writer) {
-        w.usize(self.seeds.len());
-        for slot in &self.seeds {
-            match slot {
-                Some(seed) => {
-                    w.u8(1);
-                    w.u64(seed.region);
-                    w.u64(seed.offset as u64);
-                }
-                None => w.u8(0),
-            }
-        }
-        w.u64(self.counters.installs);
-        w.u64(self.counters.evictions);
-        w.u64(self.counters.hits);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.seeds.len() {
-            return Err(CkptError::Corrupt("Revelator seed-table size mismatch"));
-        }
-        for slot in &mut self.seeds {
-            *slot = match r.u8()? {
-                0 => None,
-                1 => Some(Seed { region: r.u64()?, offset: r.u64()? as i64 }),
-                _ => return Err(CkptError::Corrupt("Revelator seed slot tag")),
-            };
-        }
-        self.counters.installs = r.u64()?;
-        self.counters.evictions = r.u64()?;
-        self.counters.hits = r.u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -228,29 +189,6 @@ mod tests {
         let p = RevelatorPolicy::new(64, 33);
         assert_eq!(p.validation_kind(), ValidationKind::Rapid { latency: 33 });
         assert!(!p.propagates_cross_sm());
-    }
-
-    #[test]
-    fn checkpoint_round_trips() {
-        let mut p = RevelatorPolicy::new(64, 20);
-        for r in 0..10u64 {
-            let vpn = Vpn(r * PAGES_PER_CHUNK + r);
-            p.on_translation_resolved(0, 0x1, vpn, Ppn(vpn.0 + 64 * r + 1));
-        }
-        let _ = p.on_l1_tlb_miss(0, 0x1, Vpn(5 * PAGES_PER_CHUNK + 2));
-        let mut w = Writer::new();
-        p.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut twin = RevelatorPolicy::new(64, 20);
-        twin.load_state(&mut Reader::new(&bytes)).expect("restore succeeds");
-        assert_eq!(twin.policy_counters(), p.policy_counters());
-        for r in 0..10u64 {
-            let probe = Vpn(r * PAGES_PER_CHUNK + 17);
-            assert_eq!(twin.on_l1_tlb_miss(0, 0x9, probe), p.on_l1_tlb_miss(0, 0x9, probe));
-        }
-        // A size-mismatched stream is corruption, not a partial restore.
-        let mut wrong = RevelatorPolicy::new(128, 20);
-        assert!(wrong.load_state(&mut Reader::new(&bytes)).is_err());
     }
 
     #[test]

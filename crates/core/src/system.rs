@@ -132,10 +132,6 @@ pub struct RunOptions {
     /// cells sharing one `trace_out` write distinct files (typically the
     /// scenario label).
     pub trace_tag: Option<String>,
-    /// Intra-engine shard workers (`--workers` / `AVATAR_SHARD_WORKERS`);
-    /// `None` keeps the engine's own default. Host-side execution width
-    /// only — the digest is pinned identical for every value.
-    pub workers: Option<usize>,
 }
 
 impl Default for RunOptions {
@@ -151,7 +147,6 @@ impl Default for RunOptions {
             codec: avatar_bpc::Codec::Bpc,
             trace_out: None,
             trace_tag: None,
-            workers: None,
         }
     }
 }
@@ -160,10 +155,8 @@ impl RunOptions {
     /// Canonical digest over every simulation-affecting field, for
     /// result-cache keys. `trace_out`/`trace_tag` are excluded — they
     /// only add observers, never change simulated behaviour (and cached
-    /// replay is bypassed entirely when a trace is requested).
-    /// `workers` is excluded too: it is the host-side execution width of
-    /// the shard worker pool, and the engine pins the digest identical
-    /// for every value. The exhaustive destructuring (no `..`) makes
+    /// replay is bypassed entirely when a trace is requested). The
+    /// exhaustive destructuring (no `..`) makes
     /// adding a field without deciding its cache-key role a compile
     /// error.
     pub fn key_digest(&self) -> u64 {
@@ -178,7 +171,6 @@ impl RunOptions {
             codec,
             trace_out: _,
             trace_tag: _,
-            workers: _,
         } = self;
         let mut h = avatar_sim::invariant::Fnv64::new();
         h.write_u64(scale.to_bits());
@@ -330,9 +322,9 @@ pub fn assemble(
 
 /// Assembles the engine for (workload, policy selection, options)
 /// without running it. This is [`run_policy_with`] stopped just before
-/// `Engine::run` — the entry point for checkpoint/restore flows, which
-/// need the engine object itself (to step it partway, serialize it, or
-/// rebuild a fresh twin to restore into).
+/// `Engine::run` — the entry point for callers that drive the engine
+/// themselves (`Engine::start`, then `Engine::run_steps` in chunks, then
+/// `Engine::finish`).
 pub fn assemble_policy(
     workload: &Workload,
     policy: PolicySelection,
@@ -362,9 +354,6 @@ pub fn assemble_policy(
         Box::new(workload.program(cfg.num_sms, cfg.warps_per_sm, opts.scale))
     };
     let mut engine = Engine::new(cfg, l1s, l2, accel, Box::new(content), program);
-    if let Some(w) = opts.workers {
-        engine.set_workers(w);
-    }
     attach_trace(&mut engine, opts);
     engine
 }

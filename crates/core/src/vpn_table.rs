@@ -77,40 +77,6 @@ impl VpnTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serializes the table's mutable state in storage order (linear-scan
-    /// lookups and LRU eviction make order behaviourally significant).
-    // lint:exempt(checkpoint-field-parity: capacity is construction-time geometry; load_state reads it only to reject streams larger than the live table)
-    pub fn save_state(&self, w: &mut avatar_sim::checkpoint::Writer) {
-        w.u64(self.stamp);
-        w.seq(self.entries.iter(), |w, e| {
-            w.u64(e.vchunk);
-            w.u64(e.offset as u64);
-            w.u64(e.last_use);
-        });
-    }
-
-    /// Restores state written by [`save_state`](Self::save_state).
-    pub fn load_state(
-        &mut self,
-        r: &mut avatar_sim::checkpoint::Reader<'_>,
-    ) -> Result<(), avatar_sim::checkpoint::CkptError> {
-        use avatar_sim::checkpoint::CkptError;
-        self.stamp = r.u64()?;
-        let n = r.seq_len()?;
-        if n > self.capacity {
-            return Err(CkptError::Corrupt("VPN-T table exceeds its capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            self.entries.push(VpnEntry {
-                vchunk: r.u64()?,
-                offset: r.u64()? as i64,
-                last_use: r.u64()?,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -13,9 +13,11 @@
 //! This is the CI-enforced differential gate from DESIGN.md §9: the sweep
 //! covers every figure-bin system configuration at two seeds, so a
 //! divergence introduced anywhere in the fast path's classify/commit
-//! logic is caught by `cargo test` alone.
+//! logic is caught by `cargo test` alone. The same sweep pins chunked
+//! execution (`Engine::run_steps` in small slices, as long-running
+//! drivers step the engine) to the straight-through `run()` digest.
 
-use avatar_core::system::{run_with, RunOptions, SystemConfig};
+use avatar_core::system::{assemble, run_with, RunOptions, SystemConfig};
 use avatar_sim::Stats;
 use avatar_workloads::Workload;
 
@@ -36,6 +38,10 @@ const ALL_CONFIGS: [SystemConfig; 10] = [
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
 }
+
+/// Chunk sizes for the `run_steps` variant: one event (a window per
+/// call) and an odd size that splits windows unevenly.
+const CHUNKS: [u64; 2] = [1, 997];
 
 /// Zeroes the two counters the knob is allowed to change, returning the
 /// digest of everything else.
@@ -70,6 +76,18 @@ fn fast_path_digest_identical_across_figure_configs() {
                 "{} seed {seed}: fast-path classification depends on the knob",
                 config.label()
             );
+            for chunk in CHUNKS {
+                let mut engine =
+                    assemble(&w, config, &opts(seed), |c| c.inline_hit_path = true);
+                engine.start();
+                while engine.run_steps(chunk) {}
+                assert_eq!(
+                    engine.finish().digest(),
+                    on.digest(),
+                    "{} seed {seed}: run_steps({chunk}) diverged from run()",
+                    config.label()
+                );
+            }
             total_fast_sectors += on.fast_path_sectors;
         }
     }
@@ -91,13 +109,10 @@ fn fast_path_full_debug_rendering_matches() {
         for s in [&mut on, &mut off] {
             s.events_processed = 0;
             s.idle_cycles_skipped = 0;
-            // Per-domain decomposition of events_processed and the barrier
-            // bookkeeping derived from calendar occupancy: host-side
-            // structure counters, changed by the same mechanism (fewer
-            // calendar events) the two fields above already allow for.
-            s.shard_events.clear();
+            // Barrier bookkeeping derived from calendar occupancy: a
+            // host-side structure counter, changed by the same mechanism
+            // (fewer calendar events) the two fields above allow for.
             s.horizon_barriers = 0;
-            s.horizon_stalls = 0;
         }
         assert_eq!(
             format!("{on:?}"),

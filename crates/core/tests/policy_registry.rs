@@ -1,7 +1,7 @@
 //! The policy registry is a drop-in replacement for the enum-era
 //! `SystemConfig` assembly — byte-for-byte.
 //!
-//! Three properties gate the registry refactor:
+//! Two properties gate the registry refactor:
 //!
 //! * **Digest parity** — every legacy `SystemConfig` variant, run through
 //!   the enum entry points, produces a `Stats` digest identical to the
@@ -10,14 +10,9 @@
 //! * **New policies live** — Revelator actually speculates and rapid-
 //!   validates on a real workload (not a stub that compiles and idles),
 //!   and the dead-entry modifier runs to completion on top of Avatar.
-//! * **Checkpoint round-trip** — the new policies' `save_state`/
-//!   `load_state` are full-fidelity: a mid-run checkpoint restored into a
-//!   freshly assembled twin finishes with the straight-through digest.
 
 use avatar_core::policy::PolicySelection;
-use avatar_core::system::{
-    assemble_policy, run, run_policy, run_policy_with, RunOptions, SystemConfig,
-};
+use avatar_core::system::{run, run_policy, RunOptions, SystemConfig};
 use avatar_workloads::Workload;
 
 /// Every enum variant and the registry name it must alias.
@@ -37,10 +32,6 @@ const ENUM_ALIASES: [(SystemConfig, &str); 10] = [
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
 }
-
-/// Events to process before taking the mid-run checkpoint: far enough in
-/// that seed tables / stream tables hold live state.
-const CHECKPOINT_AT: u64 = 50_000;
 
 #[test]
 fn registry_names_reproduce_enum_digests() {
@@ -89,33 +80,6 @@ fn dead_entry_modifier_runs_and_diverges_from_base_policy() {
         dead.digest(),
         "avatar+dead must not be digest-identical to avatar on SSSP"
     );
-}
-
-#[test]
-fn new_policy_checkpoints_round_trip() {
-    let w = Workload::by_abbr("MD").expect("workload table contains MD");
-    for name in ["revelator", "avatar+dead"] {
-        let sel = PolicySelection::parse(name).expect("registry name");
-        let straight = run_policy_with(&w, sel, &opts(7), |_| {}).digest();
-
-        let mut engine = assemble_policy(&w, sel, &opts(7), |_| {});
-        engine.start();
-        let more = engine.run_steps(CHECKPOINT_AT);
-        let bytes = engine.save_checkpoint();
-
-        let mut twin = assemble_policy(&w, sel, &opts(7), |_| {});
-        twin.restore_checkpoint(&bytes)
-            .unwrap_or_else(|e| panic!("{name}: restore failed: {e:?}"));
-        twin.audit_invariants();
-        if more {
-            twin.run_steps(u64::MAX);
-        }
-        let restored = twin.finish().digest();
-        assert_eq!(
-            restored, straight,
-            "{name}: restored-run digest diverged from straight-through"
-        );
-    }
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use avatar_core::{AvatarPolicy, ModTable, VpnTable};
 use avatar_sim::addr::{Ppn, Vpn};
-use avatar_sim::hooks::TranslationAccel;
+use avatar_sim::hooks::TranslationPolicy;
 use avatar_sim::rng::SimRng;
 
 const TRIALS: u64 = 64;

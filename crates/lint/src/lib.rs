@@ -16,7 +16,7 @@
 //! * **Semantic rules** parse each file into an item model (structs +
 //!   fields, impls, fns), stitch a workspace item graph and an
 //!   intra-workspace call graph, and check cross-cutting invariants:
-//!   shard→shared-domain reachability, digest/checkpoint field parity,
+//!   lane→shared-domain reachability, digest/save-load field parity,
 //!   and hash-map iteration order at order-sensitive sinks.
 //!
 //! Findings print as `file:line: [rule-id] message` and can also be
@@ -81,18 +81,18 @@ pub const ZERO_DELTA_SCHEDULE: &str = "zero-delta-schedule";
 /// every pair in one function so this is statically checkable.
 pub const PROBE_SPAN_BALANCE: &str = "probe-span-balance";
 /// Rule id (semantic): a call path from a fn defined in a shard-domain
-/// module (`sm.rs`, `cache.rs`, `tlb.rs`) — or from a worker entry
-/// point, an inherent method of a [`SHARD_ENTRY_TYPES`] type such as
+/// module (`sm.rs`, `cache.rs`, `tlb.rs`) — or from a lane entry point,
+/// an inherent method of a [`SHARD_ENTRY_TYPES`] type such as
 /// `ShardLane`, wherever it is defined — reaching a method of a
 /// shared-domain type (`PageWalkSystem`/`PwCache`/`Dram`/`Uvm`), or (in
-/// shard-domain modules) a direct mention of one. Under the sharded
-/// calendar, SM-side code runs inside a bounded-lag window, possibly on
-/// a worker thread, and may only reach the shared domain through
-/// scheduled events — a direct access (even through helper fns in other
+/// shard-domain modules) a direct mention of one. In the windowed
+/// engine, SM-side code runs inside a window and may only reach the
+/// shared domain through scheduled events, which pay the modeled
+/// window latency — a direct access (even through helper fns in other
 /// modules, which the retired file-scoped `shard-shared-state` rule
-/// could not see) would read state from a different logical time and
-/// silently break the shards-1/2/4/8 digest parity gate. Sanctioned
-/// exceptions (the one-lane one-worker ideal-TLB mode) carry
+/// could not see) would skip that latency and read state from a
+/// different logical time. Sanctioned exceptions (ideal-TLB mode, which
+/// models instant translation) carry
 /// `lint:exempt(shard-reachability): <reason>` at the call site.
 pub const SHARD_REACHABILITY: &str = "shard-reachability";
 /// Rule id (semantic): a field of a struct that has a `digest` /
@@ -102,12 +102,12 @@ pub const SHARD_REACHABILITY: &str = "shard-reachability";
 pub const DIGEST_FIELD_PARITY: &str = "digest-field-parity";
 /// Rule id (semantic): a `save_state`/`load_state` impl pair touches
 /// different field sets. A field saved but not restored (or vice versa)
-/// makes a checkpoint round-trip silently diverge from the uncheckpointed
-/// run, which the PR 7 resume gates would attribute to the wrong cause.
+/// makes the `Stats` codec behind the result cache replay a value that
+/// differs from the one stored.
 pub const CHECKPOINT_FIELD_PARITY: &str = "checkpoint-field-parity";
 /// Rule id (semantic): iteration over an `FxHashMap`/`FxHashSet` (or a
 /// std hash map) inside an order-sensitive fn — one that digests,
-/// schedules events, or serializes a checkpoint — without a sorted
+/// schedules events, or serializes state — without a sorted
 /// adapter. Hash iteration order is layout-dependent; leaking it into
 /// those sinks breaks bit-determinism across allocator/seed changes.
 pub const MAP_ITERATION_DETERMINISM: &str = "map-iteration-determinism";
@@ -130,17 +130,17 @@ pub const MIN_EXPECT_LEN: usize = 8;
 /// explicit `lint:allow`.
 const TIMER_FILE: &str = "crates/bench/src/timer.rs";
 
-/// The shard-domain modules: code here executes inside a per-shard
-/// bounded-lag window, so it must never reach shared-domain structures,
-/// directly or through helpers (see [`SHARD_REACHABILITY`]).
+/// The shard-domain modules: code here executes inside the SM lane's
+/// window, so it must never reach shared-domain structures, directly or
+/// through helpers (see [`SHARD_REACHABILITY`]).
 pub(crate) const SHARD_DOMAIN_FILES: &[&str] =
     &["crates/sim/src/sm.rs", "crates/sim/src/cache.rs", "crates/sim/src/tlb.rs"];
 
-/// Worker entry-point types: inherent methods of these types run on
-/// shard worker threads inside the bounded-lag window, so every one of
-/// them is a first-class BFS root for [`SHARD_REACHABILITY`] regardless
-/// of which file defines it (the engine module also hosts the shared
-/// lane, so a file-scoped list cannot express this). The entry-point
+/// Lane entry-point types: inherent methods of these types run inside
+/// the SM lane's window, so every one of them is a first-class BFS root
+/// for [`SHARD_REACHABILITY`] regardless of which file defines it (the
+/// engine module also hosts the shared lane, so a file-scoped list
+/// cannot express this). The entry-point
 /// audit is call-graph only — the engine file legitimately *names*
 /// shared-domain types on the shared-lane side.
 pub(crate) const SHARD_ENTRY_TYPES: &[&str] = &["ShardLane"];
@@ -217,8 +217,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: SHARD_REACHABILITY,
-        scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs) + ShardLane worker entry points + workspace call graph",
-        summary: "no call path (and no direct reference) from shard-domain code or a ShardLane worker entry point to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events (DESIGN.md \u{a7}11, \u{a7}13, \u{a7}14)",
+        scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs) + ShardLane entry points + workspace call graph",
+        summary: "no call path (and no direct reference) from shard-domain code or a ShardLane entry point to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events that pay the window latency (DESIGN.md \u{a7}11, \u{a7}13)",
     },
     RuleInfo {
         id: DIGEST_FIELD_PARITY,
@@ -233,7 +233,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: MAP_ITERATION_DETERMINISM,
         scope: "all crates (order-sensitive fns)",
-        summary: "hash-map iteration feeding digests, event scheduling, or checkpoint serialization must go through a sorted adapter (collect+sort or fxhash::sorted_*) (DESIGN.md \u{a7}13)",
+        summary: "hash-map iteration feeding digests, event scheduling, or state serialization must go through a sorted adapter (collect+sort or fxhash::sorted_*) (DESIGN.md \u{a7}13)",
     },
     RuleInfo {
         id: CACHE_KEY_COMPLETENESS,

@@ -23,7 +23,7 @@
 //!   must touch identical field sets.
 //! * `map-iteration-determinism` — hash-map iteration inside a fn whose
 //!   results can flow into digests, event scheduling, or serialized
-//!   checkpoints must go through a sorted adapter.
+//!   state must go through a sorted adapter.
 //!
 //! Escapes for these rules are *reasoned* markers —
 //! `lint:exempt(rule-id: reason)` (or `lint:digest-exempt(reason)` for
@@ -57,7 +57,7 @@ const ORDER_FREE_TERMINALS: &[&str] =
 const SINK_BODY_IDENTS: &[&str] = &["schedule", "schedule_in", "digest", "key_digest"];
 
 /// Fn names that are sinks by themselves (serialization order is part
-/// of the checkpoint format; digests fold in visit order).
+/// of the saved format; digests fold in visit order).
 const SINK_FN_NAMES: &[&str] = &["save_state", "load_state", "digest", "key_digest"];
 
 /// Everything the semantic pass needs about one file.
@@ -603,7 +603,7 @@ impl<'s> Workspace<'s> {
                 targets.extend(ids.iter().copied());
             }
         }
-        // Worker entry points: every inherent method of a
+        // Lane entry points: every inherent method of a
         // SHARD_ENTRY_TYPES type is a first-class BFS root, wherever it
         // is defined.
         let mut entry_roots: BTreeSet<FnId> = BTreeSet::new();
@@ -631,7 +631,7 @@ impl<'s> Workspace<'s> {
                         SHARD_REACHABILITY,
                         format!(
                             "shared-domain type `{}` referenced directly from a shard-domain \
-                             module; under bounded-lag sharding, cross-domain work must go \
+                             module; in the windowed engine, cross-domain work must go \
                              through scheduled events",
                             t.text(ctx.src)
                         ),
@@ -665,7 +665,7 @@ impl<'s> Workspace<'s> {
                 }
             }
         }
-        // Worker entry points, audited call-graph only (their file also
+        // Lane entry points, audited call-graph only (their file also
         // hosts shared-lane code, so the direct-mention scan would
         // drown in legitimate references). Paths through *other* entry
         // points are pruned: the inner root is audited — and, for the
@@ -689,8 +689,7 @@ impl<'s> Workspace<'s> {
                     first_line,
                     SHARD_REACHABILITY,
                     format!(
-                        "call path from shard worker entry point reaches shared-domain \
-                         state: {}",
+                        "call path from lane entry point reaches shared-domain state: {}",
                         rendered.join(" -> ")
                     ),
                     cfg,
@@ -899,7 +898,7 @@ impl<'s> Workspace<'s> {
                     CHECKPOINT_FIELD_PARITY,
                     format!(
                         "field `{}` of `{ty}` is touched by {present} but not {missing}; a \
-                         checkpoint round-trip would silently diverge — cover the field or \
+                         save/load round-trip would silently diverge — cover the field or \
                          mark the fn `lint:exempt({CHECKPOINT_FIELD_PARITY}: <reason>)`",
                         f.name
                     ),
@@ -1391,7 +1390,7 @@ mod tests {
         assert_eq!(f[0].file, "crates/sim/src/engine.rs");
         assert_eq!(f[0].line, 6, "anchored at the first hop's call site");
         assert!(!f[0].allowed);
-        assert!(f[0].message.contains("worker entry point"), "{}", f[0].message);
+        assert!(f[0].message.contains("lane entry point"), "{}", f[0].message);
         assert!(f[0].message.contains("Dram::service"), "{}", f[0].message);
     }
 

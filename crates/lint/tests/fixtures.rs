@@ -183,7 +183,7 @@ fn shard_worker_reachability_golden() {
     assert_eq!(found[0].line, 14, "anchored at the first hop out of the worker entry point");
     assert!(!found[0].allowed);
     assert!(
-        found[0].message.contains("worker entry point")
+        found[0].message.contains("lane entry point")
             && found[0].message.contains("Dram::service"),
         "message must name the root kind and the shared-domain method: {}",
         found[0].message

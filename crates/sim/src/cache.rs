@@ -12,7 +12,6 @@
 //!   data.
 
 use crate::addr::{PhysAddr, SECTORS_PER_LINE};
-use crate::checkpoint::{CkptError, Reader, Writer};
 
 /// Per-sector tag state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -350,38 +349,6 @@ impl SectorCache {
         self.tags[w] = TAG_EMPTY;
         self.meta[w] = 0;
         self.resident -= 1;
-    }
-
-    /// Serializes the directory's mutable state (tags, LRU stamps, packed
-    /// sector flags, scan hints). Geometry is configuration-derived; the
-    /// slice length checks on load catch a mismatch.
-    // lint:exempt(checkpoint-field-parity: assoc is construction-time geometry; load_state reads it only to validate per-set way counts against the live configuration)
-    pub fn save_state(&self, w: &mut Writer) {
-        w.u64_slice(&self.tags);
-        w.u64_slice(&self.stamps);
-        w.u16_slice(&self.meta);
-        w.u32_slice(&self.hints);
-        w.u64(self.stamp);
-        w.usize(self.resident);
-    }
-
-    /// Restores state saved by [`SectorCache::save_state`], verifying the
-    /// resident count against actual occupancy and every hint's range.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        r.u64_slice_into(&mut self.tags)?;
-        r.u64_slice_into(&mut self.stamps)?;
-        r.u16_slice_into(&mut self.meta)?;
-        r.u32_slice_into(&mut self.hints)?;
-        self.stamp = r.u64()?;
-        self.resident = r.usize()?;
-        let occupied = self.tags.iter().filter(|&&t| t != TAG_EMPTY).count();
-        if occupied != self.resident {
-            return Err(CkptError::Corrupt("cache resident counter disagrees with occupancy"));
-        }
-        if self.hints.iter().any(|&h| h as usize >= self.assoc) {
-            return Err(CkptError::Corrupt("cache scan hint out of way range"));
-        }
-        Ok(())
     }
 
     /// Asserts directory consistency: the resident counter matches the

@@ -1,83 +1,30 @@
-//! Engine checkpoint/restore: a length-prefixed binary state format.
+//! The binary substrate of the [`Stats`](crate::stats::Stats) codec
+//! (`Stats::save_state`/`load_state`), which the bench result cache uses
+//! to store finished cells.
 //!
-//! Long oversubscription runs (fig19-style) take minutes per cell; a
-//! divergence reported at event 80M is unbisectable if the only tool is
-//! re-running from cycle 0. This module provides the byte-level substrate
-//! for checkpointing: a [`Writer`] that appends fixed-width
-//! little-endian fields and length-prefixed sequences, and a [`Reader`]
-//! that consumes them with hard errors on truncation or corruption —
-//! never silent defaults, because a half-restored engine would produce
-//! plausible-but-wrong statistics.
-//!
-//! The format is deliberately *not* self-describing: field order is the
-//! struct declaration order of the saving module, and every module owns
-//! its own `save_state`/`load_state` pair so private fields never leak
-//! across module boundaries. A format version and the `probes` feature
-//! flag ride in the checkpoint header written by
-//! [`Engine::save_checkpoint`](crate::engine::Engine::save_checkpoint);
-//! restore refuses a mismatch rather than guessing. Restore overlays
-//! state onto a freshly assembled engine of the identical configuration
-//! (the header carries the config's key digest), so static geometry is
-//! never serialized — only mutable state — and every restored structure
-//! must still pass its `audit_invariants`.
+//! A [`Writer`] appends fixed-width little-endian fields and
+//! length-prefixed slices; a [`Reader`] consumes them with hard errors on
+//! truncation or corruption — never silent defaults, because a
+//! half-decoded `Stats` would produce plausible-but-wrong results. The
+//! format is deliberately *not* self-describing: field order is the
+//! struct declaration order of the saving type.
 
-/// Checkpoint format version. Bump on any layout change; restore
-/// hard-errors on mismatch.
-pub const FORMAT_VERSION: u32 = 2;
-
-/// Magic bytes opening every checkpoint ("AVCK").
-pub const MAGIC: u32 = 0x4156_434b;
-
-/// A checkpoint decode failure. Every variant is a hard error: the
-/// engine being restored must be discarded.
+/// A decode failure. Every variant is a hard error: the value being
+/// decoded must be discarded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CkptError {
     /// The byte stream ended before the expected field.
     Truncated,
-    /// The stream does not open with [`MAGIC`].
-    BadMagic,
-    /// The stream's format version does not match [`FORMAT_VERSION`].
-    VersionMismatch {
-        /// Version found in the stream.
-        found: u32,
-    },
-    /// The checkpoint was taken under a different `probes` feature
-    /// setting than the restoring build.
-    FeatureMismatch {
-        /// Whether the saving build had `probes` compiled in.
-        saved_probes: bool,
-    },
-    /// The engine being restored was assembled from a different
-    /// configuration than the checkpointed one.
-    ConfigMismatch {
-        /// Config key digest recorded in the checkpoint.
-        saved: u64,
-        /// Config key digest of the engine being restored.
-        current: u64,
-    },
-    /// A structural field disagrees with the assembled engine (for
-    /// example an array length), or an enum tag is out of range.
+    /// A structural field disagrees with the decoding type (for example
+    /// an array length).
     Corrupt(&'static str),
 }
 
 impl std::fmt::Display for CkptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CkptError::Truncated => write!(f, "checkpoint truncated"),
-            CkptError::BadMagic => write!(f, "not a checkpoint (bad magic)"),
-            CkptError::VersionMismatch { found } => {
-                write!(f, "checkpoint format v{found} != supported v{FORMAT_VERSION}")
-            }
-            CkptError::FeatureMismatch { saved_probes } => write!(
-                f,
-                "checkpoint taken with probes={saved_probes} but this build has probes={}",
-                cfg!(feature = "probes")
-            ),
-            CkptError::ConfigMismatch { saved, current } => write!(
-                f,
-                "checkpoint config digest {saved:#018x} != assembled engine's {current:#018x}"
-            ),
-            CkptError::Corrupt(what) => write!(f, "checkpoint corrupt: {what}"),
+            CkptError::Truncated => write!(f, "payload truncated"),
+            CkptError::Corrupt(what) => write!(f, "payload corrupt: {what}"),
         }
     }
 }
@@ -99,86 +46,16 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Writes a bool as one byte (0/1).
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// Writes a `u32`, little-endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a `u64`, little-endian.
     pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a `usize` as a `u64`.
-    pub fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    /// Writes an `f64` as its raw bit pattern (exact round-trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Writes an `Option<u64>` as a presence byte plus the value.
-    pub fn opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            Some(x) => {
-                self.u8(1);
-                self.u64(x);
-            }
-            None => self.u8(0),
-        }
-    }
-
-    /// Writes a length prefix followed by each element via `f`.
-    pub fn seq<T>(&mut self, items: impl ExactSizeIterator<Item = T>, mut f: impl FnMut(&mut Self, T)) {
-        self.usize(items.len());
-        for item in items {
-            f(self, item);
-        }
-    }
-
     /// Writes a `&[u64]` with a length prefix.
     pub fn u64_slice(&mut self, s: &[u64]) {
-        self.usize(s.len());
+        self.u64(s.len() as u64);
         for &v in s {
             self.u64(v);
-        }
-    }
-
-    /// Writes a `&[u32]` with a length prefix.
-    pub fn u32_slice(&mut self, s: &[u32]) {
-        self.usize(s.len());
-        for &v in s {
-            self.u32(v);
-        }
-    }
-
-    /// Writes a `&[u16]` with a length prefix.
-    pub fn u16_slice(&mut self, s: &[u16]) {
-        self.usize(s.len());
-        for &v in s {
-            self.buf.extend_from_slice(&v.to_le_bytes());
         }
     }
 }
@@ -193,11 +70,6 @@ impl<'a> Reader<'a> {
     /// A reader over `bytes`, positioned at the start.
     pub fn new(bytes: &'a [u8]) -> Self {
         Self { buf: bytes, pos: 0 }
-    }
-
-    /// Whether every byte has been consumed.
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.buf.len()
     }
 
     /// Bytes not yet consumed.
@@ -215,115 +87,20 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CkptError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a bool; any byte other than 0/1 is corruption.
-    pub fn bool(&mut self) -> Result<bool, CkptError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CkptError::Corrupt("bool byte out of range")),
-        }
-    }
-
-    /// Reads a `u32`, little-endian.
-    pub fn u32(&mut self) -> Result<u32, CkptError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
     /// Reads a `u64`, little-endian.
     pub fn u64(&mut self) -> Result<u64, CkptError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    /// Reads a `usize` (stored as `u64`), erroring if it overflows.
-    pub fn usize(&mut self) -> Result<usize, CkptError> {
-        usize::try_from(self.u64()?).map_err(|_| CkptError::Corrupt("usize overflow"))
-    }
-
-    /// Reads an `f64` from its raw bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CkptError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an `Option<u64>` (presence byte plus value).
-    pub fn opt_u64(&mut self) -> Result<Option<u64>, CkptError> {
-        if self.bool()? {
-            Ok(Some(self.u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads a length prefix, sanity-capped so corrupt lengths fail
-    /// instead of attempting a multi-terabyte allocation.
-    pub fn seq_len(&mut self) -> Result<usize, CkptError> {
-        let n = self.usize()?;
-        // Each element costs at least one byte, so a length beyond the
-        // remaining buffer is structurally impossible.
-        if n > self.buf.len().saturating_sub(self.pos) {
-            return Err(CkptError::Corrupt("sequence length exceeds remaining bytes"));
-        }
-        Ok(n)
-    }
-
-    /// Reads a `Vec<u64>` written by [`Writer::u64_slice`].
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, CkptError> {
-        let n = self.usize()?;
-        if n.checked_mul(8).is_none_or(|bytes| bytes > self.buf.len() - self.pos) {
-            return Err(CkptError::Corrupt("u64 slice length exceeds remaining bytes"));
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Reads a `Vec<u32>` written by [`Writer::u32_slice`].
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, CkptError> {
-        let n = self.usize()?;
-        if n.checked_mul(4).is_none_or(|bytes| bytes > self.buf.len() - self.pos) {
-            return Err(CkptError::Corrupt("u32 slice length exceeds remaining bytes"));
-        }
-        (0..n).map(|_| self.u32()).collect()
-    }
-
     /// Reads into an existing `&mut [u64]`, erroring if the stored
-    /// length differs (the restored engine's geometry must match).
+    /// length differs (the decoding type's geometry must match).
     pub fn u64_slice_into(&mut self, dst: &mut [u64]) -> Result<(), CkptError> {
-        let n = self.usize()?;
-        if n != dst.len() {
+        if self.u64()? != dst.len() as u64 {
             return Err(CkptError::Corrupt("u64 slice length mismatch"));
         }
         for v in dst.iter_mut() {
             *v = self.u64()?;
-        }
-        Ok(())
-    }
-
-    /// Reads into an existing `&mut [u32]`, erroring on length mismatch.
-    pub fn u32_slice_into(&mut self, dst: &mut [u32]) -> Result<(), CkptError> {
-        let n = self.usize()?;
-        if n != dst.len() {
-            return Err(CkptError::Corrupt("u32 slice length mismatch"));
-        }
-        for v in dst.iter_mut() {
-            *v = self.u32()?;
-        }
-        Ok(())
-    }
-
-    /// Reads into an existing `&mut [u16]`, erroring on length mismatch.
-    pub fn u16_slice_into(&mut self, dst: &mut [u16]) -> Result<(), CkptError> {
-        let n = self.usize()?;
-        if n != dst.len() {
-            return Err(CkptError::Corrupt("u16 slice length mismatch"));
-        }
-        for v in dst.iter_mut() {
-            let b = self.take(2)?;
-            *v = u16::from_le_bytes([b[0], b[1]]);
         }
         Ok(())
     }
@@ -334,42 +111,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalars_round_trip() {
+    fn fields_round_trip_and_check_lengths() {
         let mut w = Writer::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 3);
-        w.usize(42);
-        w.f64(0.1 + 0.2);
-        w.opt_u64(Some(9));
-        w.opt_u64(None);
-        let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(r.u8().expect("scalar round-trip"), 7);
-        assert!(r.bool().expect("scalar round-trip"));
-        assert_eq!(r.u32().expect("scalar round-trip"), 0xDEAD_BEEF);
-        assert_eq!(r.u64().expect("scalar round-trip"), u64::MAX - 3);
-        assert_eq!(r.usize().expect("scalar round-trip"), 42);
-        assert_eq!(r.f64().expect("scalar round-trip"), 0.1 + 0.2);
-        assert_eq!(r.opt_u64().expect("scalar round-trip"), Some(9));
-        assert_eq!(r.opt_u64().expect("scalar round-trip"), None);
-        assert!(r.is_exhausted());
-    }
-
-    #[test]
-    fn slices_round_trip_and_check_lengths() {
-        let mut w = Writer::new();
         w.u64_slice(&[1, 2, 3]);
-        w.u32_slice(&[4, 5]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.u64_vec().expect("slice round-trip"), vec![1, 2, 3]);
-        let mut dst = [0u32; 2];
-        r.u32_slice_into(&mut dst).expect("slice round-trip");
-        assert_eq!(dst, [4, 5]);
+        assert_eq!(r.u64().expect("u64 round-trip"), u64::MAX - 3);
+        let mut dst = [0u64; 3];
+        r.u64_slice_into(&mut dst).expect("slice round-trip");
+        assert_eq!(dst, [1, 2, 3]);
+        assert_eq!(r.remaining(), 0);
 
         let mut r = Reader::new(&bytes);
+        r.u64().expect("u64 round-trip");
         let mut wrong = [0u64; 2];
         assert!(matches!(r.u64_slice_into(&mut wrong), Err(CkptError::Corrupt(_))));
     }
@@ -381,21 +136,5 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes[..5]);
         assert_eq!(r.u64(), Err(CkptError::Truncated));
-    }
-
-    #[test]
-    fn corrupt_lengths_do_not_allocate() {
-        // A claimed 2^60-element sequence must fail fast, not OOM.
-        let mut w = Writer::new();
-        w.u64(1 << 60);
-        let bytes = w.into_bytes();
-        assert!(matches!(Reader::new(&bytes).u64_vec(), Err(CkptError::Corrupt(_))));
-        assert!(matches!(Reader::new(&bytes).seq_len(), Err(CkptError::Corrupt(_))));
-    }
-
-    #[test]
-    fn bad_bool_is_corrupt() {
-        let bytes = [3u8];
-        assert!(matches!(Reader::new(&bytes).bool(), Err(CkptError::Corrupt(_))));
     }
 }

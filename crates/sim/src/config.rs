@@ -211,25 +211,13 @@ pub struct GpuConfig {
     /// property). Defaults to on; set `AVATAR_NO_FASTPATH=1` to default it
     /// off for debugging.
     pub inline_hit_path: bool,
-    /// SM shard groups for the bounded-lag sharded calendar (host-side
-    /// structure knob; simulated behaviour — and `Stats::digest()` — is
-    /// identical for every shard count, a CI-enforced property). 1 keeps
-    /// the classic single-calendar path. Values above `num_sms` are
-    /// clamped by the engine. Defaults to 1; set `AVATAR_SHARDS=<n>` to
-    /// default it differently.
-    pub shards: usize,
-    /// Bounded-lag window span in cycles for the parallel shard engine
-    /// (`None` uses [`DEFAULT_RESPONSE_LOOKAHEAD`]). This is a modeled
-    /// latency — the shared domain's response turnaround — so it applies
-    /// at every shard count, including 1.
-    pub lookahead: Option<Cycle>,
 }
 
-/// Default bounded-lag window span (cycles): the modeled turnaround of
-/// the SM↔shared-domain interconnect. Shard→shared hops take 1 cycle;
-/// shared→shard responses are deferred by one full window plus the
-/// device latency, so this is the effective round-trip overhead added
-/// to every cross-domain exchange.
+/// The engine's window span (cycles): the modeled turnaround of the
+/// SM↔shared-domain interconnect. SM→shared hops take 1 cycle;
+/// shared→SM responses are deferred by one full window plus the device
+/// latency, so this is the effective round-trip overhead added to every
+/// cross-domain exchange.
 pub const DEFAULT_RESPONSE_LOOKAHEAD: Cycle = 8;
 
 impl Default for GpuConfig {
@@ -317,13 +305,6 @@ impl Default for GpuConfig {
             fast_forward: true,
             // Read once at config construction, never on the event path.
             inline_hit_path: std::env::var_os("AVATAR_NO_FASTPATH").is_none(),
-            // Read once at config construction, never on the event path.
-            shards: std::env::var("AVATAR_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1),
-            lookahead: None,
         }
     }
 }
@@ -342,19 +323,6 @@ impl GpuConfig {
         GpuConfigBuilder { cfg: GpuConfig::default() }
     }
 
-    /// The bounded-lag window span the parallel shard engine will use:
-    /// the explicit `lookahead` knob, else
-    /// [`DEFAULT_RESPONSE_LOOKAHEAD`]. Shard→shared messages travel on a
-    /// fixed 1-cycle hop and shared→shard responses are deferred by at
-    /// least one full window, so — unlike the old sharded calendar — the
-    /// window span is itself a modeled interconnect latency rather than
-    /// something that must stay below the minimum L2 latency. A short
-    /// window keeps the response latency small; making it longer trades
-    /// response latency for fewer barriers.
-    pub fn effective_lookahead(&self) -> Cycle {
-        self.lookahead.unwrap_or(DEFAULT_RESPONSE_LOOKAHEAD).max(1)
-    }
-
     /// GPU memory capacity in 4KB frames.
     pub fn gpu_frames(&self) -> u64 {
         if self.uvm.gpu_memory_bytes == u64::MAX {
@@ -366,10 +334,7 @@ impl GpuConfig {
 
     /// FNV-1a digest over every configuration field, in declaration
     /// order. This is the simulation-identity component of the bench
-    /// result-cache key, and [`Engine::restore_checkpoint`]
-    /// (crate::engine::Engine::restore_checkpoint) verifies it so a
-    /// checkpoint can never be overlaid onto a differently-configured
-    /// engine.
+    /// result-cache key.
     ///
     /// Every struct is folded through an *exhaustive* destructuring
     /// pattern: adding a field to any configuration section fails
@@ -396,8 +361,6 @@ impl GpuConfig {
             seed,
             fast_forward,
             inline_hit_path,
-            shards,
-            lookahead,
         } = self;
         h.write_u64(*num_sms as u64);
         h.write_u64(*warps_per_sm as u64);
@@ -485,9 +448,6 @@ impl GpuConfig {
         h.write_u64(*seed);
         h.write_u64(u64::from(*fast_forward));
         h.write_u64(u64::from(*inline_hit_path));
-        h.write_u64(*shards as u64);
-        h.write_u64(u64::from(lookahead.is_some()));
-        h.write_u64(lookahead.unwrap_or(0));
         h.finish()
     }
 
@@ -606,12 +566,6 @@ impl GpuConfig {
         if self.spec.rapid_latency == 0 {
             return fail("spec.rapid_latency must be at least 1 cycle".into());
         }
-        if self.shards == 0 {
-            return fail("shards must be at least 1 (1 = single calendar)".into());
-        }
-        if self.lookahead == Some(0) {
-            return fail("lookahead must be at least 1 cycle (or None to derive it)".into());
-        }
         Ok(())
     }
 }
@@ -690,20 +644,6 @@ impl GpuConfigBuilder {
     /// Inline hit fast path (host-side speed knob).
     pub fn inline_hit_path(mut self, on: bool) -> Self {
         self.cfg.inline_hit_path = on;
-        self
-    }
-
-    /// SM shard groups for the bounded-lag sharded calendar (host-side
-    /// structure knob; 1 = classic single calendar).
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Bounded-lag window span in cycles (must be at least 1; see
-    /// [`GpuConfig::effective_lookahead`] for the derived default).
-    pub fn lookahead(mut self, cycles: Cycle) -> Self {
-        self.cfg.lookahead = Some(cycles);
         self
     }
 
@@ -815,7 +755,7 @@ mod tests {
 
     #[test]
     fn builder_rejects_impossible_geometries() {
-        let cases: [(&str, GpuConfigBuilder); 11] = [
+        let cases: [(&str, GpuConfigBuilder); 9] = [
             ("zero SMs", GpuConfig::builder().num_sms(0)),
             ("zero warps", GpuConfig::builder().warps_per_sm(0)),
             ("tenants over SMs", GpuConfig::builder().num_sms(4).tenants(5)),
@@ -827,8 +767,6 @@ mod tests {
             // The Revelator seed table is hash-masked: size must be 2^k.
             ("non-pow2 seed entries", GpuConfig::builder().spec(|s| s.seed_entries = 48)),
             ("zero rapid latency", GpuConfig::builder().spec(|s| s.rapid_latency = 0)),
-            ("zero shards", GpuConfig::builder().shards(0)),
-            ("zero lookahead", GpuConfig::builder().lookahead(0)),
         ];
         for (what, builder) in cases {
             assert!(builder.build().is_err(), "validate accepted {what}");
@@ -873,7 +811,7 @@ mod tests {
         let base = GpuConfig::default();
         assert_eq!(base.key_digest(), base.clone().key_digest());
         // Every class of field flips the digest: scalar, nested-section,
-        // enum, float, and Option knobs.
+        // enum, float, and bool knobs.
         let variants: [GpuConfig; 6] = [
             GpuConfig { seed: base.seed + 1, ..base.clone() },
             GpuConfig { num_sms: base.num_sms + 1, ..base.clone() },
@@ -882,7 +820,7 @@ mod tests {
                 uvm: UvmConfig { fragmentation: 0.5, ..base.uvm.clone() },
                 ..base.clone()
             },
-            GpuConfig { lookahead: Some(90), ..base.clone() },
+            GpuConfig { fast_forward: !base.fast_forward, ..base.clone() },
             GpuConfig {
                 l2_tlb: TlbConfig { mshr_entries: 64, ..base.l2_tlb.clone() },
                 ..base.clone()
@@ -891,10 +829,6 @@ mod tests {
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base.key_digest(), v.key_digest(), "variant {i} digest collided");
         }
-        // lookahead None vs Some(0) must differ (presence is folded).
-        let some0 = GpuConfig { lookahead: Some(1), ..base.clone() };
-        let some1 = GpuConfig { lookahead: Some(2), ..base.clone() };
-        assert_ne!(some0.key_digest(), some1.key_digest());
     }
 
     #[test]

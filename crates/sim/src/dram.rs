@@ -10,7 +10,6 @@
 //! the paper studies.
 
 use crate::addr::PhysAddr;
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::{Cycle, DramConfig};
 
 /// Direction of a DRAM access.
@@ -154,56 +153,6 @@ impl Dram {
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
-    }
-
-    /// Serializes every bank's row/readiness state, the per-channel bus
-    /// clocks, and the traffic counters. Timing configuration is not
-    /// serialized (the restored device is built from the same config).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.usize(self.channels.len());
-        for ch in &self.channels {
-            w.usize(ch.banks.len());
-            for bank in &ch.banks {
-                w.opt_u64(bank.open_row);
-                w.u64(bank.ready_at);
-            }
-            w.u64(ch.bus_free_at);
-            w.bool(matches!(ch.last_op, DramOp::Write));
-        }
-        w.u64(self.row_hits);
-        w.u64(self.row_misses);
-        w.u64(self.read_bytes);
-        w.u64(self.write_bytes);
-        #[cfg(feature = "probes")]
-        self.service_hist.save_state(w);
-    }
-
-    /// Restores state saved by [`Dram::save_state`]. Channel/bank counts
-    /// are configuration geometry; a mismatch is corruption.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let nch = r.usize()?;
-        if nch != self.channels.len() {
-            return Err(CkptError::Corrupt("DRAM channel count mismatch"));
-        }
-        for ch in &mut self.channels {
-            let nb = r.usize()?;
-            if nb != ch.banks.len() {
-                return Err(CkptError::Corrupt("DRAM bank count mismatch"));
-            }
-            for bank in &mut ch.banks {
-                bank.open_row = r.opt_u64()?;
-                bank.ready_at = r.u64()?;
-            }
-            ch.bus_free_at = r.u64()?;
-            ch.last_op = if r.bool()? { DramOp::Write } else { DramOp::Read };
-        }
-        self.row_hits = r.u64()?;
-        self.row_misses = r.u64()?;
-        self.read_bytes = r.u64()?;
-        self.write_bytes = r.u64()?;
-        #[cfg(feature = "probes")]
-        self.service_hist.load_state(r)?;
-        Ok(())
     }
 
     /// The furthest-future cycle at which any channel bus frees (debug

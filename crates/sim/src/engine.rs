@@ -3,57 +3,53 @@
 //! translation machinery.
 //!
 //! The engine is deliberately policy-free: speculation decisions come from
-//! the plugged-in [`TranslationAccel`] and compressibility from the
+//! the plugged-in [`TranslationPolicy`] and compressibility from the
 //! [`SectorCompression`] content model. The baseline, the prior-work TLB
 //! designs, and Avatar all run on this same plumbing.
 //!
-//! # Sharded execution model
+//! # Two-domain windowed execution
 //!
-//! State is split into per-shard [`ShardLane`]s (each owning a contiguous
-//! SM range: warps, L1 TLBs, L1 sector caches, their ports/MSHRs, and a
-//! [`ReqBank`] partition of the request slab) and one [`SharedLane`] (the
-//! L2 TLB, L2 cache, walker, DRAM, UVM managers, and the plugged
-//! policies). Each lane has its own event queue and per-actor striped
-//! sequence counters, so the global `(time, seq)` order of every event is
-//! a pure function of the simulated machine — independent of how many
-//! shards the state is packed into or how many worker threads drain them.
+//! State is split into two domains: one [`ShardLane`] holding every SM
+//! (warps, L1 TLBs, L1 sector caches, their ports/MSHRs, and the request
+//! slab) and one [`SharedLane`] (the L2 TLB, L2 cache, walker, DRAM, UVM
+//! managers, and the plugged policies). Each domain has its own event
+//! queue; sequence numbers are striped per SM plus one stripe for the
+//! shared actor, so the `(time, seq)` order of every event is a pure
+//! function of the simulated machine.
 //!
-//! Execution proceeds in lookahead windows of `W = effective_lookahead()`
-//! cycles with a two-phase barrier:
+//! Execution proceeds in windows of `W =`
+//! [`DEFAULT_RESPONSE_LOOKAHEAD`] cycles with a two-phase barrier:
 //!
-//! 1. **Phase A** — every shard lane drains its queue up to the horizon.
-//!    Lanes touch only their own state (plus the immutable speculation
-//!    policy for [`TranslationAccel::on_spec_fill`]), so with
-//!    `workers > 1` they run on scoped worker threads. Cross-domain
-//!    messages are appended to per-lane outboxes, never applied directly.
-//! 2. **Phase B** — the coordinator drains lane outboxes into the shared
-//!    queue in lane order, advances the shared lane to the same horizon,
-//!    and routes the shared outbox back to the lane queues.
+//! 1. **Phase A** — the lane drains its queue up to the horizon. It
+//!    touches only its own state (plus the policy, read-only, for
+//!    [`TranslationPolicy::on_spec_fill`]); messages to the shared domain
+//!    are appended to its outbox, never applied directly.
+//! 2. **Phase B** — the outbox is delivered into the shared queue, the
+//!    shared lane advances to the same horizon, and the shared outbox is
+//!    routed back to the lane queue.
 //!
-//! Safety of the split: every shard→shared edge is scheduled at
-//! `now + 1 ≥ start` of the *same* window (delivered at the Phase B
-//! barrier before the shared lane advances), and every shared→shard edge
-//! at `now + W + delay ≥ horizon` (delivered before the next window
-//! opens). No event can ever be scheduled into a lane's past, so the
-//! drain order — and the [`Stats::digest`] — is byte-identical across
-//! every `(shards, workers)` combination.
+//! Every lane→shared edge is scheduled at `now + 1 ≥ start` of the *same*
+//! window (delivered at the Phase B barrier before the shared lane
+//! advances), and every shared→lane edge at `now + W + delay ≥ horizon`
+//! (delivered before the next window opens). No event is ever scheduled
+//! into a domain's past, and `W` is a modeled interconnect latency: the
+//! turnaround every shared-domain response pays.
 
 use crate::addr::{translate, PhysAddr, Ppn, VirtAddr, Vpn, SECTOR_BYTES};
 use crate::cache::{Probe, SectorCache, SectorFlags};
-use crate::checkpoint::{CkptError, Reader, Writer, FORMAT_VERSION, MAGIC};
-use crate::config::{Cycle, GpuConfig};
+use crate::config::{Cycle, GpuConfig, DEFAULT_RESPONSE_LOOKAHEAD};
 use crate::dram::{Dram, DramOp};
 use crate::event::EventQueue;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::hooks::{
     FetchedSector, NoSpeculation, PageMeta, SectorCompression, SpecFillAction, SpecFillContext,
-    TranslationAccel, ValidationKind,
+    TranslationPolicy, ValidationKind,
 };
 use crate::page_table::PT_BASE;
 use crate::port::{MshrFile, MshrGrant, Ports};
 use crate::probe::{Phase, SpanPoint, Track};
-use crate::reqslab::{ReqBank, ReqId};
-use crate::sm::{coalesce_into, shard_of, SmState, WarpOp, WarpProgram, WarpState};
+use crate::reqslab::{ReqId, ReqSlab};
+use crate::sm::{coalesce_into, SmState, WarpOp, WarpProgram, WarpState};
 use crate::stats::{CoverageBucket, SpecOutcome, Stats};
 use crate::tlb::{ContigRun, TlbFill, TlbModel};
 use crate::uvm::Uvm;
@@ -128,12 +124,11 @@ enum L2Waiter {
     Walk { walk: WalkId },
 }
 
-/// One calendar event. Variants are grouped by the lane that handles
-/// them; `target_shard` routes the shard-targeted group, and the rest are
-/// handled by the shared lane only.
+/// One calendar event. Variants are grouped by the domain that handles
+/// them: the lane or the shared lane.
 #[derive(Debug, Clone)]
 enum Ev {
-    // ---- shard-targeted (handled by the owning ShardLane) ----
+    // ---- lane-targeted (handled by the ShardLane) ----
     WarpIssue { sm: u32, warp: u32 },
     L1TlbResult { req: ReqId },
     SpecL1Result { req: ReqId },
@@ -159,12 +154,12 @@ enum Ev {
     TlbMiss { req: ReqId, sm: u32, svpn: u64, pc: u64, is_store: bool, need_l2: bool },
     L2TlbResult { sm: u32, svpn: u64 },
     WalkL2 { walk: WalkId, pa: u64 },
-    /// A shard-side L1 miss requesting a sector from the L2.
+    /// A lane-side L1 miss requesting a sector from the L2.
     L2Req { sm: u32, pa: u64 },
     L2Access { sm: u32, pa: u64 },
     DramDone { pa: u64 },
     /// Deferred accel training for a resolved translation (the accel is
-    /// shared-lane state; lanes cannot call it mutably).
+    /// shared-lane state; the lane cannot call it mutably).
     AccelTrain { sm: u32, pc: u64, svpn: u64, ppn: u64 },
     /// Early-TLB-Fill release: a lane validated an embedded translation
     /// and the shared side releases walks/MSHRs and propagates it.
@@ -176,339 +171,6 @@ enum Ev {
     RapidResolve { sm: u32, svpn: u64, ppn: u64 },
     /// A dirty sector evicted from an L1 writing back to the L2.
     WritebackL2 { pa: u64 },
-}
-
-/// The shard lane that must handle a shard-targeted event. Shared-domain
-/// events never reach this function: the shared lane's outbox is routed
-/// through it, and only shard-targeted events are ever placed there.
-fn target_shard(ev: &Ev, shards: usize, num_sms: usize) -> usize {
-    match *ev {
-        Ev::WarpIssue { sm, .. }
-        | Ev::L1Fill { sm, .. }
-        | Ev::FastComplete { sm, .. }
-        | Ev::ResolveSm { sm, .. }
-        | Ev::Shootdown { sm, .. } => shard_of(sm as usize, shards, num_sms),
-        Ev::L1TlbResult { req }
-        | Ev::SpecL1Result { req }
-        | Ev::L1Result { req }
-        | Ev::RemoteDone { req }
-        | Ev::SpecDispatch { req, .. } => req.shard(),
-        Ev::TlbMiss { .. }
-        | Ev::L2TlbResult { .. }
-        | Ev::WalkL2 { .. }
-        | Ev::L2Req { .. }
-        | Ev::L2Access { .. }
-        | Ev::DramDone { .. }
-        | Ev::AccelTrain { .. }
-        | Ev::EafResolve { .. }
-        | Ev::RapidResolve { .. }
-        | Ev::WritebackL2 { .. } => {
-            // A shared-domain event reaching the router is unrecoverable
-            // cross-domain corruption. lint:allow(hot-path-panic)
-            unreachable!("shared-domain event routed to a shard")
-        }
-    }
-}
-
-/// Encodes one calendar event for a checkpoint (tag byte + fields;
-/// request ids as their packed slot/generation bits).
-fn enc_ev(w: &mut Writer, ev: &Ev) {
-    match *ev {
-        Ev::WarpIssue { sm, warp } => {
-            w.u8(0);
-            w.u32(sm);
-            w.u32(warp);
-        }
-        Ev::L1TlbResult { req } => {
-            w.u8(1);
-            w.u64(req.to_bits());
-        }
-        Ev::SpecL1Result { req } => {
-            w.u8(2);
-            w.u64(req.to_bits());
-        }
-        Ev::L1Result { req } => {
-            w.u8(3);
-            w.u64(req.to_bits());
-        }
-        Ev::L1Fill { sm, pa, meta } => {
-            w.u8(4);
-            w.u32(sm);
-            w.u64(pa);
-            enc_sector_meta(w, &meta);
-        }
-        Ev::RemoteDone { req } => {
-            w.u8(5);
-            w.u64(req.to_bits());
-        }
-        Ev::FastComplete { sm, warp, last } => {
-            w.u8(6);
-            w.u32(sm);
-            w.u32(warp);
-            w.bool(last);
-        }
-        Ev::SpecDispatch { req, ppn, ideal } => {
-            w.u8(7);
-            w.u64(req.to_bits());
-            w.u64(ppn);
-            w.bool(ideal);
-        }
-        Ev::ResolveSm { sm, svpn, ppn, pages, run, via_eaf } => {
-            w.u8(8);
-            w.u32(sm);
-            w.u64(svpn);
-            w.u64(ppn);
-            w.u64(pages);
-            match run {
-                None => w.bool(false),
-                Some(r) => {
-                    w.bool(true);
-                    w.u64(r.start_vpn);
-                    w.u64(r.start_ppn);
-                    w.u64(r.len);
-                }
-            }
-            w.bool(via_eaf);
-        }
-        Ev::Shootdown { sm, first_svpn, pages, ref frames } => {
-            w.u8(9);
-            w.u32(sm);
-            w.u64(first_svpn);
-            w.u64(pages);
-            // Serialize the frame set in sorted order so checkpoint bytes
-            // are deterministic.
-            let mut sorted: Vec<u64> = frames.iter().copied().collect();
-            sorted.sort_unstable();
-            w.u64_slice(&sorted);
-        }
-        Ev::TlbMiss { req, sm, svpn, pc, is_store, need_l2 } => {
-            w.u8(10);
-            w.u64(req.to_bits());
-            w.u32(sm);
-            w.u64(svpn);
-            w.u64(pc);
-            w.bool(is_store);
-            w.bool(need_l2);
-        }
-        Ev::L2TlbResult { sm, svpn } => {
-            w.u8(11);
-            w.u32(sm);
-            w.u64(svpn);
-        }
-        Ev::WalkL2 { walk, pa } => {
-            w.u8(12);
-            w.u64(walk.0);
-            w.u64(pa);
-        }
-        Ev::L2Req { sm, pa } => {
-            w.u8(13);
-            w.u32(sm);
-            w.u64(pa);
-        }
-        Ev::L2Access { sm, pa } => {
-            w.u8(14);
-            w.u32(sm);
-            w.u64(pa);
-        }
-        Ev::DramDone { pa } => {
-            w.u8(15);
-            w.u64(pa);
-        }
-        Ev::AccelTrain { sm, pc, svpn, ppn } => {
-            w.u8(16);
-            w.u32(sm);
-            w.u64(pc);
-            w.u64(svpn);
-            w.u64(ppn);
-        }
-        Ev::EafResolve { sm, svpn, ppn } => {
-            w.u8(17);
-            w.u32(sm);
-            w.u64(svpn);
-            w.u64(ppn);
-        }
-        Ev::WritebackL2 { pa } => {
-            w.u8(18);
-            w.u64(pa);
-        }
-        Ev::RapidResolve { sm, svpn, ppn } => {
-            w.u8(19);
-            w.u32(sm);
-            w.u64(svpn);
-            w.u64(ppn);
-        }
-    }
-}
-
-/// Decodes one calendar event written by [`enc_ev`].
-fn dec_ev(r: &mut Reader<'_>) -> Result<Ev, CkptError> {
-    Ok(match r.u8()? {
-        0 => Ev::WarpIssue { sm: r.u32()?, warp: r.u32()? },
-        1 => Ev::L1TlbResult { req: ReqId::from_bits(r.u64()?) },
-        2 => Ev::SpecL1Result { req: ReqId::from_bits(r.u64()?) },
-        3 => Ev::L1Result { req: ReqId::from_bits(r.u64()?) },
-        4 => Ev::L1Fill { sm: r.u32()?, pa: r.u64()?, meta: dec_sector_meta(r)? },
-        5 => Ev::RemoteDone { req: ReqId::from_bits(r.u64()?) },
-        6 => Ev::FastComplete { sm: r.u32()?, warp: r.u32()?, last: r.bool()? },
-        7 => Ev::SpecDispatch { req: ReqId::from_bits(r.u64()?), ppn: r.u64()?, ideal: r.bool()? },
-        8 => Ev::ResolveSm {
-            sm: r.u32()?,
-            svpn: r.u64()?,
-            ppn: r.u64()?,
-            pages: r.u64()?,
-            run: if r.bool()? {
-                Some(ContigRun { start_vpn: r.u64()?, start_ppn: r.u64()?, len: r.u64()? })
-            } else {
-                None
-            },
-            via_eaf: r.bool()?,
-        },
-        9 => Ev::Shootdown {
-            sm: r.u32()?,
-            first_svpn: r.u64()?,
-            pages: r.u64()?,
-            frames: Arc::new(r.u64_vec()?.into_iter().collect()),
-        },
-        10 => Ev::TlbMiss {
-            req: ReqId::from_bits(r.u64()?),
-            sm: r.u32()?,
-            svpn: r.u64()?,
-            pc: r.u64()?,
-            is_store: r.bool()?,
-            need_l2: r.bool()?,
-        },
-        11 => Ev::L2TlbResult { sm: r.u32()?, svpn: r.u64()? },
-        12 => Ev::WalkL2 { walk: WalkId(r.u64()?), pa: r.u64()? },
-        13 => Ev::L2Req { sm: r.u32()?, pa: r.u64()? },
-        14 => Ev::L2Access { sm: r.u32()?, pa: r.u64()? },
-        15 => Ev::DramDone { pa: r.u64()? },
-        16 => Ev::AccelTrain { sm: r.u32()?, pc: r.u64()?, svpn: r.u64()?, ppn: r.u64()? },
-        17 => Ev::EafResolve { sm: r.u32()?, svpn: r.u64()?, ppn: r.u64()? },
-        18 => Ev::WritebackL2 { pa: r.u64()? },
-        19 => Ev::RapidResolve { sm: r.u32()?, svpn: r.u64()?, ppn: r.u64()? },
-        _ => return Err(CkptError::Corrupt("unknown calendar event tag")),
-    })
-}
-
-/// Encodes the content metadata riding an [`Ev::L1Fill`].
-fn enc_sector_meta(w: &mut Writer, meta: &FetchedSector) {
-    w.bool(meta.compressed);
-    match meta.embedded {
-        None => w.bool(false),
-        Some(m) => {
-            w.bool(true);
-            w.u64(m.vpn.0);
-            w.u32(m.asid as u32);
-        }
-    }
-}
-
-/// Decodes metadata written by [`enc_sector_meta`].
-fn dec_sector_meta(r: &mut Reader<'_>) -> Result<FetchedSector, CkptError> {
-    Ok(FetchedSector {
-        compressed: r.bool()?,
-        embedded: if r.bool()? {
-            Some(PageMeta { vpn: Vpn(r.u64()?), asid: r.u32()? as u16 })
-        } else {
-            None
-        },
-    })
-}
-
-/// Encodes one L2-MSHR waiter for a checkpoint.
-fn enc_l2_waiter(w: &mut Writer, wt: &L2Waiter) {
-    match *wt {
-        L2Waiter::Sector { sm } => {
-            w.u8(0);
-            w.u32(sm);
-        }
-        L2Waiter::Walk { walk } => {
-            w.u8(1);
-            w.u64(walk.0);
-        }
-    }
-}
-
-/// Decodes one L2-MSHR waiter written by [`enc_l2_waiter`].
-fn dec_l2_waiter(r: &mut Reader<'_>) -> Result<L2Waiter, CkptError> {
-    Ok(match r.u8()? {
-        0 => L2Waiter::Sector { sm: r.u32()? },
-        1 => L2Waiter::Walk { walk: WalkId(r.u64()?) },
-        _ => return Err(CkptError::Corrupt("unknown L2 waiter tag")),
-    })
-}
-
-/// Encodes one in-flight request for a checkpoint, every field in
-/// declaration order. The probe-attribution fields exist only under the
-/// `probes` feature; the checkpoint header's feature flag guarantees the
-/// saving and restoring builds agree on the layout.
-fn enc_req(w: &mut Writer, req: &MemReq) {
-    w.u32(req.sm);
-    w.u32(req.warp);
-    w.u64(req.pc);
-    w.u64(req.vaddr.0);
-    w.u64(req.issued);
-    w.opt_u64(req.real_ppn.map(|p| p.0));
-    w.bool(req.translation_done);
-    w.bool(req.completed);
-    w.bool(req.is_store);
-    match req.spec {
-        None => w.bool(false),
-        Some(s) => {
-            w.bool(true);
-            w.u64(s.ppn.0);
-            w.bool(s.ideal);
-            w.bool(s.killed);
-            w.bool(s.fetch_registered);
-        }
-    }
-    w.u32(req.refs);
-    #[cfg(feature = "probes")]
-    {
-        w.u8(req.phase as u8);
-        w.u64(req.phase_entered);
-        w.u64(req.phase_acc);
-        w.u64(req.spec_started);
-    }
-}
-
-/// Decodes one in-flight request written by [`enc_req`].
-fn dec_req(r: &mut Reader<'_>) -> Result<MemReq, CkptError> {
-    Ok(MemReq {
-        sm: r.u32()?,
-        warp: r.u32()?,
-        pc: r.u64()?,
-        vaddr: VirtAddr(r.u64()?),
-        issued: r.u64()?,
-        real_ppn: r.opt_u64()?.map(Ppn),
-        translation_done: r.bool()?,
-        completed: r.bool()?,
-        is_store: r.bool()?,
-        spec: if r.bool()? {
-            Some(SpecState {
-                ppn: Ppn(r.u64()?),
-                ideal: r.bool()?,
-                killed: r.bool()?,
-                fetch_registered: r.bool()?,
-            })
-        } else {
-            None
-        },
-        refs: r.u32()?,
-        #[cfg(feature = "probes")]
-        phase: {
-            let idx = r.u8()? as usize;
-            *Phase::ALL
-                .get(idx)
-                .ok_or(CkptError::Corrupt("request phase tag out of range"))?
-        },
-        #[cfg(feature = "probes")]
-        phase_entered: r.u64()?,
-        #[cfg(feature = "probes")]
-        phase_acc: r.u64()?,
-        #[cfg(feature = "probes")]
-        spec_started: r.u64()?,
-    })
 }
 
 /// The tenant an SM belongs to (contiguous spatial partitioning).
@@ -541,36 +203,31 @@ fn salt_run(tenant: usize, run: Option<ContigRun>) -> Option<ContigRun> {
 }
 
 // ----------------------------------------------------------------------
-// Shard lane: per-shard state + handlers
+// Lane: per-SM state + handlers
 // ----------------------------------------------------------------------
 
-/// A contiguous SM range and everything those SMs own exclusively: warp
-/// state, L1 TLBs/caches/ports/MSHRs, the requests they originate (a
-/// [`ReqBank`] partition), an event queue, and per-SM sequence stripes.
-/// During Phase A of a window, lanes are advanced independently —
-/// possibly on worker threads — and communicate with the shared
-/// hierarchy only through their outboxes.
+/// Every SM and everything the SMs own exclusively: warp state, L1
+/// TLBs/caches/ports/MSHRs, the requests they originate, an event queue,
+/// and per-SM sequence stripes. During Phase A of a window the lane
+/// advances on its own and reaches the shared hierarchy only through its
+/// outbox, so every request it sends pays the modeled window latency.
 struct ShardLane<'a> {
     cfg: GpuConfig,
-    shard: usize,
-    /// First SM owned by this lane (global SM id); `l()` localizes.
-    sm_lo: u32,
     /// Striping modulus for sequence numbers: one stripe per SM plus one
-    /// for the shared actor, so `(time, seq)` orders identically for
-    /// every shard packing.
+    /// for the shared actor.
     actors: u64,
     trace_req: Option<u32>,
     q: EventQueue<Ev>,
-    /// Per-owned-SM sequence counters (`seq = c * actors + sm`).
+    /// Per-SM sequence counters (`seq = c * actors + sm`).
     seqs: Vec<u64>,
     sms: Vec<SmState>,
     l1_tlbs: Vec<Box<dyn TlbModel>>,
     l1_tlb_ports: Vec<Ports>,
     l1_caches: Vec<SectorCache>,
     l1_cache_ports: Vec<Ports>,
-    reqs: ReqBank<MemReq>,
+    reqs: ReqSlab<MemReq>,
     l1_tlb_mshrs: Vec<MshrFile<u64, ReqId>>,
-    // Per-SM retry queues: the outer Vec is fixed at the owned-SM count
+    // Per-SM retry queues: the outer Vec is fixed at the SM count
     // and the inner ones are drained every retry, so this never becomes
     // a per-element hot structure. lint:allow(vec-vec)
     tlb_overflow: Vec<Vec<ReqId>>,
@@ -583,9 +240,9 @@ struct ShardLane<'a> {
     warp_issue_time: Vec<Cycle>,
     program: Box<dyn WarpProgram + 'a>,
     stats: Stats,
-    /// Events bound for the shared lane, applied at the next barrier in
-    /// lane order. `(time, seq, event)` — the sequence is assigned here,
-    /// by the emitting SM's stripe, so delivery order is packing-free.
+    /// Events bound for the shared lane, applied at the next barrier.
+    /// `(time, seq, event)` — the sequence is assigned here, by the
+    /// emitting SM's stripe.
     outbox: Vec<(Cycle, u64, Ev)>,
     /// Total events this lane has pushed through its outbox.
     exchange_out: u64,
@@ -596,29 +253,21 @@ struct ShardLane<'a> {
     /// `wake_all_unguaranteed`).
     scratch_keys: Vec<u64>,
     /// Distinct cycles at which this lane processed events in the
-    /// current window (consecutively deduped; merged across lanes at
-    /// each barrier for global idle accounting).
+    /// current window (consecutively deduped; merged with the shared
+    /// lane's at each barrier for global idle accounting).
     times: Vec<Cycle>,
-    /// Deferred probe records, replayed into the engine sink in lane
-    /// order at `finish` (worker threads cannot share the boxed sink).
+    /// Deferred probe records, replayed into the engine sink at
+    /// `finish`, before the shared lane's.
     #[cfg(feature = "probes")]
     log: crate::probe::RecordLog,
 }
 
 impl<'a> ShardLane<'a> {
-    /// Localizes a global SM id into this lane's arrays.
-    #[inline]
-    fn l(&self, sm: u32) -> usize {
-        debug_assert!(sm >= self.sm_lo, "SM {sm} not owned by shard {}", self.shard);
-        (sm - self.sm_lo) as usize
-    }
-
     /// Next sequence number on `sm`'s stripe.
     #[inline]
     fn next_seq(&mut self, sm: u32) -> u64 {
-        let li = (sm - self.sm_lo) as usize;
-        let c = self.seqs[li];
-        self.seqs[li] += 1;
+        let c = self.seqs[sm as usize];
+        self.seqs[sm as usize] += 1;
         c * self.actors + sm as u64
     }
 
@@ -628,7 +277,7 @@ impl<'a> ShardLane<'a> {
     /// digests — identical.
     #[inline]
     fn burn_seq(&mut self, sm: u32) {
-        self.seqs[(sm - self.sm_lo) as usize] += 1;
+        self.seqs[sm as usize] += 1;
     }
 
     /// Schedules a lane-internal event.
@@ -682,15 +331,15 @@ impl<'a> ShardLane<'a> {
     }
 
     fn warp_slot(&self, sm: u32, warp: u32) -> usize {
-        self.l(sm) * self.cfg.warps_per_sm + warp as usize
+        sm as usize * self.cfg.warps_per_sm + warp as usize
     }
 
     fn tenant(&self, sm: u32) -> usize {
         tenant_of_sm(&self.cfg, sm)
     }
 
-    // Probe helpers (`probes` feature): identical to their pre-shard
-    // engine twins, except spans land in the lane's deferred log.
+    // Probe helpers (`probes` feature): spans land in the lane's
+    // deferred log.
 
     /// Moves `id` into phase `next`, attributing the cycles since the
     /// last transition to the phase being left and emitting it as a span
@@ -783,30 +432,16 @@ impl<'a> ShardLane<'a> {
     fn probe_queue_wait(&mut self, _wait: u64) {}
 
     /// Drains this lane's queue up to (strictly before) `horizon`,
-    /// touching only lane-owned state plus the immutable speculation
-    /// policy. Returns the number of events processed.
-    fn drain(&mut self, horizon: Cycle, accel: &dyn TranslationAccel) -> u64 {
-        let mut n = 0;
-        while let Some((now, ev)) = self.q.pop_before(horizon) {
-            n += 1;
-            if self.times.last() != Some(&now) {
-                self.times.push(now);
-            }
-            self.handle(now, ev, accel, None);
-        }
-        self.stats.events_processed += n;
-        n
-    }
-
-    /// Single-lane drain for ideal-TLB mode, which resolves translations
-    /// synchronously against the shared lane's page tables. Only runs
-    /// with `shards == 1, workers == 1` (the engine clamps), so handing
-    /// the shared lane in mutably is safe and cheap.
-    fn drain_ideal(
+    /// touching only lane-owned state plus the read-only speculation
+    /// policy. `ideal` is `Some` only in ideal-TLB mode, which resolves
+    /// translations synchronously against the shared lane's page tables
+    /// instead of paying the window latency. Returns the number of
+    /// events processed.
+    fn drain(
         &mut self,
         horizon: Cycle,
-        shared: &mut SharedLane<'_>,
-        accel: &dyn TranslationAccel,
+        accel: &dyn TranslationPolicy,
+        mut ideal: Option<&mut SharedLane<'_>>,
     ) -> u64 {
         let mut n = 0;
         while let Some((now, ev)) = self.q.pop_before(horizon) {
@@ -814,19 +449,19 @@ impl<'a> ShardLane<'a> {
             if self.times.last() != Some(&now) {
                 self.times.push(now);
             }
-            self.handle(now, ev, accel, Some(shared));
+            self.handle(now, ev, accel, ideal.as_deref_mut());
         }
         self.stats.events_processed += n;
         n
     }
 
-    /// Dispatches one shard-targeted event. `ideal` is `Some` only in
-    /// ideal-TLB mode (see [`Self::drain_ideal`]).
+    /// Dispatches one lane-targeted event. `ideal` is `Some` only in
+    /// ideal-TLB mode (see [`Self::drain`]).
     fn handle(
         &mut self,
         now: Cycle,
         ev: Ev,
-        accel: &dyn TranslationAccel,
+        accel: &dyn TranslationPolicy,
         ideal: Option<&mut SharedLane<'_>>,
     ) {
         match ev {
@@ -869,10 +504,10 @@ impl<'a> ShardLane<'a> {
             | Ev::EafResolve { .. }
             | Ev::RapidResolve { .. }
             | Ev::WritebackL2 { .. } => {
-                // Only [`target_shard`]-routable events may sit in a lane
-                // calendar; anything else is unrecoverable cross-domain
-                // corruption. lint:allow(hot-path-panic)
-                unreachable!("shared-domain event in a shard lane")
+                // Only lane-targeted events may sit in the lane calendar;
+                // anything else is unrecoverable cross-domain corruption.
+                // lint:allow(hot-path-panic)
+                unreachable!("shared-domain event in the lane")
             }
         }
     }
@@ -884,11 +519,9 @@ impl<'a> ShardLane<'a> {
 
 /// Everything below the per-SM structures: L2 TLB and cache, the
 /// page-walk system, DRAM, the UVM managers, and the plugged policies.
-/// Advanced only by the coordinator thread, between lane windows.
+/// Advanced in Phase B of each window, after the lane.
 struct SharedLane<'a> {
     cfg: GpuConfig,
-    /// Lookahead window `W` — the shard→shared/shared→shard edge delays.
-    window: Cycle,
     actors: u64,
     trace_req: Option<u32>,
     q: EventQueue<Ev>,
@@ -903,7 +536,7 @@ struct SharedLane<'a> {
     walks: PageWalkSystem,
     /// One UVM manager per tenant (index = tenant id).
     uvms: Vec<Uvm>,
-    accel: Box<dyn TranslationAccel>,
+    accel: Box<dyn TranslationPolicy>,
     compression: Box<dyn SectorCompression + 'a>,
     l2_tlb_mshr: MshrFile<u64, u32>,
     l2_tlb_overflow: Vec<(u32, u64)>,
@@ -914,11 +547,11 @@ struct SharedLane<'a> {
     walk_started: FxHashMap<u64, Cycle>,
     pw_overflow: std::collections::VecDeque<u64>,
     /// Mirror of which `(sm, salted vpn)` translations are in flight on
-    /// the shared side. The L1 TLB MSHRs live in the lanes, so this set
+    /// the shared side. The L1 TLB MSHRs live in the lane, so this set
     /// is what dedups L2 lookups and what `ResolveSm` emission clears.
     pending_resolve: FxHashSet<(u32, u64)>,
     stats: Stats,
-    /// Events bound for shard lanes, routed at the end of Phase B.
+    /// Events bound for the lane, delivered at the end of Phase B.
     outbox: Vec<(Cycle, u64, Ev)>,
     exchange_out: u64,
     times: Vec<Cycle>,
@@ -941,7 +574,7 @@ impl<'a> SharedLane<'a> {
         self.q.schedule_at_seq(t, seq, ev);
     }
 
-    /// Emits an event to a shard lane (routed at the end of Phase B).
+    /// Emits an event to the lane (delivered at the end of Phase B).
     fn send(&mut self, t: Cycle, ev: Ev) {
         let seq = self.next_seq();
         self.outbox.push((t, seq, ev));
@@ -1054,7 +687,7 @@ impl<'a> SharedLane<'a> {
                 // Lane-owned events never enter the shared calendar (the
                 // exchange routes them at the barrier); this is
                 // unrecoverable cross-domain corruption. lint:allow(hot-path-panic)
-                unreachable!("shard-domain event in the shared lane")
+                unreachable!("lane-domain event in the shared lane")
             }
         }
     }
@@ -1066,7 +699,7 @@ impl<'a> ShardLane<'a> {
     // ------------------------------------------------------------------
 
     fn warp_issue(&mut self, now: Cycle, sm: u32, warp: u32, mut ideal: Option<&mut SharedLane<'_>>) {
-        let li = self.l(sm);
+        let li = sm as usize;
         let issue_free = self.sms[li].issue_free_at;
         if issue_free > now {
             self.sched(sm, issue_free, Ev::WarpIssue { sm, warp });
@@ -1156,13 +789,12 @@ impl<'a> ShardLane<'a> {
     /// with no state disturbed. All-or-nothing per warp, so a warp's
     /// sectors never straddle the two mechanisms.
     ///
-    /// The pre-shard engine also required residency in the non-ideal
-    /// case; a lane cannot see the UVM maps, so a stale-TLB window of at
-    /// most `W` cycles exists between an eviction and its `Shootdown`
-    /// arriving. The TLB and cache entries are invalidated together by
-    /// that shootdown, so a stale fast-path hit reads data that is still
-    /// physically present — harmless, and identical for every shard
-    /// packing.
+    /// Residency is not checked in the non-ideal case: the lane cannot
+    /// see the UVM maps, so a stale-TLB window of at most `W` cycles
+    /// exists between an eviction and its `Shootdown` arriving. The TLB
+    /// and cache entries are invalidated together by that shootdown, so
+    /// a stale fast-path hit reads data that is still physically
+    /// present — harmless.
     fn fast_path_classify(
         &self,
         now: Cycle,
@@ -1171,7 +803,7 @@ impl<'a> ShardLane<'a> {
         ideal: Option<&SharedLane<'_>>,
     ) -> bool {
         let tenant = self.tenant(sm);
-        let li = self.l(sm);
+        let li = sm as usize;
         // Structural hazards: a fully backed-up port means the grants
         // would land in future cycles; leave that to the event path.
         if !self.cfg.ideal_tlb && self.l1_tlb_ports[li].peek_grant(now) != now {
@@ -1183,9 +815,9 @@ impl<'a> ShardLane<'a> {
         for &vaddr in sectors {
             let vpn = vaddr.vpn();
             let ppn = if let Some(sh) = ideal {
-                // lint:exempt(shard-reachability): ideal-TLB mode is
-                // clamped to one lane, one worker; the shared lane is
-                // handed in synchronously.
+                // lint:exempt(shard-reachability): ideal-TLB mode models
+                // instant translation; the shared lane is handed in
+                // synchronously.
                 if !sh.uvms[tenant].is_resident(vpn) {
                     return false;
                 }
@@ -1230,7 +862,7 @@ impl<'a> ShardLane<'a> {
         mut ideal: Option<&mut SharedLane<'_>>,
     ) {
         let tenant = self.tenant(sm);
-        let li = self.l(sm);
+        let li = sm as usize;
         let tlb_lat = self.cfg.l1_tlb.latency;
         let cache_lat = self.cfg.l1_cache.latency;
         self.stats.fast_path_hits += 1;
@@ -1246,8 +878,8 @@ impl<'a> ShardLane<'a> {
             self.stats.sector_requests += 1;
             let vpn = vaddr.vpn();
             let (ppn, done) = if let Some(sh) = ideal.as_deref_mut() {
-                // lint:exempt(shard-reachability): ideal-TLB mode is
-                // clamped to one lane, one worker.
+                // lint:exempt(shard-reachability): ideal-TLB mode models
+                // instant translation.
                 let remote = sh.touch_page(now, tenant, vpn);
                 debug_assert!(!remote, "fast path classified a non-resident page as a hit");
                 let t = sh.uvms[tenant]
@@ -1351,8 +983,8 @@ impl<'a> ShardLane<'a> {
         };
         let tenant = self.tenant(sm);
         if let Some(sh) = ideal {
-            // lint:exempt(shard-reachability): ideal-TLB mode is clamped
-            // to one lane, one worker; translations resolve synchronously
+            // lint:exempt(shard-reachability): ideal-TLB mode models
+            // instant translation; translations resolve synchronously
             // against the shared page tables.
             if sh.touch_page(now, tenant, vpn) {
                 // Cold page below the migration threshold: the GMMU
@@ -1381,7 +1013,7 @@ impl<'a> ShardLane<'a> {
             self.schedule_l1_access(now, id, 0);
             return;
         }
-        let li = self.l(sm);
+        let li = sm as usize;
         let grant = self.l1_tlb_ports[li].grant(now);
         self.probe_phase(now, id, Phase::Tlb);
         self.probe_queue_wait(grant - now);
@@ -1401,7 +1033,7 @@ impl<'a> ShardLane<'a> {
         self.stats.l1_tlb_lookups += 1;
         let tenant = self.tenant(sm);
         let svpn = salt(tenant, vpn);
-        let li = self.l(sm);
+        let li = sm as usize;
         if let Some(hit) = self.l1_tlbs[li].lookup(Vpn(svpn)) {
             self.stats.l1_tlb_hits += 1;
             self.record_coverage(hit.coverage_pages);
@@ -1439,7 +1071,7 @@ impl<'a> ShardLane<'a> {
         // Whatever the grant, the id gets stored: as an MSHR waiter
         // (allocated or merged) or on the overflow queue.
         self.req_ref(id);
-        let li = self.l(sm);
+        let li = sm as usize;
         match self.l1_tlb_mshrs[li].request(svpn, id) {
             MshrGrant::Allocated => {
                 self.send(sm, now + 1, Ev::TlbMiss { req: id, sm, svpn, pc, is_store, need_l2: true });
@@ -1467,7 +1099,7 @@ impl<'a> ShardLane<'a> {
         let sm = r.sm;
         self.req_mut(id).spec =
             Some(SpecState { ppn, ideal: pre_validated, killed: false, fetch_registered: false });
-        let li = self.l(sm);
+        let li = sm as usize;
         let grant = self.l1_cache_ports[li].grant(now);
         self.req_ref(id);
         self.sched(sm, grant + self.cfg.l1_cache.latency, Ev::SpecL1Result { req: id });
@@ -1486,10 +1118,10 @@ impl<'a> ShardLane<'a> {
         pages: u64,
         run: Option<ContigRun>,
         via_eaf: bool,
-        accel: &dyn TranslationAccel,
+        accel: &dyn TranslationPolicy,
     ) {
         let fill = TlbFill { vpn: Vpn(svpn), ppn, pages, run };
-        let li = self.l(sm);
+        let li = sm as usize;
         let priority = accel.l1_fill_priority(sm as usize, unsalt(svpn));
         self.l1_tlbs[li].fill_prioritized(&fill, priority);
         self.complete_tlb_waiters(now, sm, svpn, ppn, via_eaf);
@@ -1499,7 +1131,7 @@ impl<'a> ShardLane<'a> {
     /// Completes every L1-TLB-MSHR waiter on `svpn` and defers accel
     /// training to the shared lane (one hop; the accel is shared state).
     fn complete_tlb_waiters(&mut self, now: Cycle, sm: u32, svpn: u64, ppn: Ppn, via_eaf: bool) {
-        let li = self.l(sm);
+        let li = sm as usize;
         if let Some(mut waiters) = self.l1_tlb_mshrs[li].complete(svpn) {
             for id in waiters.drain(..) {
                 let pc = self.req(id).pc;
@@ -1514,7 +1146,7 @@ impl<'a> ShardLane<'a> {
     /// MSHR space freed: retry overflow translation requests. The retry
     /// re-pins the id before the queue's own pin is consumed.
     fn retry_tlb_overflow(&mut self, now: Cycle, sm: u32) {
-        let li = self.l(sm);
+        let li = sm as usize;
         let pending = std::mem::take(&mut self.tlb_overflow[li]);
         for id in pending {
             self.l1_tlb_miss_forward(now, id);
@@ -1541,7 +1173,7 @@ impl<'a> ShardLane<'a> {
         if !r.completed {
             self.complete_req(now, id);
         }
-        let li = self.l(sm);
+        let li = sm as usize;
         if self.l1_tlb_mshrs[li].remove_waiter(svpn, &id) {
             self.req_unref(id);
             // The waiter slot freed may have been the last one holding an
@@ -1567,7 +1199,7 @@ impl<'a> ShardLane<'a> {
         self.probe_phase(now, id, Phase::Fetch);
         let req = self.req(id);
         let sm = req.sm;
-        let li = self.l(sm);
+        let li = sm as usize;
         let Some(spec) = req.spec else {
             self.schedule_l1_access(now, id, self.cfg.l1_cache.latency);
             return;
@@ -1638,7 +1270,7 @@ impl<'a> ShardLane<'a> {
 
     fn schedule_l1_access(&mut self, now: Cycle, id: ReqId, latency: Cycle) {
         let sm = self.req(id).sm;
-        let li = self.l(sm);
+        let li = sm as usize;
         let grant = self.l1_cache_ports[li].grant(now);
         self.probe_queue_wait(grant - now);
         self.req_ref(id);
@@ -1654,7 +1286,7 @@ impl<'a> ShardLane<'a> {
             let r = self.req(id);
             (r.sm, r.real_pa().expect("translated before L1 access"), r.is_store)
         };
-        let li = self.l(sm);
+        let li = sm as usize;
         self.stats.l1d_lookups += 1;
         match self.l1_caches[li].probe(pa) {
             Probe::Hit => {
@@ -1709,7 +1341,7 @@ impl<'a> ShardLane<'a> {
 
     fn l1_miss(&mut self, now: Cycle, id: ReqId, pa: PhysAddr) {
         let sm = self.req(id).sm;
-        let li = self.l(sm);
+        let li = sm as usize;
         // Both grants store the id: as an MSHR waiter or on the overflow
         // queue.
         self.req_ref(id);
@@ -1725,7 +1357,7 @@ impl<'a> ShardLane<'a> {
         }
     }
 
-    fn spec_l1_result(&mut self, now: Cycle, id: ReqId, accel: &dyn TranslationAccel) {
+    fn spec_l1_result(&mut self, now: Cycle, id: ReqId, accel: &dyn TranslationPolicy) {
         self.trace(id, "spec_l1_result");
         let req = self.req(id);
         if req.completed || req.translation_done {
@@ -1734,7 +1366,7 @@ impl<'a> ShardLane<'a> {
             return;
         }
         let sm = req.sm;
-        let li = self.l(sm);
+        let li = sm as usize;
         let Some(spec) = req.spec else { return };
         let spec_pa = translate(req.vaddr, spec.ppn);
         match self.l1_caches[li].probe(spec_pa) {
@@ -1807,9 +1439,9 @@ impl<'a> ShardLane<'a> {
         sm: u32,
         pa: PhysAddr,
         meta: FetchedSector,
-        accel: &dyn TranslationAccel,
+        accel: &dyn TranslationPolicy,
     ) {
-        let li = self.l(sm);
+        let li = sm as usize;
         // Fill invisible first; waiters below decide visibility.
         let evicted_line = self.l1_caches[li].fill(
             pa,
@@ -1999,13 +1631,13 @@ impl<'a> ShardLane<'a> {
         sm: u32,
         vpn: Vpn,
         ppn: Ppn,
-        accel: &dyn TranslationAccel,
+        accel: &dyn TranslationPolicy,
     ) {
         self.stats.eaf_fills += 1;
         let tenant = self.tenant(sm);
         let svpn = salt(tenant, vpn);
         let fill = TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None };
-        let li = self.l(sm);
+        let li = sm as usize;
         let priority = accel.l1_fill_priority(sm as usize, vpn);
         self.l1_tlbs[li].fill_prioritized(&fill, priority);
         self.complete_tlb_waiters(now, sm, svpn, ppn, true);
@@ -2017,7 +1649,7 @@ impl<'a> ShardLane<'a> {
     /// The shared structures were invalidated at the eviction; here the
     /// SM's L1 TLB and cache drop their now-stale entries.
     fn shootdown(&mut self, now: Cycle, sm: u32, first_svpn: u64, pages: u64, frames: &FxHashSet<u64>) {
-        let li = self.l(sm);
+        let li = sm as usize;
         self.l1_tlbs[li].invalidate(Vpn(first_svpn), pages);
         self.l1_caches[li].invalidate_frames(frames);
         self.wake_all_unguaranteed(now, sm);
@@ -2035,7 +1667,7 @@ impl<'a> ShardLane<'a> {
         self.stats.sector_latency_hist.add(now - issued);
         self.probe_complete(now, id);
         let slot = self.warp_slot(sm, warp);
-        let li = self.l(sm);
+        let li = sm as usize;
         crate::debug_invariant!(
             self.warp_outstanding[slot] > 0,
             "completing request {id:?} for a warp with no outstanding sectors"
@@ -2109,7 +1741,10 @@ impl<'a> SharedLane<'a> {
                 now + self.cfg.uvm.remote_latency,
                 id.slot() as u64,
             );
-            self.send(now + self.window + self.cfg.uvm.remote_latency, Ev::RemoteDone { req: id });
+            self.send(
+                now + DEFAULT_RESPONSE_LOOKAHEAD + self.cfg.uvm.remote_latency,
+                Ev::RemoteDone { req: id },
+            );
             return;
         }
         // CAST hook: attempt speculative translation. Stores never
@@ -2136,7 +1771,7 @@ impl<'a> SharedLane<'a> {
                 // `latency` cycles from now, releasing the background
                 // walk early; a wrong one silently waits for the walk.
                 self.send(
-                    now + self.window,
+                    now + DEFAULT_RESPONSE_LOOKAHEAD,
                     Ev::SpecDispatch { req: id, ppn: spec_ppn.0, ideal: false },
                 );
                 if correct {
@@ -2148,7 +1783,7 @@ impl<'a> SharedLane<'a> {
                     // Ideal validation confirms speculations before
                     // fetching; incorrect ones never fetch.
                     self.send(
-                        now + self.window,
+                        now + DEFAULT_RESPONSE_LOOKAHEAD,
                         Ev::SpecDispatch { req: id, ppn: spec_ppn.0, ideal },
                     );
                 }
@@ -2216,7 +1851,7 @@ impl<'a> SharedLane<'a> {
     ) {
         self.pending_resolve.remove(&(sm, svpn));
         self.send(
-            now + self.window,
+            now + DEFAULT_RESPONSE_LOOKAHEAD,
             Ev::ResolveSm { sm, svpn, ppn: ppn.0, pages, run, via_eaf },
         );
     }
@@ -2481,7 +2116,7 @@ impl<'a> SharedLane<'a> {
     fn send_l1_fill(&mut self, now: Cycle, sm: u32, pa: PhysAddr) {
         let meta = self.sector_meta(pa);
         let extra = if meta.compressed { self.cfg.spec.decompression_latency } else { 0 };
-        self.send(now + self.window + extra, Ev::L1Fill { sm, pa: pa.0, meta });
+        self.send(now + DEFAULT_RESPONSE_LOOKAHEAD + extra, Ev::L1Fill { sm, pa: pa.0, meta });
     }
 
     fn dram_done(&mut self, now: Cycle, pa: PhysAddr) {
@@ -2607,11 +2242,10 @@ impl<'a> SharedLane<'a> {
             self.l2_cache.invalidate_frames(&frames);
             // The L1 side is a lane concern: one shootdown per SM crosses
             // the horizon. Until it lands, that SM may hit stale entries
-            // for at most `window` cycles — bounded, shard-count
-            // independent staleness.
+            // for at most `W` cycles — bounded staleness.
             for sm in 0..self.cfg.num_sms as u32 {
                 self.send(
-                    now + self.window,
+                    now + DEFAULT_RESPONSE_LOOKAHEAD,
                     Ev::Shootdown {
                         sm,
                         first_svpn: salted_first.0,
@@ -2670,60 +2304,48 @@ impl<'a> SharedLane<'a> {
 }
 
 // ----------------------------------------------------------------------
-// Engine: window loop, worker pool, barriers, checkpoint
+// Engine: window loop, barriers
 // ----------------------------------------------------------------------
 
-/// Ideal-TLB drains carry no speculation; the lane still needs *an*
-/// accel reference, satisfied by this inert policy (the shared lane's
-/// own box is mutably borrowed during an ideal drain).
+/// Ideal-TLB drains carry no speculation; the lane still needs *a*
+/// policy reference, satisfied by this inert one (the shared lane's own
+/// box is mutably borrowed during an ideal drain).
 static NOSPEC: NoSpeculation = NoSpeculation;
 
-/// The assembled system: shard lanes (per-SM state), the shared lane
+/// The assembled system: the lane (per-SM state), the shared lane
 /// (L2/walker/DRAM/UVM), and the window loop that advances them under
 /// the two-phase horizon barrier.
 pub struct Engine<'a> {
     cfg: GpuConfig,
-    /// Lookahead window `W`: Phase A drains `[start, start + W)`.
-    window: Cycle,
-    /// Worker threads for Phase A (1 = serial on the coordinator).
-    workers: usize,
-    lanes: Vec<ShardLane<'a>>,
+    lane: ShardLane<'a>,
     shared: SharedLane<'a>,
     max_cycles: Cycle,
-    /// The initial warp-issue events have been seeded (by [`Engine::start`]
-    /// or by [`Engine::restore_checkpoint`], whose calendars arrive
-    /// mid-flight). Makes [`Engine::run`] compose with both fresh and
-    /// restored engines.
+    /// The initial warp-issue events have been seeded by
+    /// [`Engine::start`]; makes repeated calls harmless.
     started: bool,
     /// The cycle cap tripped; [`Engine::finish`] skips the
     /// everything-completed accounting.
     timed_out: bool,
-    /// Global idle accounting: the last processed cycle across all
+    /// Global idle accounting: the last processed cycle across both
     /// domains, and the accumulated strictly-idle cycles between
     /// processed cycles. Folded from the per-domain `times` buffers at
-    /// every barrier, so the result is a pure function of the global
-    /// event-time set — independent of shard packing and worker count.
+    /// every barrier.
     idle_prev: Cycle,
     idle_acc: u64,
     barriers: u64,
-    /// `(window, domain)` pairs where a domain processed zero events
-    /// while the window processed some: the serial tax (or imbalance)
-    /// the worker pool is meant to absorb.
-    stalls: u64,
-    /// Events moved across the shard/shared edge, counted at delivery.
+    /// Events moved across the lane/shared edge, counted at delivery.
     exchange_delivered: u64,
     /// Scratch for `merge_idle` (reused across barriers).
     time_merge: Vec<Cycle>,
     /// Checked-mode audit cadence (`invariants` feature): interval in
     /// events, read once at construction, and the countdown to the next
-    /// audit. Host-side only — never serialized, so a restored engine
-    /// restarts its countdown without affecting simulated state.
+    /// audit. Host-side only: never affects simulated state.
     #[cfg(feature = "invariants")]
     audit_every: u64,
     #[cfg(feature = "invariants")]
     until_audit: u64,
-    /// Attached probe sink: per-domain logs are replayed into it, in
-    /// deterministic domain order, at [`Engine::finish`].
+    /// Attached probe sink: the per-domain logs are replayed into it,
+    /// lane first, at [`Engine::finish`].
     #[cfg(feature = "probes")]
     sink: Option<Box<dyn crate::probe::Probe>>,
 }
@@ -2732,7 +2354,7 @@ impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("now", &self.now())
-            .field("reqs", &self.lanes.iter().map(|l| l.reqs.len()).sum::<usize>())
+            .field("reqs", &self.lane.reqs.len())
             .finish_non_exhaustive()
     }
 }
@@ -2744,20 +2366,13 @@ impl<'a> Engine<'a> {
         cfg: GpuConfig,
         l1_tlbs: Vec<Box<dyn TlbModel>>,
         l2_tlb: Box<dyn TlbModel>,
-        accel: Box<dyn TranslationAccel>,
+        accel: Box<dyn TranslationPolicy>,
         compression: Box<dyn SectorCompression + 'a>,
         program: Box<dyn WarpProgram + 'a>,
     ) -> Self {
         assert_eq!(l1_tlbs.len(), cfg.num_sms, "one L1 TLB per SM");
         assert!(cfg.tenants >= 1 && cfg.tenants <= cfg.num_sms, "tenants partition the SMs");
         let n = cfg.num_sms;
-        // The shard count is a host-side structure knob clamped to the
-        // SM count; the simulated event order (and digest) is identical
-        // for every value by construction. Ideal-TLB mode resolves
-        // translations synchronously against shared state, so it runs
-        // on a single lane.
-        let shards = if cfg.ideal_tlb { 1 } else { cfg.shards.max(1).min(n) };
-        let window = cfg.effective_lookahead();
         let actors = n as u64 + 1;
         // Spatial sharing partitions GPU memory evenly among tenants.
         let mut uvm_cfg = cfg.uvm.clone();
@@ -2769,70 +2384,38 @@ impl<'a> Engine<'a> {
         // `AVATAR_TRACE_REQ`, parsed once at construction — `trace` sits
         // on the per-event path and must not re-read the environment.
         let trace_req = std::env::var("AVATAR_TRACE_REQ").ok().and_then(|v| v.parse().ok());
-        // Worker-pool width: `AVATAR_SHARD_WORKERS` seeds the default;
-        // `set_workers` overrides. Purely host-side — any value produces
-        // the same digest.
-        let workers = std::env::var("AVATAR_SHARD_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1usize)
-            .max(1);
-        // Lane 0 runs the caller's program box (preserving borrowed
-        // programs on the common shards=1 path); further lanes run
-        // replicas. Each replica is only ever asked about its own SMs.
-        let mut progs: Vec<Box<dyn WarpProgram + 'a>> = Vec::with_capacity(shards);
-        progs.push(program);
-        while progs.len() < shards {
-            let replica: Box<dyn WarpProgram + 'a> = progs[0].clone_box();
-            progs.push(replica);
-        }
-        let mut prog_iter = progs.into_iter();
-        let mut tlb_iter = l1_tlbs.into_iter();
-        let mut lanes = Vec::with_capacity(shards);
-        for s in 0..shards {
-            // Contiguous partition agreeing with `shard_of`: lane `s`
-            // owns exactly the SMs with `sm * shards / n == s`.
-            let lo = (s * n).div_ceil(shards);
-            let hi = ((s + 1) * n).div_ceil(shards);
-            let count = hi - lo;
-            debug_assert!(count > 0, "shard {s} owns no SMs");
-            debug_assert!((lo..hi).all(|sm| shard_of(sm, shards, n) == s));
-            lanes.push(ShardLane {
-                shard: s,
-                sm_lo: lo as u32,
-                actors,
-                trace_req,
-                q: EventQueue::new(),
-                seqs: vec![0; count],
-                sms: (0..count).map(|_| SmState::new(cfg.warps_per_sm)).collect(),
-                l1_tlbs: tlb_iter.by_ref().take(count).collect(),
-                l1_tlb_ports: (0..count).map(|_| Ports::new(cfg.l1_tlb.ports)).collect(),
-                l1_caches: (0..count)
-                    .map(|_| SectorCache::new(cfg.l1_cache.lines(), cfg.l1_cache.assoc))
-                    .collect(),
-                l1_cache_ports: (0..count).map(|_| Ports::new(cfg.l1_cache.ports)).collect(),
-                reqs: ReqBank::new(s),
-                l1_tlb_mshrs: (0..count).map(|_| MshrFile::new(cfg.l1_tlb.mshr_entries)).collect(),
-                tlb_overflow: vec![Vec::new(); count],
-                l1_mshrs: (0..count).map(|_| MshrFile::new(cfg.l1_cache.mshr_entries)).collect(),
-                l1_mshr_overflow: vec![std::collections::VecDeque::new(); count],
-                unguaranteed_waiters: FxHashMap::default(),
-                warp_outstanding: vec![0; count * cfg.warps_per_sm],
-                warp_issue_time: vec![0; count * cfg.warps_per_sm],
-                program: prog_iter.next().expect("one program per lane"),
-                stats: Stats::default(),
-                outbox: Vec::new(),
-                exchange_out: 0,
-                coalesce_buf: Vec::new(),
-                scratch_keys: Vec::new(),
-                times: Vec::new(),
-                #[cfg(feature = "probes")]
-                log: crate::probe::RecordLog::default(),
-                cfg: cfg.clone(),
-            });
-        }
+        let lane = ShardLane {
+            actors,
+            trace_req,
+            q: EventQueue::new(),
+            seqs: vec![0; n],
+            sms: (0..n).map(|_| SmState::new(cfg.warps_per_sm)).collect(),
+            l1_tlbs,
+            l1_tlb_ports: (0..n).map(|_| Ports::new(cfg.l1_tlb.ports)).collect(),
+            l1_caches: (0..n)
+                .map(|_| SectorCache::new(cfg.l1_cache.lines(), cfg.l1_cache.assoc))
+                .collect(),
+            l1_cache_ports: (0..n).map(|_| Ports::new(cfg.l1_cache.ports)).collect(),
+            reqs: ReqSlab::new(),
+            l1_tlb_mshrs: (0..n).map(|_| MshrFile::new(cfg.l1_tlb.mshr_entries)).collect(),
+            tlb_overflow: vec![Vec::new(); n],
+            l1_mshrs: (0..n).map(|_| MshrFile::new(cfg.l1_cache.mshr_entries)).collect(),
+            l1_mshr_overflow: vec![std::collections::VecDeque::new(); n],
+            unguaranteed_waiters: FxHashMap::default(),
+            warp_outstanding: vec![0; n * cfg.warps_per_sm],
+            warp_issue_time: vec![0; n * cfg.warps_per_sm],
+            program,
+            stats: Stats::default(),
+            outbox: Vec::new(),
+            exchange_out: 0,
+            coalesce_buf: Vec::new(),
+            scratch_keys: Vec::new(),
+            times: Vec::new(),
+            #[cfg(feature = "probes")]
+            log: crate::probe::RecordLog::default(),
+            cfg: cfg.clone(),
+        };
         let shared = SharedLane {
-            window,
             actors,
             trace_req,
             q: EventQueue::new(),
@@ -2864,9 +2447,7 @@ impl<'a> Engine<'a> {
             cfg: cfg.clone(),
         };
         Engine {
-            window,
-            workers,
-            lanes,
+            lane,
             shared,
             max_cycles: 2_000_000_000,
             started: false,
@@ -2874,7 +2455,6 @@ impl<'a> Engine<'a> {
             idle_prev: 0,
             idle_acc: 0,
             barriers: 0,
-            stalls: 0,
             exchange_delivered: 0,
             time_merge: Vec::new(),
             #[cfg(feature = "invariants")]
@@ -2892,20 +2472,9 @@ impl<'a> Engine<'a> {
         self.max_cycles = cycles;
     }
 
-    /// Sets the Phase-A worker-thread count (overrides
-    /// `AVATAR_SHARD_WORKERS`). Host-side: the digest is identical for
-    /// every value. Capped at the lane count when the loop runs.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The latest cycle any domain has advanced to.
+    /// The latest cycle either domain has advanced to.
     fn now(&self) -> Cycle {
-        let mut now = self.shared.q.now();
-        for lane in &self.lanes {
-            now = now.max(lane.q.now());
-        }
-        now
+        self.shared.q.now().max(self.lane.q.now())
     }
 
     /// Inspection access to a tenant's UVM manager.
@@ -2918,49 +2487,39 @@ impl<'a> Engine<'a> {
     /// Request-level spans are emitted only for warps where
     /// `warp % warp_sample == 0` (0 or 1 keeps every warp); component
     /// spans are never sampled away. Each domain records into its own
-    /// log (workers cannot share the sink); the logs are replayed into
-    /// the sink in deterministic domain order — and the sink flushed —
-    /// when [`Engine::finish`] runs.
+    /// log; the logs are replayed into the sink, lane first, and the
+    /// sink flushed, when [`Engine::finish`] runs.
     #[cfg(feature = "probes")]
     pub fn attach_probe(&mut self, sink: Box<dyn crate::probe::Probe>, warp_sample: u32) {
-        for lane in &mut self.lanes {
-            lane.log.arm(warp_sample);
-        }
+        self.lane.log.arm(warp_sample);
         self.shared.log.arm(warp_sample);
         self.sink = Some(sink);
     }
 
-    /// Seeds the calendars with every warp's first issue event.
-    /// Idempotent: later calls — including on a restored engine, whose
-    /// calendars arrive mid-flight from the checkpoint — do nothing, so
-    /// [`Engine::run`] composes with both fresh and restored engines.
+    /// Seeds the lane calendar with every warp's first issue event.
+    /// Idempotent: later calls do nothing, so [`Engine::run`] composes
+    /// with an engine the caller already started.
     pub fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         let warps = self.cfg.warps_per_sm as u32;
-        for lane in &mut self.lanes {
-            for i in 0..lane.sms.len() {
-                let sm = lane.sm_lo + i as u32;
-                for warp in 0..warps {
-                    lane.sched(sm, 0, Ev::WarpIssue { sm, warp });
-                }
+        for sm in 0..self.cfg.num_sms as u32 {
+            for warp in 0..warps {
+                self.lane.sched(sm, 0, Ev::WarpIssue { sm, warp });
             }
         }
     }
 
     /// Processes at least `max_events` calendar events (rounded up to a
     /// whole barrier window). Returns `true` while more events remain,
-    /// `false` once every calendar drains or the cycle cap trips — after
+    /// `false` once both calendars drain or the cycle cap trips — after
     /// which [`Engine::finish`] produces the statistics. Between calls
-    /// the engine sits at a barrier boundary, exactly the state
-    /// [`Engine::save_checkpoint`] captures; splitting a run across any
-    /// sequence of `run_steps` calls (with or without a
-    /// checkpoint/restore in between, and whatever the worker count)
-    /// cannot change the event order, so the final [`Stats::digest`] is
-    /// identical to a straight-through run — the checkpoint and
-    /// parallel-shard differential tests' claim.
+    /// the engine sits at a barrier boundary, so splitting a run across
+    /// any sequence of `run_steps` calls cannot change the event order:
+    /// the final [`Stats::digest`] is identical to a straight-through
+    /// run.
     ///
     /// Checked mode (`invariants` feature) re-audits every structure at
     /// the configured event cadence (rounded to barriers). The interval
@@ -2969,115 +2528,46 @@ impl<'a> Engine<'a> {
     pub fn run_steps(&mut self, max_events: u64) -> bool {
         let mut done = 0u64;
         while done < max_events {
-            // The next window starts at the globally earliest pending
-            // event; nothing anywhere means the run is complete.
-            let mut start: Option<Cycle> = None;
-            for lane in &self.lanes {
-                if let Some((t, _)) = lane.q.peek_key() {
-                    start = Some(start.map_or(t, |s: Cycle| s.min(t)));
-                }
-            }
-            if let Some((t, _)) = self.shared.q.peek_key() {
-                start = Some(start.map_or(t, |s: Cycle| s.min(t)));
-            }
-            let Some(start) = start else {
-                return false;
+            // The next window starts at the earliest pending event;
+            // nothing anywhere means the run is complete.
+            let start = match (self.lane.q.peek_key(), self.shared.q.peek_key()) {
+                (Some((a, _)), Some((b, _))) => a.min(b),
+                (Some((t, _)), None) | (None, Some((t, _))) => t,
+                (None, None) => return false,
             };
             if start > self.max_cycles {
                 self.timed_out = true;
                 return false;
             }
-            let horizon = (start + self.window).min(self.max_cycles.saturating_add(1));
+            let horizon =
+                (start + DEFAULT_RESPONSE_LOOKAHEAD).min(self.max_cycles.saturating_add(1));
 
-            // Phase A: every lane advances independently to the horizon.
-            // Cross-domain effects only accumulate in outboxes, and all
-            // shard→shared edges carry ≥1 cycle of latency, so the lanes
-            // cannot observe each other inside the window — any
-            // execution order (serial, or any thread interleaving)
-            // produces identical per-lane state.
-            let mut total = 0u64;
-            let mut zero_domains = 0u64;
-            if self.cfg.ideal_tlb {
-                // Single lane, synchronous shared access (see drain_ideal).
-                let n = self.lanes[0].drain_ideal(horizon, &mut self.shared, &NOSPEC);
-                total += n;
-                zero_domains += u64::from(n == 0);
-            } else if self.workers <= 1 || self.lanes.len() == 1 {
-                let accel: &dyn TranslationAccel = &*self.shared.accel;
-                for lane in &mut self.lanes {
-                    let n = lane.drain(horizon, accel);
-                    total += n;
-                    zero_domains += u64::from(n == 0);
-                }
+            // Phase A: the lane advances to the horizon. Cross-domain
+            // effects only accumulate in its outbox; every lane→shared
+            // edge carries ≥1 cycle of latency.
+            let mut total = if self.cfg.ideal_tlb {
+                self.lane.drain(horizon, &NOSPEC, Some(&mut self.shared))
             } else {
-                let accel: &dyn TranslationAccel = &*self.shared.accel;
-                let workers = self.workers.min(self.lanes.len());
-                let chunk = self.lanes.len().div_ceil(workers);
-                let counts = std::thread::scope(|scope| {
-                    let mut it = self.lanes.chunks_mut(chunk);
-                    let first = it.next();
-                    let handles: Vec<_> = it
-                        .map(|lanes| {
-                            scope.spawn(move || {
-                                lanes.iter_mut().map(|l| l.drain(horizon, accel)).collect::<Vec<u64>>()
-                            })
-                        })
-                        .collect();
-                    // The coordinator advances the first chunk itself
-                    // instead of idling at the join.
-                    let mut counts: Vec<u64> = first
-                        .map(|lanes| lanes.iter_mut().map(|l| l.drain(horizon, accel)).collect())
-                        .unwrap_or_default();
-                    for h in handles {
-                        match h.join() {
-                            Ok(c) => counts.extend(c),
-                            // A worker panicked (a simulation bug tripped
-                            // an assert): re-raise on the coordinator so
-                            // the caller's catch_unwind sees it.
-                            Err(p) => std::panic::resume_unwind(p),
-                        }
-                    }
-                    counts
-                });
-                for &n in &counts {
-                    total += n;
-                    zero_domains += u64::from(n == 0);
-                }
-            }
+                self.lane.drain(horizon, &*self.shared.accel, None)
+            };
 
-            // Phase B, step 1: deliver lane outboxes in lane order. The
-            // (time, seq) key makes the queue order independent of the
-            // delivery order anyway; the fixed order keeps the exchange
-            // counters and any debug output deterministic too.
-            {
-                let shared_q = &mut self.shared.q;
-                let delivered = &mut self.exchange_delivered;
-                for lane in &mut self.lanes {
-                    for (t, seq, ev) in lane.outbox.drain(..) {
-                        shared_q.schedule_at_seq(t, seq, ev);
-                        *delivered += 1;
-                    }
-                }
+            // Phase B, step 1: deliver the lane outbox. The (time, seq)
+            // key fixes the shared queue order.
+            for (t, seq, ev) in self.lane.outbox.drain(..) {
+                self.shared.q.schedule_at_seq(t, seq, ev);
+                self.exchange_delivered += 1;
             }
             // Phase B, step 2: the shared lane catches up to the same
             // horizon, seeing every +1-cycle lane emission of this window.
-            let n = self.shared.drain(horizon);
-            total += n;
-            zero_domains += u64::from(n == 0);
-            // Phase B, step 3: route shared emissions (all timed at or
-            // beyond the horizon) back to their owning lanes.
-            let mut out = std::mem::take(&mut self.shared.outbox);
-            for (t, seq, ev) in out.drain(..) {
-                let shard = target_shard(&ev, self.lanes.len(), self.cfg.num_sms);
-                self.lanes[shard].q.schedule_at_seq(t, seq, ev);
+            total += self.shared.drain(horizon);
+            // Phase B, step 3: deliver shared emissions (all timed at or
+            // beyond the horizon) to the lane.
+            for (t, seq, ev) in self.shared.outbox.drain(..) {
+                self.lane.q.schedule_at_seq(t, seq, ev);
                 self.exchange_delivered += 1;
             }
-            self.shared.outbox = out;
 
             self.barriers += 1;
-            if total > 0 {
-                self.stalls += zero_domains;
-            }
             self.merge_idle();
             done += total;
 
@@ -3093,15 +2583,12 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Folds the per-domain processed-cycle buffers into the global idle
+    /// Folds both domains' processed-cycle buffers into the global idle
     /// accumulator. The merged, deduped cycle sequence is a pure
-    /// function of the global event set, so the accumulated idle count
-    /// is identical for every shard packing and worker count.
+    /// function of the global event set.
     fn merge_idle(&mut self) {
         let mut buf = std::mem::take(&mut self.time_merge);
-        for lane in &mut self.lanes {
-            buf.append(&mut lane.times);
-        }
+        buf.append(&mut self.lane.times);
         buf.append(&mut self.shared.times);
         buf.sort_unstable();
         buf.dedup();
@@ -3133,32 +2620,20 @@ impl<'a> Engine<'a> {
         let now = self.now();
         let fast_forward = self.cfg.fast_forward;
         let mut stats = Stats::default();
-        for lane in &mut self.lanes {
-            for sm in &mut lane.sms {
-                sm.finish(now);
-            }
-            lane.stats.stall_cycles = lane.sms.iter().map(|s| s.stall_cycles).sum();
-            stats.merge(&lane.stats);
+        for sm in &mut self.lane.sms {
+            sm.finish(now);
         }
+        self.lane.stats.stall_cycles = self.lane.sms.iter().map(|s| s.stall_cycles).sum();
+        stats.merge(&self.lane.stats);
         stats.merge(&self.shared.stats);
-        // Global fields the merge cannot derive. The structure counters
-        // (barriers/stalls/exchange/shard_events) are digest-excluded:
-        // they describe how the host advanced the calendars, not what
-        // the simulated GPU did.
+        // Global fields the merge cannot derive. The window counters
+        // (barriers/exchange) are digest-excluded: they describe how the
+        // host advanced the calendars, not what the simulated GPU did.
         stats.cycles = now;
         stats.idle_cycles_skipped = if fast_forward { self.idle_acc } else { 0 };
         stats.horizon_barriers = self.barriers;
-        stats.horizon_stalls = self.stalls;
-        stats.exchange_enqueued =
-            self.lanes.iter().map(|l| l.exchange_out).sum::<u64>() + self.shared.exchange_out;
+        stats.exchange_enqueued = self.lane.exchange_out + self.shared.exchange_out;
         stats.exchange_dequeued = self.exchange_delivered;
-        stats.exchange_bypass = 0;
-        stats.shard_events = self
-            .lanes
-            .iter()
-            .map(|l| l.stats.events_processed)
-            .chain(std::iter::once(self.shared.stats.events_processed))
-            .collect();
         stats.dram_read_bytes = self.shared.dram.read_bytes;
         stats.dram_write_bytes = self.shared.dram.write_bytes;
         stats.dram_row_hits = self.shared.dram.row_hits;
@@ -3174,9 +2649,7 @@ impl<'a> Engine<'a> {
         {
             stats.dram_service_hist.merge(&self.shared.dram.service_hist);
             if let Some(sink) = self.sink.as_mut() {
-                for lane in &mut self.lanes {
-                    lane.log.replay_into(sink.as_mut());
-                }
+                self.lane.log.replay_into(sink.as_mut());
                 self.shared.log.replay_into(sink.as_mut());
                 sink.finish(now);
             }
@@ -3188,28 +2661,26 @@ impl<'a> Engine<'a> {
         // additionally halt so the bug cannot slip through development.
         if !timed_out {
             let mut lost = 0u64;
-            for lane in &self.lanes {
-                lane.reqs.for_each(|id, r| {
-                    if !r.completed {
-                        lost += 1;
-                        if cfg!(debug_assertions) {
-                            eprintln!(
-                                "INCOMPLETE req {}: sm={} pc={:#x} va={:#x} tdone={} spec={:?}",
-                                id.slot(),
-                                r.sm,
-                                r.pc,
-                                r.vaddr.0,
-                                r.translation_done,
-                                r.spec
-                            );
-                        }
+            self.lane.reqs.for_each(|id, r| {
+                if !r.completed {
+                    lost += 1;
+                    if cfg!(debug_assertions) {
+                        eprintln!(
+                            "INCOMPLETE req {}: sm={} pc={:#x} va={:#x} tdone={} spec={:?}",
+                            id.slot(),
+                            r.sm,
+                            r.pc,
+                            r.vaddr.0,
+                            r.translation_done,
+                            r.spec
+                        );
                     }
-                });
-            }
+                }
+            });
             stats.lost_requests = lost;
             if cfg!(debug_assertions) {
                 assert!(
-                    lost == 0 && self.lanes.iter().all(|l| l.reqs.is_empty()),
+                    lost == 0 && self.lane.reqs.is_empty(),
                     "all sector requests must complete and be freed (lost events?)"
                 );
             }
@@ -3217,325 +2688,15 @@ impl<'a> Engine<'a> {
         stats
     }
 
-    /// Serializes the engine's complete mutable state at a barrier
-    /// boundary into the versioned checkpoint format (see
-    /// [`crate::checkpoint`]). Static geometry — the configuration and
-    /// model wiring — is never stored; it is re-supplied by assembling a
-    /// fresh engine, and the header carries the configuration's
-    /// [`GpuConfig::key_digest`] so restoring onto a
-    /// differently-configured engine fails loudly instead of silently
-    /// diverging. Host-side scratch (coalescing buffers, trace knobs,
-    /// probe sinks, audit cadence, worker count) is likewise omitted:
-    /// none of it affects the simulated event order. At a barrier every
-    /// outbox and idle-time buffer is empty, so the exchange state
-    /// reduces to its counters.
-    pub fn save_checkpoint(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(MAGIC);
-        w.u32(FORMAT_VERSION);
-        w.bool(cfg!(feature = "probes"));
-        w.u64(self.cfg.key_digest());
-        w.usize(self.lanes.len());
-        for lane in &self.lanes {
-            debug_assert!(
-                lane.outbox.is_empty() && lane.times.is_empty(),
-                "checkpoint must be taken at a barrier boundary"
-            );
-            lane.q.save_state(&mut w, &mut enc_ev);
-            w.u64_slice(&lane.seqs);
-            for sm in &lane.sms {
-                sm.save_state(&mut w);
-            }
-            for t in &lane.l1_tlbs {
-                t.save_state(&mut w);
-            }
-            for p in &lane.l1_tlb_ports {
-                p.save_state(&mut w);
-            }
-            for c in &lane.l1_caches {
-                c.save_state(&mut w);
-            }
-            for p in &lane.l1_cache_ports {
-                p.save_state(&mut w);
-            }
-            lane.reqs.save_state(&mut w, &mut enc_req);
-            for m in &lane.l1_tlb_mshrs {
-                m.save_state(&mut w, &mut |w, k| w.u64(*k), &mut |w, id| w.u64(id.to_bits()));
-            }
-            for v in &lane.tlb_overflow {
-                w.seq(v.iter(), |w, id| w.u64(id.to_bits()));
-            }
-            for m in &lane.l1_mshrs {
-                m.save_state(&mut w, &mut |w, k| w.u64(*k), &mut |w, id| w.u64(id.to_bits()));
-            }
-            for dq in &lane.l1_mshr_overflow {
-                w.seq(dq.iter(), |w, id| w.u64(id.to_bits()));
-            }
-            // Hash-map state is serialized in sorted-key order so the
-            // bytes — and therefore any digest over them — are
-            // independent of insertion history.
-            let mut unguaranteed: Vec<(u32, u64)> =
-                lane.unguaranteed_waiters.keys().copied().collect();
-            unguaranteed.sort_unstable();
-            w.usize(unguaranteed.len());
-            for key in unguaranteed {
-                w.u32(key.0);
-                w.u64(key.1);
-                let waiters = &lane.unguaranteed_waiters[&key];
-                w.seq(waiters.iter(), |w, id| w.u64(id.to_bits()));
-            }
-            lane.program.save_state(&mut w);
-            lane.stats.save_state(&mut w);
-            w.u32_slice(&lane.warp_outstanding);
-            w.u64_slice(&lane.warp_issue_time);
-            w.u64(lane.exchange_out);
-        }
-        debug_assert!(
-            self.shared.outbox.is_empty() && self.shared.times.is_empty(),
-            "checkpoint must be taken at a barrier boundary"
-        );
-        self.shared.q.save_state(&mut w, &mut enc_ev);
-        w.u64(self.shared.seq);
-        self.shared.l2_tlb.save_state(&mut w);
-        self.shared.l2_tlb_ports.save_state(&mut w);
-        self.shared.l2_cache.save_state(&mut w);
-        self.shared.l2_cache_ports.save_state(&mut w);
-        self.shared.dram.save_state(&mut w);
-        self.shared.walks.save_state(&mut w);
-        w.usize(self.shared.uvms.len());
-        for u in &self.shared.uvms {
-            u.save_state(&mut w);
-        }
-        self.shared.accel.save_state(&mut w);
-        self.shared.compression.save_state(&mut w);
-        self.shared.l2_tlb_mshr.save_state(&mut w, &mut |w, k| w.u64(*k), &mut |w, sm| w.u32(*sm));
-        w.seq(self.shared.l2_tlb_overflow.iter(), |w, &(sm, vpn)| {
-            w.u32(sm);
-            w.u64(vpn);
-        });
-        self.shared.l2_mshr.save_state(&mut w, &mut |w, k| w.u64(*k), &mut enc_l2_waiter);
-        w.seq(self.shared.l2_mshr_overflow.iter(), |w, &(pa, wt)| {
-            w.u64(pa);
-            enc_l2_waiter(w, &wt);
-        });
-        // `vpn_of_walk` is the exact inverse of `walk_of_vpn` (an audited
-        // invariant), so only the forward map is stored.
-        let mut walk_pairs: Vec<(u64, u64)> =
-            self.shared.walk_of_vpn.iter().map(|(&svpn, &walk)| (svpn, walk.0)).collect();
-        walk_pairs.sort_unstable();
-        w.seq(walk_pairs.iter(), |w, &(svpn, walk)| {
-            w.u64(svpn);
-            w.u64(walk);
-        });
-        let mut started_pairs: Vec<(u64, u64)> =
-            self.shared.walk_started.iter().map(|(&svpn, &at)| (svpn, at)).collect();
-        started_pairs.sort_unstable();
-        w.seq(started_pairs.iter(), |w, &(svpn, at)| {
-            w.u64(svpn);
-            w.u64(at);
-        });
-        w.seq(self.shared.pw_overflow.iter(), |w, &svpn| w.u64(svpn));
-        let mut pending: Vec<(u32, u64)> = self.shared.pending_resolve.iter().copied().collect();
-        pending.sort_unstable();
-        w.seq(pending.iter(), |w, &(sm, svpn)| {
-            w.u32(sm);
-            w.u64(svpn);
-        });
-        self.shared.stats.save_state(&mut w);
-        w.u64(self.shared.exchange_out);
-        w.u64(self.max_cycles);
-        w.bool(self.timed_out);
-        w.u64(self.idle_prev);
-        w.u64(self.idle_acc);
-        w.u64(self.barriers);
-        w.u64(self.stalls);
-        w.u64(self.exchange_delivered);
-        w.into_bytes()
-    }
-
-    /// Restores a checkpoint written by [`Engine::save_checkpoint`] onto
-    /// a freshly assembled (not yet started) engine built from the *same*
-    /// configuration, programs, and policies — including the same shard
-    /// count, which shapes the lane partition. On success the engine is
-    /// marked started and continues from the checkpointed barrier via
-    /// [`Engine::run_steps`]/[`Engine::finish`] (or [`Engine::run`],
-    /// whose seeding step skips restored engines). The worker count is
-    /// deliberately *not* restored: it is host-side, so a checkpoint
-    /// taken under one pool width replays identically under another.
-    ///
-    /// Every error is hard: a partially restored engine must be
-    /// discarded, never run.
-    pub fn restore_checkpoint(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
-        let mut r = Reader::new(bytes);
-        if r.u32()? != MAGIC {
-            return Err(CkptError::BadMagic);
-        }
-        let version = r.u32()?;
-        if version != FORMAT_VERSION {
-            return Err(CkptError::VersionMismatch { found: version });
-        }
-        let saved_probes = r.bool()?;
-        if saved_probes != cfg!(feature = "probes") {
-            return Err(CkptError::FeatureMismatch { saved_probes });
-        }
-        let saved = r.u64()?;
-        let current = self.cfg.key_digest();
-        if saved != current {
-            return Err(CkptError::ConfigMismatch { saved, current });
-        }
-        if r.usize()? != self.lanes.len() {
-            return Err(CkptError::Corrupt("shard lane count mismatch"));
-        }
-        for lane in &mut self.lanes {
-            lane.q.load_state(&mut r, &mut dec_ev)?;
-            r.u64_slice_into(&mut lane.seqs)?;
-            for sm in &mut lane.sms {
-                sm.load_state(&mut r)?;
-            }
-            for t in &mut lane.l1_tlbs {
-                t.load_state(&mut r)?;
-            }
-            for p in &mut lane.l1_tlb_ports {
-                p.load_state(&mut r)?;
-            }
-            for c in &mut lane.l1_caches {
-                c.load_state(&mut r)?;
-            }
-            for p in &mut lane.l1_cache_ports {
-                p.load_state(&mut r)?;
-            }
-            lane.reqs.load_state(&mut r, &mut dec_req)?;
-            for m in &mut lane.l1_tlb_mshrs {
-                m.load_state(&mut r, &mut |r| r.u64(), &mut |r| r.u64().map(ReqId::from_bits))?;
-            }
-            for v in &mut lane.tlb_overflow {
-                let n = r.seq_len()?;
-                v.clear();
-                for _ in 0..n {
-                    v.push(ReqId::from_bits(r.u64()?));
-                }
-            }
-            for m in &mut lane.l1_mshrs {
-                m.load_state(&mut r, &mut |r| r.u64(), &mut |r| r.u64().map(ReqId::from_bits))?;
-            }
-            for dq in &mut lane.l1_mshr_overflow {
-                let n = r.seq_len()?;
-                dq.clear();
-                for _ in 0..n {
-                    dq.push_back(ReqId::from_bits(r.u64()?));
-                }
-            }
-            let n = r.usize()?;
-            lane.unguaranteed_waiters.clear();
-            for _ in 0..n {
-                let key = (r.u32()?, r.u64()?);
-                let count = r.seq_len()?;
-                let mut waiters = Vec::with_capacity(count);
-                for _ in 0..count {
-                    waiters.push(ReqId::from_bits(r.u64()?));
-                }
-                if lane.unguaranteed_waiters.insert(key, waiters).is_some() {
-                    return Err(CkptError::Corrupt("repeated unguaranteed-waiter key"));
-                }
-            }
-            lane.program.load_state(&mut r)?;
-            lane.stats.load_state(&mut r)?;
-            r.u32_slice_into(&mut lane.warp_outstanding)?;
-            r.u64_slice_into(&mut lane.warp_issue_time)?;
-            lane.exchange_out = r.u64()?;
-        }
-        self.shared.q.load_state(&mut r, &mut dec_ev)?;
-        self.shared.seq = r.u64()?;
-        self.shared.l2_tlb.load_state(&mut r)?;
-        self.shared.l2_tlb_ports.load_state(&mut r)?;
-        self.shared.l2_cache.load_state(&mut r)?;
-        self.shared.l2_cache_ports.load_state(&mut r)?;
-        self.shared.dram.load_state(&mut r)?;
-        self.shared.walks.load_state(&mut r)?;
-        if r.usize()? != self.shared.uvms.len() {
-            return Err(CkptError::Corrupt("tenant count mismatch"));
-        }
-        for u in &mut self.shared.uvms {
-            u.load_state(&mut r)?;
-        }
-        self.shared.accel.load_state(&mut r)?;
-        self.shared.compression.load_state(&mut r)?;
-        self.shared.l2_tlb_mshr.load_state(&mut r, &mut |r| r.u64(), &mut |r| r.u32())?;
-        let n = r.seq_len()?;
-        self.shared.l2_tlb_overflow.clear();
-        for _ in 0..n {
-            self.shared.l2_tlb_overflow.push((r.u32()?, r.u64()?));
-        }
-        self.shared.l2_mshr.load_state(&mut r, &mut |r| r.u64(), &mut dec_l2_waiter)?;
-        let n = r.seq_len()?;
-        self.shared.l2_mshr_overflow.clear();
-        for _ in 0..n {
-            self.shared.l2_mshr_overflow.push_back((r.u64()?, dec_l2_waiter(&mut r)?));
-        }
-        let n = r.seq_len()?;
-        self.shared.walk_of_vpn.clear();
-        self.shared.vpn_of_walk.clear();
-        for _ in 0..n {
-            let svpn = r.u64()?;
-            let walk = WalkId(r.u64()?);
-            if self.shared.walk_of_vpn.insert(svpn, walk).is_some() {
-                return Err(CkptError::Corrupt("repeated walk page key"));
-            }
-            if self.shared.vpn_of_walk.insert(walk, Vpn(svpn)).is_some() {
-                return Err(CkptError::Corrupt("two pages claim one walk id"));
-            }
-        }
-        let n = r.seq_len()?;
-        self.shared.walk_started.clear();
-        for _ in 0..n {
-            let svpn = r.u64()?;
-            let at = r.u64()?;
-            if !self.shared.walk_of_vpn.contains_key(&svpn) {
-                return Err(CkptError::Corrupt("walk start-time for a page with no live walk"));
-            }
-            if self.shared.walk_started.insert(svpn, at).is_some() {
-                return Err(CkptError::Corrupt("repeated walk start-time key"));
-            }
-        }
-        let n = r.seq_len()?;
-        self.shared.pw_overflow.clear();
-        for _ in 0..n {
-            self.shared.pw_overflow.push_back(r.u64()?);
-        }
-        let n = r.seq_len()?;
-        self.shared.pending_resolve.clear();
-        for _ in 0..n {
-            let key = (r.u32()?, r.u64()?);
-            if !self.shared.pending_resolve.insert(key) {
-                return Err(CkptError::Corrupt("repeated pending-resolve key"));
-            }
-        }
-        self.shared.stats.load_state(&mut r)?;
-        self.shared.exchange_out = r.u64()?;
-        self.max_cycles = r.u64()?;
-        self.timed_out = r.bool()?;
-        self.idle_prev = r.u64()?;
-        self.idle_acc = r.u64()?;
-        self.barriers = r.u64()?;
-        self.stalls = r.u64()?;
-        self.exchange_delivered = r.u64()?;
-        if !r.is_exhausted() {
-            return Err(CkptError::Corrupt("trailing bytes after checkpoint payload"));
-        }
-        self.started = true;
-        Ok(())
-    }
-
     /// Asserts whole-system consistency: every structure's own audit
     /// (calendars, cache/TLB directories, MSHR files, walker, UVM) plus
     /// the cross-structure invariants only the engine can see — the
     /// walk-to-page maps are mutual inverses, every walk the walker
     /// tracks is known to the shared lane, walk start-times belong to
-    /// live walks, each lane's per-warp outstanding counters sum to
-    /// exactly its incomplete sector requests, request pin counts match
-    /// their stored copies, requests live in the bank of the shard that
-    /// owns their SM, and the exchange counters conserve (everything a
-    /// domain ever emitted was delivered).
+    /// live walks, the per-warp outstanding counters sum to exactly the
+    /// incomplete sector requests, request pin counts match their stored
+    /// copies, and the exchange counters conserve (everything a domain
+    /// ever emitted was delivered).
     ///
     /// Read-only and O(total structure size): called at barrier
     /// boundaries, never inside a window. Checked (`invariants` feature)
@@ -3547,122 +2708,96 @@ impl<'a> Engine<'a> {
     ///
     /// Panics on the first violated invariant.
     pub fn audit_invariants(&self) {
-        for lane in &self.lanes {
-            lane.q.audit_invariants();
-            lane.reqs.audit_invariants();
-            for c in &lane.l1_caches {
-                c.audit_invariants();
+        let lane = &self.lane;
+        lane.q.audit_invariants();
+        lane.reqs.audit_invariants();
+        for c in &lane.l1_caches {
+            c.audit_invariants();
+        }
+        for t in &lane.l1_tlbs {
+            t.audit_invariants();
+        }
+        for m in &lane.l1_tlb_mshrs {
+            m.audit_invariants();
+        }
+        for m in &lane.l1_mshrs {
+            m.audit_invariants();
+        }
+        assert!(lane.outbox.is_empty(), "lane outbox not drained at the barrier");
+
+        // Waiter conservation: each warp's outstanding counter drops
+        // by one exactly when one of its sector requests completes
+        // (fast-path warps allocate no requests and zero their
+        // counter at issue), so the sums must agree at every barrier.
+        let outstanding: u64 = lane.warp_outstanding.iter().map(|&o| o as u64).sum();
+        let mut incomplete = 0u64;
+        lane.reqs.for_each(|_, r| {
+            if !r.completed {
+                incomplete += 1;
             }
-            for t in &lane.l1_tlbs {
-                t.audit_invariants();
-            }
+        });
+        assert_eq!(
+            outstanding, incomplete,
+            "warp outstanding counters desynchronized from incomplete requests"
+        );
+
+        // Reference conservation: each live request's pin count must
+        // equal the stored copies of its id across the lane's calendar,
+        // MSHR waiter lists, and overflow queues — and no stored id may
+        // be stale. A mismatch here is what would let the slab free (and
+        // recycle) a slot that an in-flight event still points at.
+        // Request ids never cross the lane/shared edge as pins
+        // (shared-domain events carry `(sm, svpn)` keys or unpinned
+        // tokens), so the scan is lane-local — except RemoteDone, which
+        // is pinned only in ideal mode where it stays on the lane's own
+        // calendar.
+        let ideal = self.cfg.ideal_tlb;
+        let mut counted: FxHashMap<ReqId, u32> = FxHashMap::default();
+        {
+            let mut bump = |id: ReqId| *counted.entry(id).or_insert(0) += 1;
+            lane.q.for_each_event(|ev| match *ev {
+                Ev::L1TlbResult { req } | Ev::SpecL1Result { req } | Ev::L1Result { req } => {
+                    bump(req)
+                }
+                Ev::RemoteDone { req } if ideal => bump(req),
+                _ => {}
+            });
             for m in &lane.l1_tlb_mshrs {
-                m.audit_invariants();
+                m.for_each_waiter(|&id| bump(id));
             }
             for m in &lane.l1_mshrs {
-                m.audit_invariants();
+                m.for_each_waiter(|&id| bump(id));
             }
-            assert!(
-                lane.outbox.is_empty(),
-                "shard {} outbox not drained at the barrier",
-                lane.shard
-            );
-
-            // Waiter conservation: each warp's outstanding counter drops
-            // by one exactly when one of its sector requests completes
-            // (fast-path warps allocate no requests and zero their
-            // counter at issue), so the sums must agree at every barrier.
-            let outstanding: u64 = lane.warp_outstanding.iter().map(|&o| o as u64).sum();
-            let mut incomplete = 0u64;
-            lane.reqs.for_each(|_, r| {
-                if !r.completed {
-                    incomplete += 1;
-                }
-            });
-            assert_eq!(
-                outstanding, incomplete,
-                "shard {}: warp outstanding counters desynchronized from incomplete requests",
-                lane.shard
-            );
-
-            // Reference conservation: each live request's pin count must
-            // equal the stored copies of its id across this lane's
-            // calendar, MSHR waiter lists, and overflow queues — and no
-            // stored id may be stale. A mismatch here is what would let
-            // the slab free (and recycle) a slot that an in-flight event
-            // still points at. Request ids never cross the shard/shared
-            // edge as pins (shared-domain events carry `(sm, svpn)` keys
-            // or unpinned tokens), so the scan is lane-local — except
-            // RemoteDone, which is pinned only in ideal mode where it
-            // stays on the one lane's own calendar.
-            let ideal = self.cfg.ideal_tlb;
-            let mut counted: FxHashMap<ReqId, u32> = FxHashMap::default();
-            {
-                let mut bump = |id: ReqId| *counted.entry(id).or_insert(0) += 1;
-                lane.q.for_each_event(|ev| match *ev {
-                    Ev::L1TlbResult { req } | Ev::SpecL1Result { req } | Ev::L1Result { req } => {
-                        bump(req)
-                    }
-                    Ev::RemoteDone { req } if ideal => bump(req),
-                    _ => {}
-                });
-                for m in &lane.l1_tlb_mshrs {
-                    m.for_each_waiter(|&id| bump(id));
-                }
-                for m in &lane.l1_mshrs {
-                    m.for_each_waiter(|&id| bump(id));
-                }
-                for v in &lane.tlb_overflow {
-                    for &id in v {
-                        bump(id);
-                    }
-                }
-                for dq in &lane.l1_mshr_overflow {
-                    for &id in dq {
-                        bump(id);
-                    }
-                }
-                for v in lane.unguaranteed_waiters.values() {
-                    for &id in v {
-                        bump(id);
-                    }
+            for v in &lane.tlb_overflow {
+                for &id in v {
+                    bump(id);
                 }
             }
-            for (&id, &n) in &counted {
-                assert!(
-                    lane.reqs.get(id).is_some(),
-                    "stale request id {id:?} still referenced by {n} holder(s)"
-                );
+            for dq in &lane.l1_mshr_overflow {
+                for &id in dq {
+                    bump(id);
+                }
             }
-            let shards = self.lanes.len();
-            let n_sms = self.cfg.num_sms;
-            lane.reqs.for_each(|id, r| {
-                let stored = counted.get(&id).copied().unwrap_or(0);
-                assert_eq!(
-                    r.refs, stored,
-                    "request {id:?} pin count disagrees with its stored copies"
-                );
-                assert!(
-                    r.refs > 0,
-                    "live request {id:?} is unreachable: no event or waiter references it"
-                );
-                // Per-shard slab accounting: a request must live in the
-                // bank of the shard that owns its SM, or request-carrying
-                // events would route to a lane whose handler state is
-                // foreign.
-                assert_eq!(
-                    id.shard(),
-                    lane.shard,
-                    "request {id:?} stored in a foreign shard bank"
-                );
-                assert_eq!(
-                    shard_of(r.sm as usize, shards, n_sms),
-                    lane.shard,
-                    "request {id:?} for SM {} owned by the wrong lane",
-                    r.sm
-                );
-            });
+            for v in lane.unguaranteed_waiters.values() {
+                for &id in v {
+                    bump(id);
+                }
+            }
         }
+        for (&id, &n) in &counted {
+            assert!(
+                lane.reqs.get(id).is_some(),
+                "stale request id {id:?} still referenced by {n} holder(s)"
+            );
+        }
+        lane.reqs.for_each(|id, r| {
+            let stored = counted.get(&id).copied().unwrap_or(0);
+            assert_eq!(r.refs, stored, "request {id:?} pin count disagrees with its stored copies");
+            assert!(
+                r.refs > 0,
+                "live request {id:?} is unreachable: no event or waiter references it"
+            );
+        });
 
         self.shared.q.audit_invariants();
         self.shared.l2_cache.audit_invariants();
@@ -3713,19 +2848,18 @@ impl<'a> Engine<'a> {
         // Exchange conservation: everything any domain pushed into its
         // outbox was delivered to a calendar at a barrier. A mismatch
         // means a cross-domain event was dropped or double-delivered.
-        let emitted =
-            self.lanes.iter().map(|l| l.exchange_out).sum::<u64>() + self.shared.exchange_out;
+        let emitted = self.lane.exchange_out + self.shared.exchange_out;
         assert_eq!(
             emitted, self.exchange_delivered,
             "exchange counters desynchronized: a cross-domain event was lost or duplicated"
         );
     }
 
-    /// Deliberately corrupts a lane calendar's free list so checked-mode
-    /// tests can prove the audit detects real damage.
+    /// Deliberately corrupts the lane calendar's free list so
+    /// checked-mode tests can prove the audit detects real damage.
     #[cfg(feature = "invariants")]
     pub fn corrupt_event_queue_for_test(&mut self) {
-        self.lanes[0].q.corrupt_free_list_for_test();
+        self.lane.q.corrupt_free_list_for_test();
     }
 
     /// Deliberately unbalances the exchange conservation counters (a

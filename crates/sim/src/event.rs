@@ -28,7 +28,6 @@
 //! (FIFO by a global sequence number), which keeps whole-simulation runs
 //! bit-reproducible.
 
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::Cycle;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -200,12 +199,11 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `event` at `time` under a caller-assigned sequence
-    /// number instead of the queue's own allocator. The sharded calendar
-    /// owns a single global sequence counter and distributes events
-    /// across per-domain queues; a barrier drain can therefore deliver an
-    /// exchange-ring entry (older seq) into a bucket that already holds a
-    /// directly-scheduled newer one, so this insert keeps each bucket's
-    /// list sorted by seq rather than blindly appending.
+    /// number instead of the queue's own allocator. The engine stripes
+    /// sequence numbers per actor and its domains exchange events at
+    /// barriers, so a delivery can land an older seq in a bucket that
+    /// already holds a directly-scheduled newer one; this insert keeps
+    /// each bucket's list sorted by seq rather than blindly appending.
     ///
     /// # Panics
     ///
@@ -355,9 +353,9 @@ impl<E> EventQueue<E> {
     /// Pops the next event only if its timestamp is strictly below
     /// `horizon`, advancing the clock to it. Returns `None` when the
     /// queue is empty or its head lies at or beyond the horizon — in
-    /// the latter case the clock does not move. This is the shard-lane
-    /// drain primitive: workers pop until the window's horizon without
-    /// paying a separate peek scan per event.
+    /// the latter case the clock does not move. This is the engine's
+    /// window drain primitive: a domain pops until the window's horizon
+    /// without paying a separate peek scan per event.
     pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
         let ring_head = if self.ring_len > 0 {
             let t = if self.fast_forward { self.next_occupied() } else { self.next_occupied_scan() };
@@ -529,82 +527,6 @@ impl<E> EventQueue<E> {
             assert!(e.time >= self.cursor, "overflow event at {} behind cursor {}", e.time, self.cursor);
             assert!(e.seq < self.seq, "overflow seq {} from the future", e.seq);
         }
-    }
-
-    /// Serializes the calendar (checkpointing): clock state plus every
-    /// pending event as `(time, seq, payload)` triples in `(time, seq)`
-    /// order. Slab slot indices and the ring/overflow partition are
-    /// *not* serialized — they are internal bookkeeping with no effect
-    /// on pop order, and restore re-inserts canonically.
-    // lint:exempt(checkpoint-field-parity: free, heads, tails, occupied, overflow, and ring_len are slab/ring bookkeeping with no effect on pop order; load_state clears them and re-inserts every event canonically)
-    pub(crate) fn save_state(&self, w: &mut Writer, enc: &mut dyn FnMut(&mut Writer, &E)) {
-        w.u64(self.cursor);
-        w.u64(self.seq);
-        w.u64(self.now);
-        w.bool(self.fast_forward);
-        w.u64(self.idle_skipped);
-        let mut pending: Vec<(Cycle, u64, u32)> = self
-            .slab
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.event.is_some())
-            .map(|(i, s)| (s.time, s.seq, i as u32))
-            .collect();
-        pending.sort_unstable_by_key(|&(t, s, _)| (t, s));
-        w.usize(pending.len());
-        for (t, seq, slot) in pending {
-            w.u64(t);
-            w.u64(seq);
-            let e = self.slab[slot as usize]
-                .event
-                .as_ref()
-                .expect("pending list only holds occupied slots");
-            enc(w, e);
-        }
-    }
-
-    /// Restores a calendar written by [`save_state`](Self::save_state),
-    /// replacing this queue's entire contents.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut Reader,
-        dec: &mut dyn FnMut(&mut Reader) -> Result<E, CkptError>,
-    ) -> Result<(), CkptError> {
-        self.slab.clear();
-        self.free.clear();
-        self.heads.fill(NIL);
-        self.tails.fill(NIL);
-        self.occupied = [0; OCC_WORDS];
-        self.overflow.clear();
-        self.ring_len = 0;
-        self.cursor = r.u64()?;
-        let saved_seq = r.u64()?;
-        self.now = r.u64()?;
-        self.fast_forward = r.bool()?;
-        self.idle_skipped = r.u64()?;
-        if self.cursor > self.now {
-            return Err(CkptError::Corrupt("calendar cursor ahead of its clock"));
-        }
-        self.seq = 0;
-        let n = r.seq_len()?;
-        let mut prev = None;
-        for _ in 0..n {
-            let t = r.u64()?;
-            let seq = r.u64()?;
-            if t < self.now || seq >= saved_seq {
-                return Err(CkptError::Corrupt("calendar event behind clock or from the future"));
-            }
-            if let Some(p) = prev {
-                if (t, seq) <= p {
-                    return Err(CkptError::Corrupt("calendar events not in (time, seq) order"));
-                }
-            }
-            prev = Some((t, seq));
-            let e = dec(r)?;
-            self.schedule_at_seq(t, seq, e);
-        }
-        self.seq = saved_seq;
-        Ok(())
     }
 
     /// Deliberately pushes an in-use slot onto the free list, breaking the
@@ -992,7 +914,8 @@ mod tests {
     /// order independent of how actors are packed into queues: replaying
     /// the same striped schedule into one queue or into two and merging by
     /// key yields the identical stream. This is the property the engine's
-    /// parallel shard lanes rely on for digest parity across shard counts.
+    /// two domains rely on: their merged order is a pure function of the
+    /// striped schedule.
     #[test]
     fn striped_seqs_are_packing_invariant() {
         const ACTORS: u64 = 5;

@@ -4,7 +4,6 @@
 //! data-content/compressibility model supplied by workloads.
 
 use crate::addr::{Ppn, Vpn};
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::Cycle;
 use crate::tlb::FillPriority;
 
@@ -117,20 +116,20 @@ impl PolicyCounters {
 }
 
 /// The translation policy plugged into the engine: speculation, validation
-/// strategy, TLB fill/replacement hints, per-policy stats, and checkpoint
-/// state, behind one object-safe surface.
+/// strategy, TLB fill/replacement hints, and per-policy stats, behind one
+/// object-safe surface.
 ///
 /// The baseline uses [`NoSpeculation`]; Avatar's CAST/CAVA/EAF policies,
 /// Revelator, and the dead-entry replacement modifier live in the
 /// `avatar-core` crate, and a name-keyed registry there
 /// (`avatar_core::policy`) assembles full systems from policy names.
 ///
-/// `Send + Sync` because the policy is owned by the shared lane but
-/// lent (`&dyn`) into shard-lane workers for fill-time validation:
+/// The policy is owned by the shared lane but lent (`&dyn`) to the SM
+/// lane for fill-time validation:
 /// [`on_spec_fill`](TranslationPolicy::on_spec_fill) and
 /// [`l1_fill_priority`](TranslationPolicy::l1_fill_priority) take `&self`
 /// and must be pure functions of the policy's current state.
-pub trait TranslationPolicy: std::fmt::Debug + Send + Sync {
+pub trait TranslationPolicy: std::fmt::Debug {
     /// Called on every L1 TLB miss: may return a speculated frame for the
     /// page, triggering an immediate fetch from the speculated address.
     fn on_l1_tlb_miss(&mut self, sm: usize, pc: u64, vpn: Vpn) -> Option<Ppn>;
@@ -140,8 +139,8 @@ pub trait TranslationPolicy: std::fmt::Debug + Send + Sync {
     fn on_translation_resolved(&mut self, sm: usize, pc: u64, vpn: Vpn, ppn: Ppn);
 
     /// Called when a speculatively fetched sector arrives at the L1.
-    /// Takes `&self`: this runs on shard-lane workers while the policy
-    /// is shared read-only across lanes, so it must not mutate state.
+    /// Takes `&self`: this runs in the SM lane while the policy is lent
+    /// read-only, so it must not mutate state.
     fn on_spec_fill(&self, ctx: &SpecFillContext) -> SpecFillAction;
 
     /// The validation strategy this policy implements.
@@ -153,7 +152,7 @@ pub trait TranslationPolicy: std::fmt::Debug + Send + Sync {
     }
 
     /// Replacement-priority hint for an L1 TLB fill of `vpn` on `sm`.
-    /// Takes `&self` (runs on shard-lane workers at fill time, like
+    /// Takes `&self` (runs in the SM lane at fill time, like
     /// [`on_spec_fill`](TranslationPolicy::on_spec_fill)); the default
     /// keeps the baseline MRU insertion for every fill.
     fn l1_fill_priority(&self, _sm: usize, _vpn: Vpn) -> FillPriority {
@@ -166,23 +165,7 @@ pub trait TranslationPolicy: std::fmt::Debug + Send + Sync {
     fn policy_counters(&self) -> PolicyCounters {
         PolicyCounters::default()
     }
-
-    /// Serializes the policy's mutable state for a checkpoint. The default
-    /// writes nothing — correct only for stateless policies; predictors
-    /// that train across calls must override this together with
-    /// [`load_state`](TranslationPolicy::load_state).
-    fn save_state(&self, _w: &mut Writer) {}
-
-    /// Restores state written by [`save_state`](TranslationPolicy::save_state).
-    /// The default reads nothing (stateless policies).
-    fn load_state(&mut self, _r: &mut Reader<'_>) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
-
-/// The policy trait's original name, kept as an alias so engine-facing
-/// code written against the hook-era surface keeps compiling.
-pub use TranslationPolicy as TranslationAccel;
 
 /// The baseline policy: never speculates.
 #[derive(Debug, Clone, Copy, Default)]
@@ -212,18 +195,6 @@ impl TranslationPolicy for NoSpeculation {
 pub trait SectorCompression: std::fmt::Debug {
     /// Whether the sector at (`vpn`, `sector_in_page` ∈ 0..128) fits 22B.
     fn compressible(&mut self, vpn: Vpn, sector_in_page: u32) -> bool;
-
-    /// Serializes the model's mutable state (memo tables, counters) for a
-    /// checkpoint. The default writes nothing — correct only for models
-    /// whose answers never depend on call history.
-    fn save_state(&self, _w: &mut Writer) {}
-
-    /// Restores state written by
-    /// [`save_state`](SectorCompression::save_state). The default reads
-    /// nothing (history-free models).
-    fn load_state(&mut self, _r: &mut Reader<'_>) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
 
 /// A content model with uniform compressibility decided by a hash of the

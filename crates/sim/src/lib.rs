@@ -33,10 +33,8 @@
 //! use avatar_sim::tlb::{BaseTlb, TlbModel};
 //! use avatar_sim::addr::VirtAddr;
 //!
-//! #[derive(Clone)]
 //! struct Stream { remaining: u32 }
 //! impl WarpProgram for Stream {
-//!     fn clone_box(&self) -> Box<dyn WarpProgram> { Box::new(self.clone()) }
 //!     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
 //!         if sm > 0 || warp > 0 || self.remaining == 0 {
 //!             return None;
@@ -114,9 +112,7 @@ pub fn engine_fingerprint() -> &'static str {
 /// policy crates implement.
 ///
 /// Internals (the request slab, ports, event-calendar plumbing) are
-/// deliberately absent — they are `pub(crate)` or `#[doc(hidden)]` —
-/// and so is the hook-era `TranslationAccel` alias, which survives only
-/// in [`hooks`](crate::hooks) for code written against the old name.
+/// deliberately absent — they are `pub(crate)` or `#[doc(hidden)]`.
 ///
 /// ```
 /// use avatar_sim::prelude::*;

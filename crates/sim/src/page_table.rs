@@ -8,7 +8,6 @@
 //! that makes walks of neighbouring pages cheap.
 
 use crate::addr::{Ppn, Vpn, PAGES_PER_CHUNK};
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::tlb::ContigRun;
 use crate::fxhash::FxHashMap;
 
@@ -142,81 +141,6 @@ impl PageTable {
     /// Number of promoted chunks.
     pub fn promoted_chunks(&self) -> usize {
         self.large.len()
-    }
-
-    /// Serializes the table with chunks in ascending key order (hash-map
-    /// iteration order is nondeterministic; sorting makes equal tables
-    /// produce equal bytes). Sparse chunk arrays are written as
-    /// (index, frame) pairs of their occupied slots only.
-    pub fn save_state(&self, w: &mut Writer) {
-        let mut chunks: Vec<&u64> = self.map.keys().collect();
-        chunks.sort_unstable();
-        w.usize(chunks.len());
-        for &chunk in chunks {
-            w.u64(chunk);
-            let slot = self.map.get(&chunk).expect("key collected from the map one line earlier");
-            let occupied = slot.iter().filter(|&&p| p != NO_FRAME).count();
-            w.usize(occupied);
-            for (i, &p) in slot.iter().enumerate() {
-                if p != NO_FRAME {
-                    w.u32(i as u32);
-                    w.u64(p);
-                }
-            }
-        }
-        let mut large: Vec<(&u64, &u64)> = self.large.iter().collect();
-        large.sort_unstable();
-        w.usize(large.len());
-        for (chunk, base) in large {
-            w.u64(*chunk);
-            w.u64(*base);
-        }
-        w.usize(self.mapped);
-    }
-
-    /// Restores state saved by [`PageTable::save_state`], replacing any
-    /// current contents and re-verifying the mapped-page count.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        self.map.clear();
-        self.large.clear();
-        let nchunks = r.seq_len()?;
-        for _ in 0..nchunks {
-            let chunk = r.u64()?;
-            let occupied = r.seq_len()?;
-            if occupied > CHUNK_PAGES {
-                return Err(CkptError::Corrupt("chunk frame array overfull"));
-            }
-            let mut arr = Box::new([NO_FRAME; CHUNK_PAGES]);
-            for _ in 0..occupied {
-                let i = r.u32()? as usize;
-                let p = r.u64()?;
-                if i >= CHUNK_PAGES || p == NO_FRAME {
-                    return Err(CkptError::Corrupt("chunk frame slot out of range"));
-                }
-                if arr[i] != NO_FRAME {
-                    return Err(CkptError::Corrupt("chunk frame slot written twice"));
-                }
-                arr[i] = p;
-            }
-            if self.map.insert(chunk, arr).is_some() {
-                return Err(CkptError::Corrupt("page-table chunk key repeated"));
-            }
-        }
-        let nlarge = r.seq_len()?;
-        for _ in 0..nlarge {
-            let chunk = r.u64()?;
-            let base = r.u64()?;
-            if self.map.contains_key(&chunk) || self.large.insert(chunk, base).is_some() {
-                return Err(CkptError::Corrupt("promoted chunk conflicts with 4KB mappings"));
-            }
-        }
-        self.mapped = r.usize()?;
-        let actual: usize =
-            self.map.values().map(|s| s.iter().filter(|&&p| p != NO_FRAME).count()).sum();
-        if actual != self.mapped {
-            return Err(CkptError::Corrupt("mapped-page counter disagrees with table contents"));
-        }
-        Ok(())
     }
 
     /// Radix prefix of `vpn` at `level` (0 = root .. 3 = leaf index).

@@ -1,6 +1,5 @@
 //! Structural-hazard primitives: issue ports and finite MSHR files.
 
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::Cycle;
 
 /// A pipelined port group: up to `width` operations may *start* per cycle.
@@ -52,29 +51,6 @@ impl Ports {
         } else {
             self.cycle + 1
         }
-    }
-
-    /// Serializes the port group's mutable state (plus its width, so a
-    /// restore against a differently configured port fails loudly).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.u32(self.width);
-        w.u64(self.cycle);
-        w.u32(self.used);
-    }
-
-    /// Restores state saved by [`Ports::save_state`]. The width is fixed
-    /// by configuration at assembly time; a mismatch is corruption.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let width = r.u32()?;
-        if width != self.width {
-            return Err(CkptError::Corrupt("port width mismatch"));
-        }
-        self.cycle = r.u64()?;
-        self.used = r.u32()?;
-        if self.used > self.width {
-            return Err(CkptError::Corrupt("port grants exceed width"));
-        }
-        Ok(())
     }
 }
 
@@ -219,69 +195,6 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
                 f(w);
             }
         }
-    }
-
-    /// Serializes the file's live entries in ascending key order (the
-    /// map's iteration order is nondeterministic; sorting makes equal
-    /// states produce equal bytes). The spare pool is a pure allocation
-    /// optimization and is not serialized.
-    // lint:exempt(checkpoint-field-parity: spare is an allocation-reuse pool; load_state drains it when rebuilding entries, and its contents never affect observable behavior)
-    pub fn save_state(
-        &self,
-        w: &mut Writer,
-        enc_k: &mut dyn FnMut(&mut Writer, &K),
-        enc_w: &mut dyn FnMut(&mut Writer, &W),
-    ) where
-        K: Ord,
-    {
-        w.usize(self.capacity);
-        let mut keys: Vec<&K> = self.entries.keys().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for k in keys {
-            enc_k(w, k);
-            let waiters =
-                self.entries.get(k).expect("key collected from the map one line earlier");
-            w.usize(waiters.len());
-            for waiter in waiters {
-                enc_w(w, waiter);
-            }
-        }
-    }
-
-    /// Restores entries saved by [`MshrFile::save_state`], replacing any
-    /// current contents (and emptying the spare pool).
-    pub fn load_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        dec_k: &mut dyn FnMut(&mut Reader<'_>) -> Result<K, CkptError>,
-        dec_w: &mut dyn FnMut(&mut Reader<'_>) -> Result<W, CkptError>,
-    ) -> Result<(), CkptError> {
-        let capacity = r.usize()?;
-        if capacity != self.capacity {
-            return Err(CkptError::Corrupt("MSHR file capacity mismatch"));
-        }
-        self.entries.clear();
-        self.spare.clear();
-        let n = r.seq_len()?;
-        if n > self.capacity {
-            return Err(CkptError::Corrupt("MSHR entry count exceeds capacity"));
-        }
-        for _ in 0..n {
-            let key = dec_k(r)?;
-            let m = r.seq_len()?;
-            if m == 0 {
-                return Err(CkptError::Corrupt("MSHR entry restored with no waiters"));
-            }
-            let mut waiters = Vec::with_capacity(m);
-            for _ in 0..m {
-                waiters.push(dec_w(r)?);
-            }
-            if self.entries.insert(key, waiters).is_some() {
-                return Err(CkptError::Corrupt("MSHR entry key repeated in checkpoint"));
-            }
-        }
-        Ok(())
     }
 
     /// Asserts file consistency: never above capacity, no entry without a
@@ -431,42 +344,6 @@ mod tests {
         m.request(5, 0);
         assert!(m.merge(5, 1));
         assert_eq!(m.complete(5), Some(vec![0, 1]));
-    }
-
-    #[test]
-    fn ports_and_mshr_checkpoint_round_trip() {
-        let mut p = Ports::new(2);
-        p.grant(10);
-        p.grant(10);
-        p.grant(10); // spills to cycle 11
-        let mut w = Writer::new();
-        p.save_state(&mut w);
-        let mut m: MshrFile<u64, u32> = MshrFile::new(4);
-        m.request(9, 1);
-        m.merge(9, 2);
-        m.request(3, 5);
-        m.save_state(&mut w, &mut |w, k| w.u64(*k), &mut |w, v| w.u32(*v));
-        let bytes = w.into_bytes();
-
-        let mut r = Reader::new(&bytes);
-        let mut p2 = Ports::new(2);
-        p2.load_state(&mut r).expect("ports checkpoint round-trip");
-        let mut m2: MshrFile<u64, u32> = MshrFile::new(4);
-        m2.load_state(&mut r, &mut |r| r.u64(), &mut |r| r.u32())
-            .expect("MSHR checkpoint round-trip");
-        assert!(r.is_exhausted());
-        // The restored port continues from the saved high-water mark.
-        assert_eq!(p2.grant(10), p.grant(10));
-        assert_eq!(m2.complete(9), Some(vec![1, 2]));
-        assert_eq!(m2.complete(3), Some(vec![5]));
-
-        // Capacity mismatch is a hard error, not an adaptation.
-        let mut w = Writer::new();
-        m.save_state(&mut w, &mut |w, k| w.u64(*k), &mut |w, v| w.u32(*v));
-        let bytes = w.into_bytes();
-        let mut wrong: MshrFile<u64, u32> = MshrFile::new(8);
-        let err = wrong.load_state(&mut Reader::new(&bytes), &mut |r| r.u64(), &mut |r| r.u32());
-        assert!(matches!(err, Err(CkptError::Corrupt(_))));
     }
 
     // Property tests (hand-rolled generators over SimRng; the registry

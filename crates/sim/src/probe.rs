@@ -340,6 +340,7 @@ impl ProbeHub {
 }
 
 /// One buffered probe call, replayed verbatim into the inner sink.
+#[cfg(feature = "probes")]
 #[derive(Debug, Clone, Copy)]
 enum Record {
     Span { point: SpanPoint, track: Track, start: Cycle, end: Cycle, arg: u64 },
@@ -349,12 +350,10 @@ enum Record {
     Counter { name: &'static str, track: Track, at: Cycle, value: u64 },
 }
 
-/// A per-lane probe buffer: shard lanes (which may run on worker
-/// threads, where the boxed sink cannot live) record their probe
-/// traffic as plain data and the engine replays every lane's log into
-/// the real sink at finish, in fixed lane order. The result is the
-/// same regrouped stream [`ShardMergeProbe`] produces, but built
-/// directly by ownership instead of by routing.
+/// A per-domain probe buffer: the SM lane and the shared lane each
+/// record their probe traffic as plain data, and the engine replays the
+/// logs into the real sink at finish, lane first, so the exported stream
+/// is grouped by domain.
 #[cfg(feature = "probes")]
 #[derive(Debug, Default)]
 pub(crate) struct RecordLog {
@@ -452,106 +451,6 @@ impl RecordLog {
     }
 }
 
-/// Groups probe traffic into per-shard span streams and merges them at
-/// export: each record is routed by its track — SM pids to the shard
-/// owning that SM (the calendar's [`crate::sm::shard_of`] map), shared
-/// components (walkers, DRAM, UVM) to a shared stream — and `finish`
-/// replays the streams into the inner sink in fixed order (shard 0,
-/// shard 1, …, shared). Emission order within a stream is preserved, so
-/// span_enter/span_exit pairs stay adjacent, and the merged order is a
-/// pure function of the deterministic pop sequence — never of which
-/// shard's events happened to interleave when.
-pub struct ShardMergeProbe {
-    inner: Box<dyn Probe>,
-    /// Index `s < shards` buffers shard `s`; index `shards` the shared
-    /// components. Export-time buffering, not a simulation structure:
-    /// records are append-only and drained exactly once at `finish`.
-    /// lint:allow(vec-vec)
-    streams: Vec<Vec<Record>>,
-    shards: usize,
-    num_sms: usize,
-}
-
-impl ShardMergeProbe {
-    /// Wraps `inner`, routing across `shards` streams for `num_sms` SMs.
-    pub fn new(inner: Box<dyn Probe>, shards: usize, num_sms: usize) -> Self {
-        let shards = shards.max(1);
-        Self { inner, streams: (0..=shards).map(|_| Vec::new()).collect(), shards, num_sms }
-    }
-
-    /// The stream a track lands on: SM pids (`1..=num_sms`) map through
-    /// the SM→shard partition; everything else (pid 0 and the shared
-    /// pseudo-processes) is shared-domain traffic.
-    fn stream_of(&self, track: Track) -> usize {
-        let pid = track.pid as usize;
-        if (1..=self.num_sms).contains(&pid) {
-            crate::sm::shard_of(pid - 1, self.shards, self.num_sms)
-        } else {
-            self.shards
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, track: Track, rec: Record) {
-        let s = self.stream_of(track);
-        self.streams[s].push(rec);
-    }
-}
-
-impl std::fmt::Debug for ShardMergeProbe {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardMergeProbe")
-            .field("shards", &self.shards)
-            .field("buffered", &self.streams.iter().map(Vec::len).sum::<usize>())
-            .finish()
-    }
-}
-
-impl Probe for ShardMergeProbe {
-    fn span(&mut self, point: SpanPoint, track: Track, start: Cycle, end: Cycle, arg: u64) {
-        self.push(track, Record::Span { point, track, start, end, arg });
-    }
-
-    // lint:allow(probe-span-balance) — buffering shim, not a call pair.
-    fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        self.push(track, Record::Enter { point, track, at });
-    }
-
-    // lint:allow(probe-span-balance) — buffering shim, not a call pair.
-    fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        self.push(track, Record::Exit { point, track, at });
-    }
-
-    fn instant(&mut self, point: SpanPoint, track: Track, at: Cycle, arg: u64) {
-        self.push(track, Record::Mark { point, track, at, arg });
-    }
-
-    fn counter(&mut self, name: &'static str, track: Track, at: Cycle, value: u64) {
-        self.push(track, Record::Counter { name, track, at, value });
-    }
-
-    fn finish(&mut self, end: Cycle) {
-        for stream in std::mem::take(&mut self.streams) {
-            for rec in stream {
-                match rec {
-                    Record::Span { point, track, start, end, arg } => {
-                        self.inner.span(point, track, start, end, arg)
-                    }
-                    Record::Enter { point, track, at } => self.inner.span_enter(point, track, at),
-                    Record::Exit { point, track, at } => self.inner.span_exit(point, track, at),
-                    Record::Mark { point, track, at, arg } => {
-                        self.inner.instant(point, track, at, arg)
-                    }
-                    Record::Counter { name, track, at, value } => {
-                        self.inner.counter(name, track, at, value)
-                    }
-                }
-            }
-        }
-        self.inner.finish(end);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,70 +517,5 @@ mod tests {
         assert!(hub.is_active());
         assert!(hub.sampled(0) && hub.sampled(8));
         assert!(!hub.sampled(1) && !hub.sampled(7));
-    }
-
-    /// (label, pid, ts) per forwarded record, in arrival order.
-    type SeenLog = std::rc::Rc<std::cell::RefCell<Vec<(&'static str, u32, Cycle)>>>;
-
-    #[derive(Default)]
-    struct OrderSink {
-        seen: SeenLog,
-        finished_at: std::rc::Rc<std::cell::RefCell<Option<Cycle>>>,
-    }
-    impl Probe for OrderSink {
-        fn span(&mut self, p: SpanPoint, t: Track, start: Cycle, _: Cycle, _: u64) {
-            self.seen.borrow_mut().push((p.label(), t.pid, start));
-        }
-        fn span_enter(&mut self, p: SpanPoint, t: Track, at: Cycle) {
-            self.seen.borrow_mut().push((p.label(), t.pid, at));
-        }
-        fn span_exit(&mut self, p: SpanPoint, t: Track, at: Cycle) {
-            self.seen.borrow_mut().push((p.label(), t.pid, at));
-        }
-        fn instant(&mut self, p: SpanPoint, t: Track, at: Cycle, _: u64) {
-            self.seen.borrow_mut().push((p.label(), t.pid, at));
-        }
-        fn counter(&mut self, name: &'static str, t: Track, at: Cycle, _: u64) {
-            self.seen.borrow_mut().push((name, t.pid, at));
-        }
-        fn finish(&mut self, end: Cycle) {
-            *self.finished_at.borrow_mut() = Some(end);
-        }
-    }
-
-    #[test]
-    fn shard_merge_replays_streams_in_shard_order() {
-        // 4 SMs over 2 shards: SMs 0-1 → shard 0, SMs 2-3 → shard 1;
-        // walkers/DRAM/UVM → the shared stream, replayed last.
-        let sink = OrderSink::default();
-        let seen = sink.seen.clone();
-        let finished = sink.finished_at.clone();
-        let mut m = ShardMergeProbe::new(Box::new(sink), 2, 4);
-        // Interleave emission across streams; replay must regroup.
-        m.span(SpanPoint::Phase(Phase::Tlb), Track::sm_warp(3, 0), 10, 12, 0);
-        m.instant(SpanPoint::UvmFault, Track::uvm(0), 11, 0);
-        m.span_enter(SpanPoint::FastPath, Track::sm_warp(0, 1), 12);
-        m.span_exit(SpanPoint::FastPath, Track::sm_warp(0, 1), 12);
-        m.span(SpanPoint::WalkService, Track::walker(1), 13, 20, 0);
-        m.counter("occ", Track::sm_warp(1, 0), 14, 3);
-        m.span(SpanPoint::Phase(Phase::Fetch), Track::sm_warp(2, 0), 15, 18, 0);
-        m.finish(99);
-        let got = seen.borrow().clone();
-        assert_eq!(
-            got,
-            vec![
-                // Shard 0 (SMs 0-1) in emission order...
-                ("fast_path", 1, 12),
-                ("fast_path", 1, 12),
-                ("occ", 2, 14),
-                // ...then shard 1 (SMs 2-3)...
-                ("tlb", 4, 10),
-                ("fetch", 3, 15),
-                // ...then the shared components.
-                ("uvm_fault", Track::UVM_PID, 11),
-                ("walk_service", Track::WALKERS_PID, 13),
-            ]
-        );
-        assert_eq!(*finished.borrow(), Some(99), "inner sink must be flushed");
     }
 }

@@ -11,8 +11,6 @@
 //! through a stale id return `None`, and checked-mode audits assert it
 //! never happens at all.
 
-use crate::checkpoint::{CkptError, Reader, Writer};
-
 /// Handle to a slab slot: index plus the generation it was allocated in.
 ///
 /// Copyable and order-free — ids are compared only for identity, never
@@ -23,41 +21,11 @@ pub struct ReqId {
     gen: u32,
 }
 
-/// Bit position of the shard tag inside [`ReqId::slot`]: the low 24 bits
-/// index a slot within one shard's bank (16M in-flight requests per
-/// shard, orders of magnitude above any real peak), the high 8 bits name
-/// the owning shard. Shard 0 tags are all-zero, so single-shard runs mint
-/// byte-identical ids to the pre-sharding slab.
-const SHARD_SHIFT: u32 = 24;
-/// Mask selecting the intra-bank slot index.
-const SHARD_MASK: u32 = (1 << SHARD_SHIFT) - 1;
-
 impl ReqId {
     /// Slot index (stable for the lifetime of the allocation; reused —
-    /// under a new generation — after the request is freed). For ids
-    /// minted by a [`ReqBank`] this includes the shard tag in the
-    /// high bits, keeping the id unique across banks.
+    /// under a new generation — after the request is freed).
     pub fn slot(self) -> u32 {
         self.slot
-    }
-
-    /// The shard whose bank minted this id (0 for a plain [`ReqSlab`]),
-    /// letting the calendar route a request-carrying event to its owning
-    /// shard without a slab lookup.
-    pub fn shard(self) -> usize {
-        (self.slot >> SHARD_SHIFT) as usize
-    }
-
-    /// Packs the id into a `u64` for checkpoint serialization (slot in
-    /// the high half, generation in the low half).
-    pub(crate) fn to_bits(self) -> u64 {
-        (self.slot as u64) << 32 | self.gen as u64
-    }
-
-    /// Reconstructs an id from [`ReqId::to_bits`] output. The id is only
-    /// meaningful against the slab state saved alongside it.
-    pub(crate) fn from_bits(bits: u64) -> Self {
-        ReqId { slot: (bits >> 32) as u32, gen: bits as u32 }
     }
 }
 
@@ -159,61 +127,6 @@ impl<T> ReqSlab<T> {
         }
     }
 
-    /// Serializes the slab bit-exactly: every slot's generation and
-    /// payload (via `enc`) plus the free list in LIFO order, so a restored
-    /// slab mints the same ids in the same order as the original.
-    pub(crate) fn save_state(&self, w: &mut Writer, enc: &mut dyn FnMut(&mut Writer, &T)) {
-        w.usize(self.slots.len());
-        for s in &self.slots {
-            w.u32(s.gen);
-            w.bool(s.val.is_some());
-            if let Some(v) = &s.val {
-                enc(w, v);
-            }
-        }
-        w.u32_slice(&self.free);
-    }
-
-    /// Restores the slab from [`ReqSlab::save_state`] output, replacing
-    /// any current contents. Verifies free-list conservation (every
-    /// free-listed index names an in-range, empty slot, exactly once).
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, CkptError>,
-    ) -> Result<(), CkptError> {
-        let n = r.seq_len()?;
-        self.slots.clear();
-        self.free.clear();
-        self.slots.reserve(n);
-        for _ in 0..n {
-            let gen = r.u32()?;
-            let val = if r.bool()? { Some(dec(r)?) } else { None };
-            self.slots.push(Slot { gen, val });
-        }
-        self.free = r.u32_vec()?;
-        let mut seen = vec![false; n];
-        for &f in &self.free {
-            let i = f as usize;
-            let slot = self
-                .slots
-                .get(i)
-                .ok_or(CkptError::Corrupt("request slab free list names out-of-range slot"))?;
-            if slot.val.is_some() {
-                return Err(CkptError::Corrupt("request slab free list names occupied slot"));
-            }
-            if seen[i] {
-                return Err(CkptError::Corrupt("request slab free list repeats a slot"));
-            }
-            seen[i] = true;
-        }
-        let occupied = self.slots.iter().filter(|s| s.val.is_some()).count();
-        if occupied + self.free.len() != n {
-            return Err(CkptError::Corrupt("request slab leaks slots (neither live nor free)"));
-        }
-        Ok(())
-    }
-
     /// Asserts slab consistency: free-list conservation (every slot is
     /// live or free-listed exactly once, so `live + free == slots`), no
     /// free-listed slot still holding a payload, and no out-of-range or
@@ -244,255 +157,9 @@ impl<T> ReqSlab<T> {
     }
 }
 
-/// Per-shard request banks behind one id space: bank `s` serves shard
-/// `s`, and every minted [`ReqId`] carries its shard in the high slot
-/// bits (see [`SHARD_SHIFT`]). The live engine owns one [`ReqBank`] per
-/// lane instead (banks must move onto worker threads independently);
-/// this combined form is retained as the test oracle that the bank's
-/// id minting, lookup, and checkpoint bytes match the single-structure
-/// semantics exactly.
-#[cfg(test)]
-#[derive(Debug, Clone)]
-pub struct ShardedReqSlab<T> {
-    banks: Vec<ReqSlab<T>>,
-}
-
-#[cfg(test)]
-#[allow(dead_code)] // test oracle: keeps the full single-structure API even where tests only exercise part of it
-impl<T> ShardedReqSlab<T> {
-    /// Creates a slab with one bank per shard.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "at least one bank required");
-        assert!(
-            shards <= 1 << (32 - SHARD_SHIFT),
-            "shard count {shards} does not fit the ReqId tag"
-        );
-        Self { banks: (0..shards).map(|_| ReqSlab::new()).collect() }
-    }
-
-    /// Allocates a slot in `shard`'s bank, returning a shard-tagged id.
-    pub fn insert(&mut self, shard: usize, val: T) -> ReqId {
-        let id = self.banks[shard].insert(val);
-        debug_assert!(id.slot <= SHARD_MASK, "bank {shard} overflowed the slot tag space");
-        ReqId { slot: (shard as u32) << SHARD_SHIFT | id.slot, gen: id.gen }
-    }
-
-    #[inline]
-    fn untag(id: ReqId) -> (usize, ReqId) {
-        ((id.slot >> SHARD_SHIFT) as usize, ReqId { slot: id.slot & SHARD_MASK, gen: id.gen })
-    }
-
-    /// The payload for `id`, or `None` if the id is stale.
-    pub fn get(&self, id: ReqId) -> Option<&T> {
-        let (bank, inner) = Self::untag(id);
-        self.banks.get(bank)?.get(inner)
-    }
-
-    /// Mutable payload access; `None` on a stale id.
-    pub fn get_mut(&mut self, id: ReqId) -> Option<&mut T> {
-        let (bank, inner) = Self::untag(id);
-        self.banks.get_mut(bank)?.get_mut(inner)
-    }
-
-    /// Frees the slot for `id`, returning its payload (`None` if stale).
-    pub fn remove(&mut self, id: ReqId) -> Option<T> {
-        let (bank, inner) = Self::untag(id);
-        self.banks.get_mut(bank)?.remove(inner)
-    }
-
-    /// Live payloads across every bank.
-    pub fn len(&self) -> usize {
-        self.banks.iter().map(ReqSlab::len).sum()
-    }
-
-    /// Whether no payload is live in any bank.
-    pub fn is_empty(&self) -> bool {
-        self.banks.iter().all(ReqSlab::is_empty)
-    }
-
-    /// Live payloads in `shard`'s bank (per-shard slab accounting).
-    pub fn bank_len(&self, shard: usize) -> usize {
-        self.banks[shard].len()
-    }
-
-    /// Number of banks (== shard count).
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Visits every live payload with its shard-tagged id, banks in
-    /// shard order, slots in index order within a bank. Read-only.
-    pub fn for_each(&self, mut f: impl FnMut(ReqId, &T)) {
-        for (shard, bank) in self.banks.iter().enumerate() {
-            bank.for_each(|inner, v| {
-                f(ReqId { slot: (shard as u32) << SHARD_SHIFT | inner.slot, gen: inner.gen }, v)
-            });
-        }
-    }
-
-    /// Serializes every bank in shard order (see [`ReqSlab::save_state`]).
-    pub(crate) fn save_state(&self, w: &mut Writer, enc: &mut dyn FnMut(&mut Writer, &T)) {
-        w.usize(self.banks.len());
-        for bank in &self.banks {
-            bank.save_state(w, enc);
-        }
-    }
-
-    /// Restores every bank from [`ShardedReqSlab::save_state`] output.
-    /// The bank count is fixed by the shard knob at assembly time, so a
-    /// mismatch is corruption, not something to adapt to.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, CkptError>,
-    ) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.banks.len() {
-            return Err(CkptError::Corrupt("request slab bank count mismatch"));
-        }
-        for bank in &mut self.banks {
-            bank.load_state(r, dec)?;
-        }
-        Ok(())
-    }
-
-    /// Audits every bank's slab consistency (see
-    /// [`ReqSlab::audit_invariants`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn audit_invariants(&self) {
-        for bank in &self.banks {
-            bank.audit_invariants();
-        }
-    }
-}
-
-/// One shard's bank of the request id space, owned outright by that
-/// shard's lane (and therefore movable onto a worker thread): a plain
-/// [`ReqSlab`] whose minted ids carry the bank's shard tag, exactly as
-/// `ShardedReqSlab` (the test oracle below) would mint them. Bank 0's
-/// ids are byte-identical
-/// to an untagged [`ReqSlab`]'s.
-#[derive(Debug, Clone)]
-pub struct ReqBank<T> {
-    shard: u32,
-    slab: ReqSlab<T>,
-}
-
-impl<T> ReqBank<T> {
-    /// Creates the empty bank for `shard`.
-    pub fn new(shard: usize) -> Self {
-        assert!(
-            shard < 1 << (32 - SHARD_SHIFT),
-            "shard index {shard} does not fit the ReqId tag"
-        );
-        Self { shard: shard as u32, slab: ReqSlab::new() }
-    }
-
-    #[inline]
-    fn untag(&self, id: ReqId) -> ReqId {
-        debug_assert_eq!(id.shard(), self.shard as usize, "foreign-bank ReqId");
-        ReqId { slot: id.slot & SHARD_MASK, gen: id.gen }
-    }
-
-    #[inline]
-    fn tag(&self, id: ReqId) -> ReqId {
-        ReqId { slot: self.shard << SHARD_SHIFT | id.slot, gen: id.gen }
-    }
-
-    /// Allocates a slot, returning a shard-tagged id.
-    pub fn insert(&mut self, val: T) -> ReqId {
-        let id = self.slab.insert(val);
-        debug_assert!(id.slot <= SHARD_MASK, "bank {} overflowed the slot tag space", self.shard);
-        self.tag(id)
-    }
-
-    /// The payload for `id`, or `None` if the id is stale.
-    pub fn get(&self, id: ReqId) -> Option<&T> {
-        let inner = self.untag(id);
-        self.slab.get(inner)
-    }
-
-    /// Mutable payload access; `None` on a stale id.
-    pub fn get_mut(&mut self, id: ReqId) -> Option<&mut T> {
-        let inner = self.untag(id);
-        self.slab.get_mut(inner)
-    }
-
-    /// Frees the slot for `id`, returning its payload (`None` if stale).
-    pub fn remove(&mut self, id: ReqId) -> Option<T> {
-        let inner = self.untag(id);
-        self.slab.remove(inner)
-    }
-
-    /// Live payloads in the bank.
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// Whether no payload is live.
-    pub fn is_empty(&self) -> bool {
-        self.slab.is_empty()
-    }
-
-    /// Visits every live payload with its shard-tagged id, in slot order.
-    pub fn for_each(&self, mut f: impl FnMut(ReqId, &T)) {
-        let shard = self.shard;
-        self.slab.for_each(|inner, v| {
-            f(ReqId { slot: shard << SHARD_SHIFT | inner.slot, gen: inner.gen }, v)
-        });
-    }
-
-    /// Serializes the bank (see [`ReqSlab::save_state`]). The shard tag
-    /// is assembly geometry, never stored.
-    pub(crate) fn save_state(&self, w: &mut Writer, enc: &mut dyn FnMut(&mut Writer, &T)) {
-        self.slab.save_state(w, enc);
-    }
-
-    /// Restores the bank from [`ReqBank::save_state`] output.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        dec: &mut dyn FnMut(&mut Reader<'_>) -> Result<T, CkptError>,
-    ) -> Result<(), CkptError> {
-        self.slab.load_state(r, dec)
-    }
-
-    /// Audits the bank's slab consistency (see
-    /// [`ReqSlab::audit_invariants`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the first violated invariant.
-    pub fn audit_invariants(&self) {
-        self.slab.audit_invariants();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bank_ids_match_the_sharded_slab() {
-        let mut bank: ReqBank<u32> = ReqBank::new(3);
-        let mut sharded: ShardedReqSlab<u32> = ShardedReqSlab::new(4);
-        for i in 0..50 {
-            let a = bank.insert(i);
-            let b = sharded.insert(3, i);
-            assert_eq!(a, b, "bank must mint the ids its sharded twin would");
-            assert_eq!(a.shard(), 3);
-            assert_eq!(bank.get(a), Some(&i));
-            if i % 4 == 0 {
-                assert_eq!(bank.remove(a), sharded.remove(b));
-                assert_eq!(bank.get(a), None);
-            }
-        }
-        assert_eq!(bank.len(), sharded.bank_len(3));
-        bank.audit_invariants();
-    }
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -565,103 +232,6 @@ mod tests {
         s.for_each(|id, v| seen.push((id.slot(), *v)));
         assert_eq!(seen, vec![(1, 20), (2, 30)]);
         assert!(s.get(c).is_some());
-    }
-
-    #[test]
-    fn sharded_ids_carry_their_bank_and_stay_unique() {
-        let mut s: ShardedReqSlab<u32> = ShardedReqSlab::new(4);
-        let a = s.insert(0, 10);
-        let b = s.insert(3, 20);
-        let c = s.insert(3, 30);
-        assert_eq!(a.shard(), 0);
-        assert_eq!(b.shard(), 3);
-        // Same intra-bank slot index, different banks → different ids.
-        assert_eq!(a.slot() & SHARD_MASK, b.slot() & SHARD_MASK);
-        assert_ne!(a.slot(), b.slot());
-        assert_eq!(s.get(a), Some(&10));
-        assert_eq!(s.get(b), Some(&20));
-        assert_eq!(s.get(c), Some(&30));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.bank_len(3), 2);
-        assert_eq!(s.remove(b), Some(20));
-        assert_eq!(s.get(b), None, "stale sharded id must miss");
-        assert_eq!(s.bank_len(3), 1);
-        s.audit_invariants();
-    }
-
-    #[test]
-    fn single_bank_ids_match_the_plain_slab() {
-        // shards == 1 must mint byte-identical ids to ReqSlab, so the
-        // serial path (and anything keyed on slot(), like traces) is
-        // unchanged by the sharded wrapper.
-        let mut sharded: ShardedReqSlab<u32> = ShardedReqSlab::new(1);
-        let mut plain: ReqSlab<u32> = ReqSlab::new();
-        let mut ids = Vec::new();
-        for i in 0..100 {
-            let a = sharded.insert(0, i);
-            let b = plain.insert(i);
-            assert_eq!(a, b);
-            ids.push(a);
-            if i % 3 == 0 {
-                let victim = ids.remove(ids.len() / 2);
-                assert_eq!(sharded.remove(victim), plain.remove(victim));
-            }
-        }
-        assert_eq!(sharded.len(), plain.len());
-    }
-
-    #[test]
-    fn sharded_for_each_visits_banks_in_shard_order() {
-        let mut s: ShardedReqSlab<u32> = ShardedReqSlab::new(3);
-        let a = s.insert(2, 1);
-        let b = s.insert(0, 2);
-        let c = s.insert(1, 3);
-        s.remove(c);
-        let mut seen = Vec::new();
-        s.for_each(|id, v| seen.push((id.shard(), *v)));
-        assert_eq!(seen, vec![(0, 2), (2, 1)]);
-        assert!(s.get(a).is_some() && s.get(b).is_some());
-    }
-
-    #[test]
-    fn checkpoint_round_trip_preserves_ids_and_free_order() {
-        use crate::checkpoint::{Reader, Writer};
-        let mut s: ShardedReqSlab<u64> = ShardedReqSlab::new(2);
-        let a = s.insert(0, 10);
-        let b = s.insert(1, 20);
-        let c = s.insert(0, 30);
-        s.remove(a);
-        let mut w = Writer::new();
-        s.save_state(&mut w, &mut |w, v| w.u64(*v));
-        let bytes = w.into_bytes();
-        let mut t: ShardedReqSlab<u64> = ShardedReqSlab::new(2);
-        let mut r = Reader::new(&bytes);
-        t.load_state(&mut r, &mut |r| r.u64()).expect("slab checkpoint round-trip");
-        assert!(r.is_exhausted());
-        assert_eq!(t.get(b), Some(&20));
-        assert_eq!(t.get(c), Some(&30));
-        assert_eq!(t.get(a), None, "stale id stays stale across restore");
-        // Future allocations follow the identical free-list order, so the
-        // restored engine mints the same ids as the original would have.
-        assert_eq!(t.insert(0, 40), s.insert(0, 40));
-        assert_eq!(t.insert(0, 50), s.insert(0, 50));
-        // ReqId bit-packing round-trips exactly.
-        assert_eq!(ReqId::from_bits(b.to_bits()), b);
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_free_list() {
-        use crate::checkpoint::{CkptError, Reader, Writer};
-        let mut s: ReqSlab<u64> = ReqSlab::new();
-        let id = s.insert(1);
-        s.remove(id);
-        s.free.push(id.slot()); // corrupt: same slot free-listed twice
-        let mut w = Writer::new();
-        s.save_state(&mut w, &mut |w, v| w.u64(*v));
-        let bytes = w.into_bytes();
-        let mut t: ReqSlab<u64> = ReqSlab::new();
-        let err = t.load_state(&mut Reader::new(&bytes), &mut |r| r.u64());
-        assert!(matches!(err, Err(CkptError::Corrupt(_))), "double-free must not restore");
     }
 
     #[test]

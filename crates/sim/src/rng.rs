@@ -25,14 +25,6 @@ impl SimRng {
         SimRng { state: seed }
     }
 
-    /// The raw internal state, for checkpointing. Restoring via
-    /// [`seed_from_u64`](Self::seed_from_u64) with this value resumes
-    /// the stream exactly where it left off (SplitMix64's whole state is
-    /// its counter).
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
     /// Next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -2,7 +2,6 @@
 //! occupancy/stall accounting.
 
 use crate::addr::{VirtAddr, SECTOR_BYTES};
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::Cycle;
 
 /// One warp-level operation.
@@ -33,34 +32,10 @@ pub enum WarpOp {
 
 /// A supplier of per-warp instruction streams — implemented by the workload
 /// generators.
-///
-/// Programs must be `Send` (each shard lane owns a clone and may be
-/// advanced on a worker thread) and cloneable via
-/// [`clone_box`](WarpProgram::clone_box): warp-stream state is per
-/// `(sm, warp)` slot, and each lane only ever calls `next_op` for the
-/// SMs it owns, so independent per-lane clones observe exactly the
-/// per-slot subsequences a single shared instance would.
-pub trait WarpProgram: Send {
+pub trait WarpProgram {
     /// The next operation for warp `warp` of SM `sm`; `None` retires the
     /// warp.
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp>;
-
-    /// A boxed deep copy of the program, used to hand each shard lane
-    /// its own instance.
-    fn clone_box(&self) -> Box<dyn WarpProgram>;
-
-    /// Serializes the program's mutable state for a checkpoint. The
-    /// default writes nothing — correct only for stateless programs;
-    /// every generator that advances internal state across `next_op`
-    /// calls must override this together with
-    /// [`load_state`](WarpProgram::load_state).
-    fn save_state(&self, _w: &mut Writer) {}
-
-    /// Restores state written by [`save_state`](WarpProgram::save_state).
-    /// The default reads nothing (stateless programs).
-    fn load_state(&mut self, _r: &mut Reader<'_>) -> Result<(), CkptError> {
-        Ok(())
-    }
 }
 
 /// Coalesces a warp's per-thread addresses into unique 32B sector requests,
@@ -82,16 +57,6 @@ pub fn coalesce_into(addrs: &[VirtAddr], out: &mut Vec<VirtAddr>) {
             out.push(sector);
         }
     }
-}
-
-/// The shard group owning SM `sm` when `num_sms` SMs are partitioned
-/// into `shards` contiguous groups (the sharded calendar's SM→domain
-/// map). Balanced to within one SM and monotone in `sm`, so shard
-/// domains always cover contiguous SM ranges.
-pub fn shard_of(sm: usize, shards: usize, num_sms: usize) -> usize {
-    debug_assert!(sm < num_sms, "SM {sm} out of range for {num_sms} SMs");
-    debug_assert!(shards >= 1 && shards <= num_sms);
-    sm * shards / num_sms
 }
 
 /// Execution state of one warp slot.
@@ -178,48 +143,6 @@ impl SmState {
         }
     }
 
-    /// Serializes the SM's mutable state: every warp slot, the open
-    /// stall interval (if any), and the accounting counters.
-    pub fn save_state(&self, w: &mut Writer) {
-        w.usize(self.warps.len());
-        for warp in &self.warps {
-            match warp {
-                WarpState::Ready => w.u8(0),
-                WarpState::WaitingMemory { outstanding } => {
-                    w.u8(1);
-                    w.u32(*outstanding);
-                }
-                WarpState::Computing => w.u8(2),
-                WarpState::Retired => w.u8(3),
-            }
-        }
-        w.opt_u64(self.stall_started);
-        w.u64(self.stall_cycles);
-        w.u64(self.issue_free_at);
-    }
-
-    /// Restores state saved by [`SmState::save_state`]. The warp-slot
-    /// count is configuration geometry; a mismatch is corruption.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.warps.len() {
-            return Err(CkptError::Corrupt("SM warp slot count mismatch"));
-        }
-        for warp in &mut self.warps {
-            *warp = match r.u8()? {
-                0 => WarpState::Ready,
-                1 => WarpState::WaitingMemory { outstanding: r.u32()? },
-                2 => WarpState::Computing,
-                3 => WarpState::Retired,
-                _ => return Err(CkptError::Corrupt("warp state tag out of range")),
-            };
-        }
-        self.stall_started = r.opt_u64()?;
-        self.stall_cycles = r.u64()?;
-        self.issue_free_at = r.u64()?;
-        Ok(())
-    }
-
     /// Whether every warp has retired.
     pub fn all_retired(&self) -> bool {
         self.warps.iter().all(|w| matches!(w, WarpState::Retired))
@@ -255,24 +178,6 @@ mod tests {
         let addrs = vec![VirtAddr(100), VirtAddr(0), VirtAddr(101)];
         let sectors = coalesce(&addrs);
         assert_eq!(sectors, vec![VirtAddr(96), VirtAddr(0)]);
-    }
-
-    #[test]
-    fn shard_of_partitions_contiguously_and_covers_every_shard() {
-        for &(shards, num_sms) in &[(1usize, 46usize), (2, 46), (4, 46), (8, 46), (4, 4), (3, 8)] {
-            let mut seen = vec![0usize; shards];
-            let mut prev = 0;
-            for sm in 0..num_sms {
-                let s = shard_of(sm, shards, num_sms);
-                assert!(s < shards, "shard {s} out of range");
-                assert!(s >= prev, "shard map must be monotone in SM id");
-                prev = s;
-                seen[s] += 1;
-            }
-            assert!(seen.iter().all(|&n| n > 0), "{shards}/{num_sms}: empty shard");
-            let (min, max) = (seen.iter().min().unwrap(), seen.iter().max().unwrap());
-            assert!(max - min <= 1, "{shards}/{num_sms}: unbalanced split {seen:?}");
-        }
     }
 
     #[test]

@@ -118,13 +118,13 @@ impl Mean {
         self.n += other.n;
     }
 
-    /// Serializes the accumulator (checkpointing).
+    /// Serializes the accumulator (the `Stats` codec).
     pub fn save_state(&self, w: &mut Writer) {
         w.u64(self.sum);
         w.u64(self.n);
     }
 
-    /// Restores the accumulator (checkpointing).
+    /// Restores the accumulator (the `Stats` codec).
     pub fn load_state(&mut self, r: &mut Reader) -> Result<(), CkptError> {
         self.sum = r.u64()?;
         self.n = r.u64()?;
@@ -161,13 +161,13 @@ impl Histogram {
         self.n += other.n;
     }
 
-    /// Serializes the histogram (checkpointing).
+    /// Serializes the histogram (the `Stats` codec).
     pub fn save_state(&self, w: &mut Writer) {
         w.u64_slice(&self.buckets);
         w.u64(self.n);
     }
 
-    /// Restores the histogram (checkpointing).
+    /// Restores the histogram (the `Stats` codec).
     pub fn load_state(&mut self, r: &mut Reader) -> Result<(), CkptError> {
         r.u64_slice_into(&mut self.buckets)?;
         self.n = r.u64()?;
@@ -367,33 +367,19 @@ pub struct Stats {
     // lint:digest-exempt(probe-fed histogram, empty unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
     pub dram_service_hist: Histogram,
 
-    // --- Sharded-calendar structure counters (DESIGN.md §11) --------
-    // Describe how the host advanced the calendar, not what the
+    // --- Window-structure counters (DESIGN.md §11) -------------------
+    // Describe how the host advanced the two calendars, not what the
     // simulated GPU did, so — like the probe-fed fields above — they
-    // are EXCLUDED from `digest()`: the shards-1/2/4/8 parity gate
-    // pins the digest identical across shard counts, and these
-    // counters necessarily differ. All zero (and `shard_events`
-    // empty) on the single-calendar path.
-    /// Horizon barriers taken by the sharded calendar.
-    // lint:digest-exempt(host calendar-structure counter; differs across shard counts by construction while the digest is pinned shard-invariant)
+    // are EXCLUDED from `digest()`.
+    /// Horizon barriers taken by the window loop.
+    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
     pub horizon_barriers: u64,
-    /// Times a non-empty shard domain was held at a horizon barrier.
-    // lint:digest-exempt(host calendar-structure counter; differs across shard counts by construction while the digest is pinned shard-invariant)
-    pub horizon_stalls: u64,
-    /// Cross-domain events staged through the exchange rings.
-    // lint:digest-exempt(host calendar-structure counter; differs across shard counts by construction while the digest is pinned shard-invariant)
+    /// Cross-domain events pushed into an outbox.
+    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
     pub exchange_enqueued: u64,
-    /// Exchange-ring events delivered at horizon barriers.
-    // lint:digest-exempt(host calendar-structure counter; differs across shard counts by construction while the digest is pinned shard-invariant)
+    /// Outbox events delivered at horizon barriers.
+    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
     pub exchange_dequeued: u64,
-    /// Cross-domain events under the horizon delivered directly
-    /// (sub-lookahead edges bypass the rings).
-    // lint:digest-exempt(host calendar-structure counter; differs across shard counts by construction while the digest is pinned shard-invariant)
-    pub exchange_bypass: u64,
-    /// Events dispatched per calendar domain (shard domains in index
-    /// order, then the shared domain last).
-    // lint:digest-exempt(host per-domain dispatch tally; differs across shard counts by construction while the digest is pinned shard-invariant)
-    pub shard_events: Vec<u64>,
 }
 
 /// Per-outcome counters for Fig 16.
@@ -589,10 +575,10 @@ impl Stats {
     }
 
     /// Serializes every field — including the digest-excluded probe-fed
-    /// and shard-structure ones — in declaration order. Engine
-    /// checkpoints and the bench result cache both ride on this. The
-    /// exhaustive destructuring is deliberate: adding a `Stats` field
-    /// without serializing it becomes a compile error here.
+    /// and window-structure ones — in declaration order. The bench
+    /// result cache rides on this. The exhaustive destructuring is
+    /// deliberate: adding a `Stats` field without serializing it becomes
+    /// a compile error here.
     pub fn save_state(&self, w: &mut Writer) {
         let Stats {
             cycles,
@@ -662,11 +648,8 @@ impl Stats {
             queue_latency_hist,
             dram_service_hist,
             horizon_barriers,
-            horizon_stalls,
             exchange_enqueued,
             exchange_dequeued,
-            exchange_bypass,
-            shard_events,
         } = self;
         for v in [
             cycles,
@@ -743,21 +726,17 @@ impl Stats {
         queue_latency_hist.save_state(w);
         dram_service_hist.save_state(w);
         w.u64(*horizon_barriers);
-        w.u64(*horizon_stalls);
         w.u64(*exchange_enqueued);
         w.u64(*exchange_dequeued);
-        w.u64(*exchange_bypass);
-        w.u64_slice(shard_events);
     }
 
-    /// Folds another `Stats` into this one — the parallel shard engine
-    /// keeps one `Stats` per lane and merges them in fixed lane order at
-    /// finish. Counters add; means and histograms fold their integer
-    /// accumulators (exact and order-insensitive); `cycles` takes the
-    /// max (each lane records the last cycle it dispatched);
-    /// `shard_events` appends (each lane contributes its own dispatch
-    /// tally). The exhaustive destructuring makes adding a `Stats` field
-    /// without deciding its merge role a compile error.
+    /// Folds another `Stats` into this one — the engine keeps one
+    /// `Stats` per domain (the SM lane and the shared lane) and merges
+    /// them at finish. Counters add; means and histograms fold their
+    /// integer accumulators (exact and order-insensitive); `cycles` takes
+    /// the max (each domain records the last cycle it dispatched). The
+    /// exhaustive destructuring makes adding a `Stats` field without
+    /// deciding its merge role a compile error.
     pub fn merge(&mut self, other: &Stats) {
         let Stats {
             cycles,
@@ -827,11 +806,8 @@ impl Stats {
             queue_latency_hist,
             dram_service_hist,
             horizon_barriers,
-            horizon_stalls,
             exchange_enqueued,
             exchange_dequeued,
-            exchange_bypass,
-            shard_events,
         } = other;
         self.cycles = self.cycles.max(*cycles);
         for (dst, src) in [
@@ -888,10 +864,8 @@ impl Stats {
             (&mut self.policy_evictions, policy_evictions),
             (&mut self.policy_hits, policy_hits),
             (&mut self.horizon_barriers, horizon_barriers),
-            (&mut self.horizon_stalls, horizon_stalls),
             (&mut self.exchange_enqueued, exchange_enqueued),
             (&mut self.exchange_dequeued, exchange_dequeued),
-            (&mut self.exchange_bypass, exchange_bypass),
         ] {
             *dst += *src;
         }
@@ -918,7 +892,6 @@ impl Stats {
         self.validation_latency_hist.merge(validation_latency_hist);
         self.queue_latency_hist.merge(queue_latency_hist);
         self.dram_service_hist.merge(dram_service_hist);
-        self.shard_events.extend_from_slice(shard_events);
     }
 
     /// Restores every field written by [`save_state`](Self::save_state).
@@ -998,11 +971,8 @@ impl Stats {
         self.queue_latency_hist.load_state(r)?;
         self.dram_service_hist.load_state(r)?;
         self.horizon_barriers = r.u64()?;
-        self.horizon_stalls = r.u64()?;
         self.exchange_enqueued = r.u64()?;
         self.exchange_dequeued = r.u64()?;
-        self.exchange_bypass = r.u64()?;
-        self.shard_events = r.u64_vec()?;
         Ok(())
     }
 }
@@ -1109,21 +1079,17 @@ mod tests {
     }
 
     #[test]
-    fn digest_excludes_shard_structure_counters() {
-        // The shards-1/2/4/8 parity gate pins digests identical across
-        // shard counts; the calendar-structure counters necessarily
-        // differ, so they must never reach the digest.
+    fn digest_excludes_window_structure_counters() {
+        // The window counters describe how the host advanced the
+        // calendars; they must never reach the digest.
         let base = Stats::default().digest();
         let s = Stats {
             horizon_barriers: 12,
-            horizon_stalls: 3,
             exchange_enqueued: 40,
             exchange_dequeued: 38,
-            exchange_bypass: 7,
-            shard_events: vec![100, 200, 50],
             ..Stats::default()
         };
-        assert_eq!(base, s.digest(), "shard-structure counters leaked into the digest");
+        assert_eq!(base, s.digest(), "window-structure counters leaked into the digest");
     }
 
     #[test]
@@ -1148,7 +1114,6 @@ mod tests {
         s.outcomes.record(SpecOutcome::L1dMerge);
         s.latency_breakdown.add(crate::probe::Phase::Walk, 55);
         s.walk_latency_hist.add(200);
-        s.shard_events = vec![5, 6];
         s.horizon_barriers = 2;
         let mut w = Writer::new();
         s.save_state(&mut w);
@@ -1173,11 +1138,9 @@ mod tests {
         a.load_latency.add(10);
         a.sector_latency_hist.add(100);
         a.coverage_hits[1] = 2;
-        a.shard_events = vec![4];
         let mut b = Stats { cycles: 80, loads: 5, spec_correct: 2, ..Stats::default() };
         b.load_latency.add(30);
         b.outcomes.record(SpecOutcome::L1dHit);
-        b.shard_events = vec![9];
         a.merge(&b);
         assert_eq!(a.cycles, 80, "cycles take the max");
         assert_eq!(a.loads, 8);
@@ -1185,7 +1148,6 @@ mod tests {
         assert_eq!(a.load_latency.count(), 2);
         assert_eq!(a.load_latency.sum(), 40);
         assert_eq!(a.outcomes.l1d_hit, 1);
-        assert_eq!(a.shard_events, vec![4, 9]);
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! page table, embed page information, and trigger promotion/eviction.
 
 use crate::addr::{Ppn, Vpn, PAGES_PER_CHUNK};
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::UvmConfig;
 use crate::page_table::PageTable;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -419,134 +418,6 @@ impl Uvm {
             .get(&vpn.chunk())
             .map(|c| c.is_resident(vpn.page_in_chunk()))
             .unwrap_or(false)
-    }
-
-    /// Serializes the manager's mutable state, all maps in ascending key
-    /// order (hash iteration order is nondeterministic; sorting makes
-    /// equal states produce equal bytes). The frame-owner directory is
-    /// written sparsely (occupied slots only).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.u64(self.rng.state());
-        self.page_table.save_state(w);
-        let mut vchunks: Vec<&u64> = self.chunks.keys().collect();
-        vchunks.sort_unstable();
-        w.usize(vchunks.len());
-        for &vc in vchunks {
-            let c = self.chunks.get(&vc).expect("key collected from the map one line earlier");
-            w.u64(vc);
-            w.opt_u64(c.phys_base);
-            w.u64_slice(&c.resident);
-            w.u64(c.resident_count);
-            w.u64(c.last_touch);
-        }
-        let mut pchunks: Vec<&u64> = self.frame_owner.chunks.keys().collect();
-        pchunks.sort_unstable();
-        w.usize(pchunks.len());
-        for &pc in pchunks {
-            let arr =
-                self.frame_owner.chunks.get(&pc).expect("key collected from the map one line earlier");
-            w.u64(pc);
-            let occupied = arr.iter().filter(|&&v| v != NO_OWNER).count();
-            w.usize(occupied);
-            for (i, &v) in arr.iter().enumerate() {
-                if v != NO_OWNER {
-                    w.u32(i as u32);
-                    w.u64(v);
-                }
-            }
-        }
-        w.u64(self.base_chunk);
-        w.u64(self.next_chunk);
-        w.u64_slice(&self.free_chunks);
-        w.u64_slice(&self.scatter_pool);
-        let mut displaced: Vec<&u64> = self.displaced.iter().collect();
-        displaced.sort_unstable();
-        w.seq(displaced.into_iter(), |w, &v| w.u64(v));
-        let mut cold: Vec<(&u64, &u32)> = self.cold_counts.iter().collect();
-        cold.sort_unstable();
-        w.usize(cold.len());
-        for (vpn, count) in cold {
-            w.u64(*vpn);
-            w.u32(*count);
-        }
-        w.u64(self.capacity_frames);
-        w.u64(self.used_frames);
-        w.u64(self.touch_epoch);
-    }
-
-    /// Restores state saved by [`Uvm::save_state`]. Region layout and
-    /// capacity are configuration-derived; a mismatch is corruption.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        self.rng = SimRng::seed_from_u64(r.u64()?);
-        self.page_table.load_state(r)?;
-        self.chunks.clear();
-        let nchunks = r.seq_len()?;
-        for _ in 0..nchunks {
-            let vc = r.u64()?;
-            let phys_base = r.opt_u64()?;
-            let mut resident = [0u64; 8];
-            r.u64_slice_into(&mut resident)?;
-            let resident_count = r.u64()?;
-            let popcount: u64 = resident.iter().map(|w| w.count_ones() as u64).sum();
-            if resident_count != popcount {
-                return Err(CkptError::Corrupt("chunk resident count disagrees with bitmap"));
-            }
-            let last_touch = r.u64()?;
-            let state = ChunkState { phys_base, resident, resident_count, last_touch };
-            if self.chunks.insert(vc, state).is_some() {
-                return Err(CkptError::Corrupt("UVM chunk key repeated in checkpoint"));
-            }
-        }
-        self.frame_owner.chunks.clear();
-        let npchunks = r.seq_len()?;
-        for _ in 0..npchunks {
-            let pc = r.u64()?;
-            let occupied = r.seq_len()?;
-            if occupied > PAGES_PER_CHUNK as usize {
-                return Err(CkptError::Corrupt("frame-owner array overfull"));
-            }
-            let mut arr = Box::new([NO_OWNER; PAGES_PER_CHUNK as usize]);
-            for _ in 0..occupied {
-                let i = r.u32()? as usize;
-                let v = r.u64()?;
-                if i >= PAGES_PER_CHUNK as usize || v == NO_OWNER {
-                    return Err(CkptError::Corrupt("frame-owner slot out of range"));
-                }
-                if arr[i] != NO_OWNER {
-                    return Err(CkptError::Corrupt("frame-owner slot written twice"));
-                }
-                arr[i] = v;
-            }
-            if self.frame_owner.chunks.insert(pc, arr).is_some() {
-                return Err(CkptError::Corrupt("frame-owner chunk key repeated"));
-            }
-        }
-        let base_chunk = r.u64()?;
-        if base_chunk != self.base_chunk {
-            return Err(CkptError::Corrupt("UVM tenant region base mismatch"));
-        }
-        self.next_chunk = r.u64()?;
-        self.free_chunks = r.u64_vec()?;
-        self.scatter_pool = r.u64_vec()?;
-        self.displaced.clear();
-        let ndisp = r.seq_len()?;
-        for _ in 0..ndisp {
-            self.displaced.insert(r.u64()?);
-        }
-        self.cold_counts.clear();
-        let ncold = r.seq_len()?;
-        for _ in 0..ncold {
-            let vpn = r.u64()?;
-            let count = r.u32()?;
-            self.cold_counts.insert(vpn, count);
-        }
-        let capacity_frames = r.u64()?;
-        if capacity_frames != self.capacity_frames {
-            return Err(CkptError::Corrupt("UVM capacity mismatch (memory size changed)"));
-        }
-        self.used_frames = r.u64()?;
-        self.touch_epoch = r.u64()?;
-        Ok(())
     }
 
     /// Asserts manager consistency: every chunk's resident counter matches

@@ -8,7 +8,6 @@
 //! walker and buffer resources early.
 
 use crate::addr::{PhysAddr, Vpn};
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::{Cycle, WalkerConfig};
 use crate::page_table::PageTable;
 use std::collections::VecDeque;
@@ -123,34 +122,6 @@ impl PwCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Serializes the cache's entries in insertion order plus the LRU
-    /// clock (capacity is configuration-derived).
-    // lint:exempt(checkpoint-field-parity: capacity is construction-time geometry; load_state reads it only to reject streams larger than the live cache)
-    pub fn save_state(&self, w: &mut Writer) {
-        w.usize(self.entries.len());
-        for &(k, t) in &self.entries {
-            w.u64(k);
-            w.u64(t);
-        }
-        w.u64(self.stamp);
-    }
-
-    /// Restores state saved by [`PwCache::save_state`].
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.seq_len()?;
-        if n > self.capacity {
-            return Err(CkptError::Corrupt("page-walk cache entry count exceeds capacity"));
-        }
-        self.entries.clear();
-        for _ in 0..n {
-            let k = r.u64()?;
-            let t = r.u64()?;
-            self.entries.push((k, t));
-        }
-        self.stamp = r.u64()?;
-        Ok(())
     }
 
     /// Asserts cache consistency: within capacity, unique keys, no LRU
@@ -316,68 +287,6 @@ impl PageWalkSystem {
     /// mode cross-checks these against the engine's walk-to-VPN maps.
     pub fn pending_walk_ids(&self) -> impl Iterator<Item = WalkId> + '_ {
         self.queue.iter().map(|q| q.id).chain(self.active.iter().map(|w| w.id))
-    }
-
-    /// Serializes the walk system's mutable state: the queued and active
-    /// walks, the id allocation cursor, and the page-walk cache.
-    // lint:exempt(checkpoint-field-parity: cfg is fixed at construction; load_state reads it only to validate stream compatibility with the live walker configuration)
-    pub fn save_state(&self, w: &mut Writer) {
-        w.usize(self.queue.len());
-        for q in &self.queue {
-            w.u64(q.id.0);
-            w.u64(q.vpn.0);
-            w.usize(q.levels);
-            w.u64(q.enqueued);
-        }
-        w.usize(self.active.len());
-        for a in &self.active {
-            w.u64(a.id.0);
-            w.u64(a.vpn.0);
-            w.u8(a.level);
-            w.u8(a.levels);
-            w.u64(a.started_at);
-        }
-        w.u64(self.next_id);
-        self.pw_cache.save_state(w);
-    }
-
-    /// Restores state saved by [`PageWalkSystem::save_state`]. Walker and
-    /// buffer limits are configuration-derived; exceeding them is
-    /// corruption.
-    pub fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let nq = r.seq_len()?;
-        self.queue.clear();
-        for _ in 0..nq {
-            let id = WalkId(r.u64()?);
-            let vpn = Vpn(r.u64()?);
-            let levels = r.usize()?;
-            let enqueued = r.u64()?;
-            self.queue.push_back(QueuedWalk { id, vpn, levels, enqueued });
-        }
-        let na = r.seq_len()?;
-        if na > self.cfg.walkers {
-            return Err(CkptError::Corrupt("active walk count exceeds walker limit"));
-        }
-        if nq + na > self.cfg.buffer_entries {
-            return Err(CkptError::Corrupt("live walk count exceeds walk buffer"));
-        }
-        self.active.clear();
-        for _ in 0..na {
-            let id = WalkId(r.u64()?);
-            let vpn = Vpn(r.u64()?);
-            let level = r.u8()?;
-            let levels = r.u8()?;
-            let started_at = r.u64()?;
-            if level >= levels {
-                return Err(CkptError::Corrupt("active walk level cursor past its last level"));
-            }
-            self.active.push(ActiveWalk { id, vpn, level, levels, started_at });
-        }
-        self.next_id = r.u64()?;
-        if self.pending_walk_ids().any(|id| id.0 >= self.next_id) {
-            return Err(CkptError::Corrupt("live walk id at or past the allocation cursor"));
-        }
-        self.pw_cache.load_state(r)
     }
 
     /// Asserts system consistency: walker and buffer limits respected,

@@ -5,7 +5,7 @@ use avatar_sim::addr::{Ppn, VirtAddr, Vpn};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::engine::Engine;
 use avatar_sim::hooks::{
-    NoSpeculation, SpecFillAction, SpecFillContext, TranslationAccel, UniformCompression,
+    NoSpeculation, SpecFillAction, SpecFillContext, TranslationPolicy, UniformCompression,
     ValidationKind,
 };
 use avatar_sim::sm::{WarpOp, WarpProgram};
@@ -13,7 +13,6 @@ use avatar_sim::stats::Stats;
 use avatar_sim::tlb::{BaseTlb, TlbModel};
 
 /// A scripted program: each warp slot gets its own op list.
-#[derive(Clone)]
 struct Script {
     warps_per_sm: usize,
     ops: Vec<Vec<WarpOp>>,
@@ -35,10 +34,6 @@ impl Script {
 }
 
 impl WarpProgram for Script {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let slot = sm * self.warps_per_sm + warp;
         let i = self.cursor[slot];
@@ -71,7 +66,7 @@ fn tlbs(cfg: &GpuConfig) -> (Vec<Box<dyn TlbModel>>, Box<dyn TlbModel>) {
 fn run_script(
     cfg: GpuConfig,
     script: Script,
-    accel: Box<dyn TranslationAccel>,
+    accel: Box<dyn TranslationPolicy>,
     compress_fraction: f64,
 ) -> Stats {
     let (l1s, l2) = tlbs(&cfg);
@@ -94,7 +89,7 @@ struct FixedOffset {
     eaf: bool,
 }
 
-impl TranslationAccel for FixedOffset {
+impl TranslationPolicy for FixedOffset {
     fn on_l1_tlb_miss(&mut self, _sm: usize, _pc: u64, vpn: Vpn) -> Option<Ppn> {
         let p = vpn.0 as i64 + self.offset;
         (p > 0).then_some(Ppn(p as u64))
@@ -437,4 +432,29 @@ fn ideal_validation_completes_at_fetch() {
     );
     assert!(stats.outcomes.fast_translation > 0, "ideal validation is instant");
     assert_eq!(stats.cava_mismatches, 0);
+}
+
+#[test]
+fn idle_sms_do_not_stall_the_window_loop() {
+    // All work on SM 0 of 4: the other SMs retire at once, the worst
+    // case for the two-phase window loop. The run must still terminate,
+    // must open windows, and must deliver every exchanged event.
+    let mut cfg = GpuConfig::rtx3070();
+    cfg.num_sms = 4;
+    cfg.warps_per_sm = 4;
+    let mut s = Script::new(cfg.num_sms, cfg.warps_per_sm);
+    for warp in 0..cfg.warps_per_sm {
+        for i in 0..256u64 {
+            // Stride across pages so misses reach the shared walker domain.
+            let addr = ((warp as u64) << 24) | (i * 4096);
+            s.push(0, warp, WarpOp::Load { pc: 0x40, addrs: vec![VirtAddr(addr)] });
+        }
+    }
+    let stats = run_script(cfg, s, Box::new(NoSpeculation), 0.5);
+    assert!(stats.loads > 0, "the single active SM must issue its loads");
+    assert!(stats.horizon_barriers > 0, "a starved run still opens windows");
+    assert_eq!(
+        stats.exchange_enqueued, stats.exchange_dequeued,
+        "every exchanged event must be drained by the final barrier"
+    );
 }

@@ -17,17 +17,12 @@ use avatar_sim::tlb::{BaseTlb, TlbModel};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A small strided streaming kernel on every warp of every SM.
-#[derive(Clone)]
 struct Stream {
     remaining: Vec<u32>,
     warps_per_sm: usize,
 }
 
 impl WarpProgram for Stream {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let slot = sm * self.warps_per_sm + warp;
         let left = self.remaining.get_mut(slot)?;

@@ -14,7 +14,6 @@ use crate::spec::{DataType, Workload};
 use avatar_bpc::embed::PAYLOAD_BITS;
 use avatar_bpc::Codec;
 use avatar_sim::addr::{Vpn, SECTORS_PER_PAGE};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::fxhash::FxHashMap;
 use avatar_sim::hooks::SectorCompression;
 
@@ -169,41 +168,6 @@ impl SectorCompression for ContentModel {
             self.fit += 1;
         }
         fits
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        // The memo itself only caches a pure function, but the
-        // evaluated/fit counters depend on call history — without the
-        // memo a restored run would re-count sectors the original run
-        // already evaluated. Sorted-key order keeps the bytes
-        // independent of hash-map iteration.
-        let mut entries: Vec<(u64, bool)> = self.memo.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        w.seq(entries.iter(), |w, &(k, fits)| {
-            w.u64(k);
-            w.bool(fits);
-        });
-        w.u64(self.evaluated);
-        w.u64(self.fit);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.seq_len()?;
-        self.memo = FxHashMap::default();
-        self.memo.reserve(n);
-        for _ in 0..n {
-            let k = r.u64()?;
-            let fits = r.bool()?;
-            if self.memo.insert(k, fits).is_some() {
-                return Err(CkptError::Corrupt("repeated sector id in content memo"));
-            }
-        }
-        self.evaluated = r.u64()?;
-        self.fit = r.u64()?;
-        if self.fit > self.evaluated {
-            return Err(CkptError::Corrupt("content model fit count exceeds evaluated"));
-        }
-        Ok(())
     }
 }
 

@@ -1,7 +1,6 @@
 //! Multi-tenant workload composition: one warp program per tenant, mapped
 //! onto the tenant's SM partition (paper §III-D spatial sharing).
 
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::sm::{WarpOp, WarpProgram};
 
 /// Runs one program per tenant over contiguous SM partitions, mirroring
@@ -54,37 +53,10 @@ impl MultiTenantProgram {
 }
 
 impl WarpProgram for MultiTenantProgram {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(MultiTenantProgram {
-            programs: self.programs.iter().map(|p| p.clone_box()).collect(),
-            num_sms: self.num_sms,
-        })
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let tenant = self.tenant_of_sm(sm);
         let local_sm = sm - self.first_sm_of(tenant);
         self.programs[tenant].next_op(local_sm, warp)
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        // Tenant count is assembly geometry; delegate to each tenant's
-        // program in partition order.
-        w.usize(self.programs.len());
-        for p in &self.programs {
-            p.save_state(w);
-        }
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        let n = r.usize()?;
-        if n != self.programs.len() {
-            return Err(CkptError::Corrupt("multi-tenant program count mismatch"));
-        }
-        for p in &mut self.programs {
-            p.load_state(r)?;
-        }
-        Ok(())
     }
 }
 

@@ -10,7 +10,6 @@
 
 use crate::spec::{Pattern, Workload};
 use avatar_sim::addr::{VirtAddr, CHUNK_BYTES};
-use avatar_sim::checkpoint::{CkptError, Reader, Writer};
 use avatar_sim::sm::{WarpOp, WarpProgram};
 
 /// Base of the synthetic kernel's PC space.
@@ -45,7 +44,7 @@ struct WarpGen {
 }
 
 /// A deterministic warp program generated from a [`Workload`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TraceProgram {
     w: Workload,
     warps_per_sm: usize,
@@ -365,48 +364,6 @@ pub fn touched_footprint(w: &Workload, num_sms: usize, warps_per_sm: usize, scal
 }
 
 impl WarpProgram for TraceProgram {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        // Workload spec, warp geometry, and round budget are rebuilt by
-        // `new()`; only the per-warp generator cursors and the issued-load
-        // counter advance across `next_op` calls.
-        w.u64(self.loads_issued);
-        w.seq(self.gens.iter(), |w, gen| {
-            w.u64(gen.rng);
-            w.u32(gen.round);
-            w.u32(gen.step);
-            for held in &gen.held {
-                w.u64_slice(held);
-            }
-            for left in &gen.hold_left {
-                w.u32(*left);
-            }
-        });
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        self.loads_issued = r.u64()?;
-        let n = r.seq_len()?;
-        if n != self.gens.len() {
-            return Err(CkptError::Corrupt("trace program warp-generator count mismatch"));
-        }
-        for gen in &mut self.gens {
-            gen.rng = r.u64()?;
-            gen.round = r.u32()?;
-            gen.step = r.u32()?;
-            for held in &mut gen.held {
-                *held = r.u64_vec()?;
-            }
-            for left in &mut gen.hold_left {
-                *left = r.u32()?;
-            }
-        }
-        Ok(())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let slot = sm * self.warps_per_sm + warp;
         let (round, step) = {

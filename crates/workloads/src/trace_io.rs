@@ -172,10 +172,6 @@ impl FileProgram {
 }
 
 impl WarpProgram for FileProgram {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let key = (sm, warp);
         let list = self.ops.get(&key)?;

@@ -21,7 +21,6 @@ const FILTER_BYTES: u64 = 64 << 10;
 const TILES_PER_WARP: u32 = 24;
 
 /// A tiled convolution-like kernel.
-#[derive(Clone)]
 struct Conv2d {
     warps_per_sm: usize,
     progress: Vec<u32>,
@@ -34,10 +33,6 @@ impl Conv2d {
 }
 
 impl WarpProgram for Conv2d {
-    fn clone_box(&self) -> Box<dyn WarpProgram> {
-        Box::new(self.clone())
-    }
-
     fn next_op(&mut self, sm: usize, warp: usize) -> Option<WarpOp> {
         let slot = sm * self.warps_per_sm + warp;
         let step = self.progress[slot];
@@ -101,7 +96,7 @@ fn run_once(avatar: bool) -> avatar_gpu::sim::Stats {
         })
         .collect();
     let l2 = Box::new(BaseTlb::new(cfg.l2_tlb.base_entries, cfg.l2_tlb.large_entries, 8, 1));
-    let policy: Box<dyn avatar_gpu::sim::hooks::TranslationAccel> = if avatar {
+    let policy: Box<dyn avatar_gpu::sim::hooks::TranslationPolicy> = if avatar {
         Box::new(AvatarPolicy::avatar(cfg.num_sms, 32, 2))
     } else {
         Box::new(NoSpeculation)

@@ -13,27 +13,19 @@
 # the observability layer changes any simulated statistic (probe-sink
 # differential + latency-conservation tests), the fig15 grid diverges
 # between the default, invariants, or probes-compiled-out builds, the
-# sharded calendar changes any figure result (fig15 byte-diff at
-# --shards 4, plus the checked-mode suite re-run under AVATAR_SHARDS=4),
-# the policy registry assembles a different system than the enum-era
+# policy registry assembles a different system than the enum-era
 # SystemConfig path (fig15 byte-diff between the default column set and
 # the same set spelled as --policies registry names), the policy_sweep
 # harness drops a default-set policy or its GMEAN row,
-# the parallel shard worker pool changes any figure result (fig15
-# byte-diff at --shards 4 with AVATAR_SHARD_WORKERS=4), the worker pool
-# fails to scale on a host that can measure it (4-worker pass must beat
-# the serial pass by AVATAR_SCALING_MIN x, default 1.5, armed only when
-# the box has >= 4 CPUs),
 # the result cache fails its warm-sweep gate (a repeat fig15 run into a
 # fresh cache directory must replay every cell, match the cold pass
 # byte-for-byte modulo the cache section, and beat the
 # AVATAR_CACHE_SPEEDUP_MIN floor, default 5x),
 # a scenario cell panics during the throughput grid (the harness exits
-# non-zero on a failed cell, and on any shard/thread digest divergence),
-# or single-thread events/sec — measured with probes compiled out and
-# shards 1, the shipping hot path — regresses more than
-# AVATAR_TP_TOLERANCE percent (default 2) below the checked-in
-# BENCH_throughput.json baseline.
+# non-zero on a failed cell, and on any thread-count digest divergence),
+# or single-thread events/sec — measured with probes compiled out, the
+# shipping hot path — regresses more than AVATAR_TP_TOLERANCE percent
+# (default 2) below the checked-in BENCH_throughput.json baseline.
 #
 # To iterate locally with a known-noisy rule, downgrade it instead of
 # editing the gate: AVATAR_LINT_ALLOW=<rule,rule> scripts/ci.sh
@@ -99,13 +91,6 @@ echo "== checked-mode invariants (audits + negative tests) =="
 cargo test -q -p avatar-sim --features invariants
 cargo test -q -p avatar-sim --features invariants,probes
 
-echo "== checked-mode invariants under the sharded calendar (AVATAR_SHARDS=4) =="
-# Every engine audit (slab accounting, exchange conservation, monotone
-# shard clocks) must also hold when the calendar defaults to four
-# domains; the suite's own digests are shard-invariant by the parity
-# gate, so any failure here is a sharding bug, not a flaky test.
-AVATAR_SHARDS=4 cargo test -q -p avatar-sim --features invariants
-
 echo "== observability differential + conservation gate (release) =="
 # Attaching a probe sink must change no simulated statistic, and the
 # per-phase latency breakdown must attribute every sector cycle exactly
@@ -127,15 +112,13 @@ echo "== invariants/probes builds must not perturb results (fig15 byte-diff) =="
 fig_default=$(mktemp /tmp/avatar-fig15-default.XXXXXX.json)
 fig_checked=$(mktemp /tmp/avatar-fig15-checked.XXXXXX.json)
 fig_noprobes=$(mktemp /tmp/avatar-fig15-noprobes.XXXXXX.json)
-fig_sharded=$(mktemp /tmp/avatar-fig15-sharded.XXXXXX.json)
-fig_workers=$(mktemp /tmp/avatar-fig15-workers.XXXXXX.json)
 fig_cold=$(mktemp /tmp/avatar-fig15-cold.XXXXXX.json)
 fig_warm=$(mktemp /tmp/avatar-fig15-warm.XXXXXX.json)
 fig_named=$(mktemp /tmp/avatar-fig15-named.XXXXXX.json)
 sweep_json=$(mktemp /tmp/avatar-policy-sweep.XXXXXX.json)
 cache_dir=$(mktemp -d /tmp/avatar-cache-gate.XXXXXX)
 tp_json=$(mktemp /tmp/avatar-throughput.XXXXXX.json)
-trap 'rm -f "$fig_default" "$fig_checked" "$fig_noprobes" "$fig_sharded" "$fig_workers" "$fig_cold" "$fig_warm" "$fig_named" "$sweep_json" "$tp_json"; rm -rf "$cache_dir"' EXIT
+trap 'rm -f "$fig_default" "$fig_checked" "$fig_noprobes" "$fig_cold" "$fig_warm" "$fig_named" "$sweep_json" "$tp_json"; rm -rf "$cache_dir"' EXIT
 cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --no-cache --json "$fig_default"
 cargo run --release -q -p avatar-bench --features invariants --bin fig15_performance -- --quick --no-cache --json "$fig_checked"
 cargo run --release -q -p avatar-bench --no-default-features --bin fig15_performance -- --quick --no-cache --json "$fig_noprobes"
@@ -178,26 +161,6 @@ grep -q '"workload": "GMEAN"' "$sweep_json" || {
     echo "POLICY SWEEP GATE: GMEAN row missing from the sweep dump" >&2
     exit 1
 }
-
-echo "== sharded calendar must not perturb results (fig15 byte-diff at --shards 4) =="
-# The bounded-lag sharded calendar is a host-side structure knob: the
-# full figure grid must be byte-identical to the serial calendar's.
-cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --shards 4 --no-cache --json "$fig_sharded"
-if ! diff -q "$fig_default" "$fig_sharded"; then
-    echo "SHARDING DIVERGENCE: fig15 JSON differs between --shards 4 and the serial calendar" >&2
-    exit 1
-fi
-
-echo "== parallel shard workers must not perturb results (fig15 at --shards 4, AVATAR_SHARD_WORKERS=4) =="
-# The worker pool drains shard lanes on real threads between horizon
-# barriers; the exchange is delivered in deterministic lane order, so
-# the full figure grid must stay byte-identical to the serial calendar
-# regardless of how many workers the host actually has.
-AVATAR_SHARD_WORKERS=4 cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --shards 4 --no-cache --json "$fig_workers"
-if ! diff -q "$fig_default" "$fig_workers"; then
-    echo "WORKER DIVERGENCE: fig15 JSON differs between the 4-worker shard pool and the serial calendar" >&2
-    exit 1
-fi
 
 echo "== result-cache warm-sweep gate (fig15 cold vs warm) =="
 # The same sweep into a fresh cache directory, twice. The warm pass must
@@ -245,17 +208,13 @@ echo "== throughput smoke + regression gate (--quick, probes compiled out) =="
 # the intent visible in the gate itself.
 cargo run --release -p avatar-bench --no-default-features --bin throughput -- --quick --no-cache --json "$tp_json"
 
-# events/sec is measured on the fully serial pass; select the JSON entry
-# whose "threads", "shards", and "workers" fields are all 1 rather than
-# trusting entry order (the shard and worker sweeps also run on one
-# runner thread). Widen for noisy shared runners with
-# AVATAR_TP_TOLERANCE=<pct>.
+# events/sec is measured on the serial pass; select the first JSON entry
+# whose "threads" field is 1 rather than trusting entry order. Widen for
+# noisy shared runners with AVATAR_TP_TOLERANCE=<pct>.
 extract_eps() {
     awk -F': ' '
         /"threads"/ { v = $2; gsub(/,/, "", v); serial = (v == 1) }
-        /"shards"/  { v = $2; gsub(/,/, "", v); oneshard = (v == 1) }
-        /"workers"/ { v = $2; gsub(/,/, "", v); onewkr = (v == 1) }
-        serial && oneshard && onewkr && /"events_per_sec"/ { gsub(/,/, "", $2); print $2; exit }
+        serial && /"events_per_sec"/ { gsub(/,/, "", $2); print $2; exit }
     ' "$1"
 }
 baseline_eps=$(extract_eps BENCH_throughput.json)
@@ -270,28 +229,5 @@ awk -v base="$baseline_eps" -v cur="$current_eps" -v tol="$tolerance" 'BEGIN {
         exit 1;
     }
 }'
-
-echo "== worker-scaling gate (4 intra-engine workers vs serial) =="
-# At 4 workers the parallel shard engine must beat the serial pass by
-# AVATAR_SCALING_MIN x (default 1.5). Armed only on hosts with >= 4
-# CPUs: a serialized box measures scheduler noise, and the throughput
-# bin marks its entries scaling_measured: false for the same reason.
-cpus=$(nproc 2>/dev/null || echo 1)
-if [ "$cpus" -ge 4 ]; then
-    worker_scaling=$(awk -F': ' '
-        /"threads"/ { v = $2; gsub(/,/, "", v); serial = (v == 1) }
-        /"workers"/ { v = $2; gsub(/,/, "", v); four = (v == 4) }
-        serial && four && /"scaling":/ { gsub(/,/, "", $2); print $2; exit }
-    ' "$tp_json")
-    awk -v s="$worker_scaling" -v min="${AVATAR_SCALING_MIN:-1.5}" 'BEGIN {
-        printf "worker scaling at 4 workers: %.2fx (floor %sx)\n", s, min;
-        if (s == "" || s + 0 < min + 0) {
-            print "SCALING REGRESSION: 4-worker pass below the scaling floor" > "/dev/stderr";
-            exit 1;
-        }
-    }'
-else
-    echo "worker-scaling gate: dormant ($cpus CPU(s) < 4; entries carry scaling_measured: false)"
-fi
 
 echo "== OK =="

@@ -221,7 +221,7 @@ fn main() -> ExitCode {
                 })
                 .collect();
             let l2 = Box::new(BaseTlb::new(cfg.l2_tlb.base_entries, cfg.l2_tlb.large_entries, 8, 1));
-            let policy: Box<dyn avatar_gpu::sim::hooks::TranslationAccel> = if avatar_mode {
+            let policy: Box<dyn avatar_gpu::sim::hooks::TranslationPolicy> = if avatar_mode {
                 Box::new(AvatarPolicy::avatar(cfg.num_sms, 32, 2))
             } else {
                 Box::new(avatar_gpu::sim::hooks::NoSpeculation)
