@@ -3,7 +3,8 @@
 //! second) so regressions in the engine's hot paths are visible.
 
 use avatar_bench::timer::{bench, group};
-use avatar_core::system::{run, RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE, COLT, PROMOTION, SNAKEBYTE};
+use avatar_core::system::{run_policy, RunOptions};
 use avatar_workloads::Workload;
 
 fn opts() -> RunOptions {
@@ -13,19 +14,13 @@ fn opts() -> RunOptions {
 fn main() {
     group("end_to_end_small (SSSP)");
     let w = Workload::by_abbr("SSSP").expect("workload");
-    for cfg in [
-        SystemConfig::Baseline,
-        SystemConfig::Promotion,
-        SystemConfig::Colt,
-        SystemConfig::SnakeByte,
-        SystemConfig::Avatar,
-    ] {
-        bench(cfg.label(), || run(&w, cfg, &opts()));
+    for def in [BASELINE, PROMOTION, COLT, SNAKEBYTE, AVATAR] {
+        bench(def.label, || run_policy(&w, def, &opts()));
     }
 
     group("end_to_end_avatar");
     for abbr in ["GEMM", "PAF", "XSB"] {
         let w = Workload::by_abbr(abbr).expect("workload");
-        bench(abbr, || run(&w, SystemConfig::Avatar, &opts()));
+        bench(abbr, || run_policy(&w, AVATAR, &opts()));
     }
 }

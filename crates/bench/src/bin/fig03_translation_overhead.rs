@@ -7,7 +7,7 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::{BASELINE, IDEAL};
 use avatar_workloads::Workload;
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("IdealTLB", w, SystemConfig::IdealTlb, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
+        scenarios.push(Scenario::new("IdealTLB", w, IDEAL, ro.clone()));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

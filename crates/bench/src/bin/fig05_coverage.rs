@@ -10,7 +10,8 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
 use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::COLT;
+use avatar_core::system::RunOptions;
 use avatar_sim::stats::CoverageBucket;
 use avatar_workloads::{Class, Workload};
 
@@ -36,7 +37,7 @@ fn main() {
     let opts = HarnessArgs::parse();
     let class_h: Vec<Workload> = Workload::all().into_iter().filter(|w| w.class == Class::H).collect();
     let scenarios_of = |ro: &RunOptions| -> Vec<Scenario> {
-        class_h.iter().map(|w| Scenario::new(w.abbr, w, SystemConfig::Colt, ro.clone())).collect()
+        class_h.iter().map(|w| Scenario::new(w.abbr, w, COLT, ro.clone())).collect()
     };
 
     // Three oversubscription regimes × class-H workloads, one flat grid.

@@ -5,15 +5,13 @@
 //! Avatar beats Promotion by 14.9%, CoLT by 10.1%, SnakeByte by 16.3%;
 //! CAST+Ideal-Valid exceeds Avatar by 5.8%.
 //!
-//! `--policies` swaps the paper's Fig-15 column set for any registry
-//! selections (e.g. `--policies "avatar,revelator,avatar+dead"`); the
-//! default run is byte-identical to the enum-era output.
+//! The default columns are `policy::FIG15`; `--policies` swaps them for
+//! any registry selections (e.g. `--policies "avatar,revelator,avatar+dead"`).
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::policy::PolicySelection;
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::{PolicySelection, BASELINE, FIG15};
 use avatar_workloads::Workload;
 
 fn main() {
@@ -21,17 +19,16 @@ fn main() {
     let ro = opts.run_options();
     let selections: Vec<PolicySelection> = match opts.policies() {
         Some(sels) => sels.to_vec(),
-        None => SystemConfig::FIG15.iter().map(|c| c.selection()).collect(),
+        None => FIG15.map(PolicySelection::from).to_vec(),
     };
     let labels: Vec<String> = selections.iter().map(|s| s.label()).collect();
-    let baseline = PolicySelection::parse("baseline").expect("baseline is in the registry");
     let workloads = Workload::all();
 
     // One cell per (workload × {Baseline + column policies}), fanned across
     // the thread pool; the grid is indexed back by fixed stride.
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
         for (sel, label) in selections.iter().zip(&labels) {
             scenarios.push(Scenario::new(label.clone(), w, *sel, ro.clone()));
         }

@@ -7,7 +7,7 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::{AVATAR, BASELINE, PROMOTION};
 use avatar_workloads::{Class, Workload};
 
 fn main() {
@@ -17,9 +17,9 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("Promotion", w, SystemConfig::Promotion, ro.clone()));
-        scenarios.push(Scenario::new("Avatar", w, SystemConfig::Avatar, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
+        scenarios.push(Scenario::new("Promotion", w, PROMOTION, ro.clone()));
+        scenarios.push(Scenario::new("Avatar", w, AVATAR, ro.clone()));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

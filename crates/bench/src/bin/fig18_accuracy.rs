@@ -6,7 +6,7 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::AVATAR;
 use avatar_workloads::Workload;
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
 
     let scenarios: Vec<Scenario> = workloads
         .iter()
-        .map(|w| Scenario::new(w.abbr, w, SystemConfig::Avatar, ro.clone()))
+        .map(|w| Scenario::new(w.abbr, w, AVATAR, ro.clone()))
         .collect();
     let results = run_scenarios(opts.threads, scenarios);
 

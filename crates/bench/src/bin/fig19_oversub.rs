@@ -9,7 +9,8 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE, COLT, PROMOTION, SNAKEBYTE};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 
 const EXCLUDED: [&str; 3] = ["LMD", "FW", "GEMM"];
@@ -17,20 +18,15 @@ const EXCLUDED: [&str; 3] = ["LMD", "FW", "GEMM"];
 fn main() {
     let opts = HarnessArgs::parse();
     let ro = RunOptions { oversubscription: Some(1.3), ..opts.run_options() };
-    let configs = [
-        SystemConfig::Promotion,
-        SystemConfig::Colt,
-        SystemConfig::SnakeByte,
-        SystemConfig::Avatar,
-    ];
+    let configs = [PROMOTION, COLT, SNAKEBYTE, AVATAR];
     let workloads: Vec<Workload> =
         Workload::all().into_iter().filter(|w| !EXCLUDED.contains(&w.abbr)).collect();
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
         for cfg in configs {
-            scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
+            scenarios.push(Scenario::new(cfg.label, w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
@@ -50,7 +46,7 @@ fn main() {
                 per_config[i].push(x);
             }
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
         let evictions = base.stats.as_ref().map(|s| s.chunks_evicted).unwrap_or(0);
         cells.push(evictions.to_string());
@@ -70,7 +66,7 @@ fn main() {
     rows.push(gmean);
 
     let mut headers = vec!["Workload"];
-    headers.extend(configs.iter().map(|c| c.label()));
+    headers.extend(configs.iter().map(|c| c.label));
     headers.push("Evictions(base)");
     println!("\nFig 19: speedup over baseline under 130% oversubscription");
     print_table(&headers, &rows);

@@ -9,16 +9,11 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
 use avatar_bench::{mean, obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, COLT, PROMOTION, SNAKEBYTE};
+use avatar_core::system::RunOptions;
 use avatar_workloads::{Class, Workload};
 
-const CONFIGS: [SystemConfig; 5] = [
-    SystemConfig::Baseline,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::Avatar,
-];
+const CONFIGS: [&PolicyDef; 5] = [BASELINE, PROMOTION, COLT, SNAKEBYTE, AVATAR];
 
 /// (mean, p99) per configuration, averaged over the class-H workloads.
 fn summarize(results: &[ScenarioResult], n_workloads: usize) -> Vec<(f64, f64)> {
@@ -49,7 +44,7 @@ fn main() {
     for (_, _, ro) in &regimes {
         for w in &class_h {
             for cfg in CONFIGS {
-                scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
+                scenarios.push(Scenario::new(cfg.label, w, cfg, ro.clone()));
             }
         }
     }
@@ -66,13 +61,13 @@ fn main() {
         let latencies: Vec<Json> = CONFIGS
             .iter()
             .zip(data.iter())
-            .map(|(c, (m, _))| obj! { "config": c.label(), "latency": *m })
+            .map(|(c, (m, _))| obj! { "config": c.label, "latency": *m })
             .collect();
         json.push(obj! { "scenario": *key, "latencies": Json::Arr(latencies) });
     }
 
     let mut headers = vec!["Scenario"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(CONFIGS.iter().map(|c| c.label));
     println!("\nFig 20: mean memory access latency, class-H workloads (cycles)");
     print_table(&headers, &rows);
     print_breakdown(&results[..per_regime], &class_h);
@@ -96,7 +91,7 @@ fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload]) {
                 s.latency_breakdown.total_cycles(),
                 s.sector_latency.sum(),
                 "fig20 {} / {}: latency breakdown violates cycle conservation",
-                cfg.label(),
+                cfg.label,
                 class_h[wi].abbr,
             );
             for ph in Phase::ALL {
@@ -104,7 +99,7 @@ fn print_breakdown(results: &[ScenarioResult], class_h: &[Workload]) {
             }
             agg.sectors += s.latency_breakdown.sectors;
         }
-        let mut cells = vec![cfg.label().to_string()];
+        let mut cells = vec![cfg.label.to_string()];
         cells.extend(Phase::ALL.iter().map(|&ph| format!("{:.1}%", 100.0 * agg.fraction(ph))));
         rows.push(cells);
     }

@@ -10,12 +10,12 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, COLT, PROMOTION};
+use avatar_core::system::RunOptions;
 use avatar_sim::config::BasePage;
 use avatar_workloads::Workload;
 
-const CONFIGS: [SystemConfig; 3] =
-    [SystemConfig::Promotion, SystemConfig::Colt, SystemConfig::Avatar];
+const CONFIGS: [&PolicyDef; 3] = [PROMOTION, COLT, AVATAR];
 
 fn main() {
     let opts = HarnessArgs::parse();
@@ -24,9 +24,9 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
         for cfg in CONFIGS {
-            scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
+            scenarios.push(Scenario::new(cfg.label, w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
@@ -46,7 +46,7 @@ fn main() {
                 per_config[i].push(x);
             }
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
         json_rows.push(obj! { "workload": w.abbr, "speedups": Json::Arr(speedups) });
         rows.push(cells);
@@ -59,7 +59,7 @@ fn main() {
     rows.push(gmean);
 
     let mut headers = vec!["Workload"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(CONFIGS.iter().map(|c| c.label));
     println!("\nFig 21: speedup over the 64KB-base-page baseline");
     print_table(&headers, &rows);
     println!("\npaper: Avatar +13% avg; gaps narrow vs 4KB but irregular workloads still favour Avatar");

@@ -7,7 +7,8 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
-use avatar_core::system::{speedup, SystemConfig};
+use avatar_core::policy::{AVATAR, AVATAR_VPNT, BASELINE};
+use avatar_core::system::speedup;
 use avatar_workloads::Workload;
 
 fn main() {
@@ -17,9 +18,9 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("MOD", w, SystemConfig::Avatar, ro.clone()));
-        scenarios.push(Scenario::new("VPN-T", w, SystemConfig::AvatarVpnT, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
+        scenarios.push(Scenario::new("MOD", w, AVATAR, ro.clone()));
+        scenarios.push(Scenario::new("VPN-T", w, AVATAR_VPNT, ro.clone()));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

@@ -9,15 +9,10 @@ use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
 use avatar_bpc::embed::PAYLOAD_BITS;
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, CAST, COLT, PROMOTION};
 use avatar_workloads::Workload;
 
-const CONFIGS: [SystemConfig; 4] = [
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-];
+const CONFIGS: [&PolicyDef; 4] = [PROMOTION, COLT, CAST, AVATAR];
 
 /// (a) compressibility, measured with the real codec.
 fn compressibility(w: &Workload, samples: u64) -> (f64, f64) {
@@ -42,9 +37,9 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for w in &workloads {
-        scenarios.push(Scenario::new("Baseline", w, SystemConfig::Baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
         for cfg in CONFIGS {
-            scenarios.push(Scenario::new(cfg.label(), w, cfg, ro.clone()));
+            scenarios.push(Scenario::new(cfg.label, w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
@@ -74,7 +69,7 @@ fn main() {
                 per_config[i].push(x);
             }
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
         json_rows.push(obj! {
             "workload": w.abbr,
@@ -96,7 +91,7 @@ fn main() {
     rows.push(footer);
 
     let mut headers = vec!["Workload", "BPC ratio", "<=22B"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(CONFIGS.iter().map(|c| c.label));
     println!("\nFig 23: ML workloads — compressibility and speedup over baseline");
     print_table(&headers, &rows);
     println!("\npaper: ratio 1.38x avg, 28.4% fit 22B; Avatar beats CoLT by ~7.1% despite low compressibility");

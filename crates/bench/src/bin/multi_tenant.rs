@@ -8,7 +8,8 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::{speedup, RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE};
+use avatar_core::system::{speedup, RunOptions};
 use avatar_workloads::Workload;
 
 fn main() {
@@ -28,8 +29,8 @@ fn main() {
             warps: Some(opts.warps),
             ..RunOptions::default()
         };
-        scenarios.push(Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone()));
-        scenarios.push(Scenario::new("Avatar", &w, SystemConfig::Avatar, ro));
+        scenarios.push(Scenario::new("Baseline", &w, BASELINE, ro.clone()));
+        scenarios.push(Scenario::new("Avatar", &w, AVATAR, ro));
     }
     let results = run_scenarios(opts.threads, scenarios);
 

@@ -16,7 +16,7 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{geomean, obj, print_table, HarnessArgs};
-use avatar_core::policy::PolicySelection;
+use avatar_core::policy::{PolicySelection, BASELINE};
 use avatar_workloads::Workload;
 
 /// The default comparison set: paper baselines, Avatar, and both
@@ -32,7 +32,6 @@ fn main() {
         None => PolicySelection::parse_list(DEFAULT_SET).expect("default set is valid"),
     };
     let labels: Vec<String> = selections.iter().map(|s| s.label()).collect();
-    let baseline = PolicySelection::parse("baseline").expect("baseline is in the registry");
     let workloads = Workload::all();
 
     let mut scenarios = Vec::new();
@@ -40,7 +39,7 @@ fn main() {
         // The reference cell comes first in each stride; a Baseline
         // column in the comparison set memoizes it (same content
         // address), so listing it costs nothing.
-        scenarios.push(Scenario::new("Baseline", w, baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", w, BASELINE, ro.clone()));
         for (sel, label) in selections.iter().zip(&labels) {
             scenarios.push(Scenario::new(label.clone(), w, *sel, ro.clone()));
         }

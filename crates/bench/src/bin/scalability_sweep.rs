@@ -10,15 +10,11 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
 use avatar_bench::{obj, print_table, ExtraFlag, HarnessArgs};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, COLT, PROMOTION, SNAKEBYTE};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 
-const CONFIGS: [SystemConfig; 4] = [
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::Avatar,
-];
+const CONFIGS: [&PolicyDef; 4] = [PROMOTION, COLT, SNAKEBYTE, AVATAR];
 
 const SCALES: [f64; 6] = [0.03125, 0.0625, 0.125, 0.25, 0.5, 1.0];
 
@@ -42,9 +38,9 @@ fn main() {
             warps: Some(opts.warps),
             ..RunOptions::default()
         };
-        scenarios.push(Scenario::new("Baseline", &w, SystemConfig::Baseline, ro.clone()));
+        scenarios.push(Scenario::new("Baseline", &w, BASELINE, ro.clone()));
         for cfg in CONFIGS {
-            scenarios.push(Scenario::new(cfg.label(), &w, cfg, ro.clone()));
+            scenarios.push(Scenario::new(cfg.label, &w, cfg, ro.clone()));
         }
     }
     let results = run_scenarios(opts.threads, scenarios);
@@ -60,14 +56,14 @@ fn main() {
         for (i, cfg) in CONFIGS.iter().enumerate() {
             let x = speedup_cell(base, &results[si * stride + 1 + i]);
             cells.push(fmt_cell(x, 3));
-            speedups.push(obj! { "config": cfg.label(), "speedup": x });
+            speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
         rows.push(cells);
         json.push(obj! { "working_set_mb": ws_mb, "speedups": Json::Arr(speedups) });
     }
 
     let mut headers = vec!["Working set"];
-    headers.extend(CONFIGS.iter().map(|c| c.label()));
+    headers.extend(CONFIGS.iter().map(|c| c.label));
     println!("\nScalability sweep: {} footprint vs technique speedup", w.abbr);
     print_table(&headers, &rows);
     println!("\nTable I claim: reach-bound techniques flatten as the footprint outgrows TLB reach; Avatar keeps scaling.");

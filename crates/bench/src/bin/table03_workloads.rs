@@ -7,7 +7,7 @@
 use avatar_bench::json::Json;
 use avatar_bench::runner::{run_scenarios, Scenario};
 use avatar_bench::{obj, print_table, ExtraFlag, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::BASELINE;
 use avatar_workloads::Workload;
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
     let mpmis: Vec<Option<f64>> = if measure {
         let scenarios: Vec<Scenario> = workloads
             .iter()
-            .map(|w| Scenario::new(w.abbr, w, SystemConfig::Baseline, ro.clone()))
+            .map(|w| Scenario::new(w.abbr, w, BASELINE, ro.clone()))
             .collect();
         run_scenarios(opts.threads, scenarios)
             .iter()

@@ -28,14 +28,14 @@
 
 use avatar_bench::runner::{run_scenarios, Scenario, ScenarioResult};
 use avatar_bench::{obj, print_table, HarnessArgs};
-use avatar_core::system::SystemConfig;
+use avatar_core::policy::{PolicyDef, AVATAR, BASELINE};
 use avatar_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::Arc;
 // Wall-time measurement is this harness's whole job. lint:allow(nondeterminism)
 use std::time::Instant;
 
-const CONFIGS: [SystemConfig; 2] = [SystemConfig::Baseline, SystemConfig::Avatar];
+const CONFIGS: [&PolicyDef; 2] = [BASELINE, AVATAR];
 
 /// Thread counts measured, in order. The first entry must be 1: it is the
 /// scaling denominator and the events/sec measurement pass.
@@ -54,7 +54,7 @@ fn grid(opts: &HarnessArgs) -> Vec<Scenario> {
         let w = Arc::new(w);
         for cfg in CONFIGS {
             scenarios.push(Scenario::shared(
-                format!("{}/{}", w.abbr, cfg.label()),
+                format!("{}/{}", w.abbr, cfg.label),
                 Arc::clone(&w),
                 cfg,
                 ro.clone(),

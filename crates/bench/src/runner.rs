@@ -117,8 +117,7 @@ pub struct Scenario {
     /// The workload to run, shared (not deep-cloned) across the cells of a
     /// grid: every row of a figure references the same `Arc`.
     pub workload: Arc<Workload>,
-    /// The translation policy to run it on. `SystemConfig` converts via
-    /// `Into`, so enum-era call sites pass their variant unchanged.
+    /// The translation policy to run it on.
     pub policy: PolicySelection,
     /// Scale/SMs/oversubscription/etc.
     pub opts: RunOptions,
@@ -128,7 +127,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A plain cell: workload × policy × options. Accepts a
-    /// [`PolicySelection`] or a legacy `SystemConfig` variant.
+    /// [`PolicySelection`] or a registry row (`policy::AVATAR`).
     pub fn new(
         label: impl Into<String>,
         workload: &Workload,

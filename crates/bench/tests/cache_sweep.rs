@@ -8,7 +8,8 @@
 
 use avatar_bench::cache::{self, ResultCache};
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 use std::sync::Arc;
 
@@ -19,11 +20,11 @@ fn opts(seed: u64) -> RunOptions {
 fn grid(seed: u64) -> Vec<Scenario> {
     let w = Arc::new(Workload::by_abbr("GEMM").expect("workload table contains GEMM"));
     vec![
-        Scenario::shared("base", Arc::clone(&w), SystemConfig::Baseline, opts(seed)),
-        Scenario::shared("avatar", Arc::clone(&w), SystemConfig::Avatar, opts(seed)),
+        Scenario::shared("base", Arc::clone(&w), BASELINE, opts(seed)),
+        Scenario::shared("avatar", Arc::clone(&w), AVATAR, opts(seed)),
         // Identical to the first cell (different label, same content):
         // must memoize, not re-run.
-        Scenario::shared("base again", Arc::clone(&w), SystemConfig::Baseline, opts(seed)),
+        Scenario::shared("base again", Arc::clone(&w), BASELINE, opts(seed)),
     ]
 }
 

@@ -6,7 +6,8 @@
 use avatar_bench::json::Json;
 use avatar_bench::obj;
 use avatar_bench::runner::{run_scenarios, Scenario};
-use avatar_core::system::{RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE};
+use avatar_core::system::RunOptions;
 use avatar_workloads::Workload;
 
 fn small_grid() -> Vec<Scenario> {
@@ -14,8 +15,8 @@ fn small_grid() -> Vec<Scenario> {
     let mut scenarios = Vec::new();
     for abbr in ["GEMM", "SSSP"] {
         let w = Workload::by_abbr(abbr).expect("known workload");
-        for cfg in [SystemConfig::Baseline, SystemConfig::Avatar] {
-            scenarios.push(Scenario::new(format!("{abbr}/{}", cfg.label()), &w, cfg, ro.clone()));
+        for def in [BASELINE, AVATAR] {
+            scenarios.push(Scenario::new(format!("{abbr}/{}", def.label), &w, def, ro.clone()));
         }
     }
     scenarios

@@ -26,16 +26,17 @@
 //! (hash-based speculation from SW-guided seed tables with rapid
 //! validation-on-use), and the [`dead_entry`] replacement modifier.
 //! [`system`] assembles full systems on the `avatar-sim` substrate;
-//! [`system::run_policy`] executes one workload on a selection:
+//! [`system::run_policy`] executes one workload on a registry row or on
+//! a selection parsed from its name:
 //!
 //! ```
-//! use avatar_core::policy::PolicySelection;
-//! use avatar_core::system::{run, run_policy, RunOptions, SystemConfig};
+//! use avatar_core::policy::{PolicySelection, BASELINE};
+//! use avatar_core::system::{run_policy, RunOptions};
 //! use avatar_workloads::Workload;
 //!
 //! let workload = Workload::by_abbr("GEMM").expect("in Table III");
 //! let opts = RunOptions { scale: 0.02, sms: Some(2), warps: Some(4), ..RunOptions::default() };
-//! let baseline = run(&workload, SystemConfig::Baseline, &opts);
+//! let baseline = run_policy(&workload, BASELINE, &opts);
 //! let avatar = run_policy(
 //!     &workload,
 //!     PolicySelection::parse("avatar").expect("registry name"),
@@ -61,10 +62,7 @@ pub use dead_entry::DeadEntryPolicy;
 pub use mod_table::ModTable;
 pub use policy::{PolicyDef, PolicySelection};
 pub use revelator::RevelatorPolicy;
-pub use system::{
-    assemble, assemble_policy, run, run_policy, run_policy_with, run_with, speedup, RunOptions,
-    SystemConfig,
-};
+pub use system::{assemble_policy, run_policy, run_policy_with, speedup, RunOptions};
 pub use vpn_table::VpnTable;
 
 /// The driving API in one import: select a policy, run a workload,
@@ -77,9 +75,7 @@ pub use vpn_table::VpnTable;
 /// ```
 pub mod prelude {
     pub use crate::policy::{PolicyDef, PolicySelection, TlbKind, REGISTRY};
-    pub use crate::system::{
-        assemble_policy, run, run_policy, run_policy_with, speedup, RunOptions, SystemConfig,
-    };
+    pub use crate::system::{assemble_policy, run_policy, run_policy_with, speedup, RunOptions};
 }
 
 pub(crate) use avatar_sim::addr::CHUNK_BYTES;

@@ -8,13 +8,11 @@
 //! sweep over [`PolicySelection::all_base`], and key result-cache cells
 //! on [`PolicySelection::key_digest`].
 //!
-//! The registry replaces the closed `match` arms that used to live in
-//! `system.rs`: adding a contender is now one [`PolicyDef`] row (plus its
-//! policy type), not edits to every assembly function. The original
-//! [`SystemConfig`](crate::system::SystemConfig) enum survives as a thin
-//! alias layer — each variant maps onto a registry entry via
-//! [`SystemConfig::selection`](crate::system::SystemConfig::selection) —
-//! so existing harnesses and their byte-pinned outputs are untouched.
+//! Each registry row is also a named constant ([`BASELINE`], [`AVATAR`],
+//! [`REVELATOR`], …) that converts into a [`PolicySelection`], so code
+//! that hard-wires a system gets a compile-checked name. This module is
+//! the only place that knows what a name assembles: adding a contender
+//! is one [`PolicyDef`] row (plus its policy type).
 
 use crate::cast::AvatarPolicy;
 use crate::dead_entry::DeadEntryPolicy;
@@ -89,137 +87,174 @@ fn build_revelator(cfg: &GpuConfig) -> Box<dyn TranslationPolicy> {
     Box::new(RevelatorPolicy::new(cfg.spec.seed_entries, cfg.spec.rapid_latency))
 }
 
+/// The `baseline` registry row.
+pub const BASELINE: &PolicyDef = &PolicyDef {
+    name: "baseline",
+    label: "Baseline",
+    summary: "UVM baseline: base TLBs, TBN prefetcher, no promotion",
+    uses_promotion: false,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_none,
+};
+
+/// The `ideal` registry row.
+pub const IDEAL: &PolicyDef = &PolicyDef {
+    name: "ideal",
+    label: "Ideal-TLB",
+    summary: "translation oracle: every lookup resolves instantly (Fig 3 bound)",
+    uses_promotion: false,
+    embeds_page_info: false,
+    ideal_tlb: true,
+    tlb: TlbKind::Base,
+    supports_dead_entry: false,
+    build: build_none,
+};
+
+/// The `promotion` registry row.
+pub const PROMOTION: &PolicyDef = &PolicyDef {
+    name: "promotion",
+    label: "Promotion",
+    summary: "Mosaic-style 2MB page promotion (adopted by all contenders)",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_none,
+};
+
+/// The `colt` registry row.
+pub const COLT: &PolicyDef = &PolicyDef {
+    name: "colt",
+    label: "CoLT",
+    summary: "CoLT coalesced TLBs + promotion",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Colt,
+    supports_dead_entry: false,
+    build: build_none,
+};
+
+/// The `snakebyte` registry row.
+pub const SNAKEBYTE: &PolicyDef = &PolicyDef {
+    name: "snakebyte",
+    label: "SnakeByte",
+    summary: "SnakeByte recursive merging + promotion",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::SnakeByte,
+    supports_dead_entry: false,
+    build: build_none,
+};
+
+/// The `cast` registry row.
+pub const CAST: &PolicyDef = &PolicyDef {
+    name: "cast",
+    label: "CAST-only",
+    summary: "CAST speculation without validation support",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_cast_only,
+};
+
+/// The `avatar` registry row.
+pub const AVATAR: &PolicyDef = &PolicyDef {
+    name: "avatar",
+    label: "Avatar",
+    summary: "full Avatar: CAST + CAVA in-cache validation + EAF",
+    uses_promotion: true,
+    embeds_page_info: true,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_avatar,
+};
+
+/// The `avatar-noeaf` registry row.
+pub const AVATAR_NOEAF: &PolicyDef = &PolicyDef {
+    name: "avatar-noeaf",
+    label: "Avatar-noEAF",
+    summary: "Avatar without the Early-TLB-Fill path (ablation)",
+    uses_promotion: true,
+    embeds_page_info: true,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_avatar_no_eaf,
+};
+
+/// The `cast-ideal` registry row.
+pub const CAST_IDEAL: &PolicyDef = &PolicyDef {
+    name: "cast-ideal",
+    label: "CAST+Ideal-Valid",
+    summary: "CAST with oracle validation (validation upper bound)",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_cast_ideal,
+};
+
+/// The `avatar-vpnt` registry row.
+pub const AVATAR_VPNT: &PolicyDef = &PolicyDef {
+    name: "avatar-vpnt",
+    label: "Avatar-VPNT",
+    summary: "Avatar with the VPN-T predictor instead of MOD (Fig 22)",
+    uses_promotion: true,
+    embeds_page_info: true,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_avatar_vpnt,
+};
+
+/// The `revelator` registry row.
+pub const REVELATOR: &PolicyDef = &PolicyDef {
+    name: "revelator",
+    label: "Revelator",
+    summary: "hash-based speculative translation from SW-guided seed tables \
+              with rapid validation-on-use (no compressed sectors needed)",
+    uses_promotion: true,
+    embeds_page_info: false,
+    ideal_tlb: false,
+    tlb: TlbKind::Base,
+    supports_dead_entry: true,
+    build: build_revelator,
+};
+
 /// The registry: every assemblable policy, in presentation order.
 /// Append-only by convention — reordering or renaming entries would
 /// change `--policy` spellings and result-cache keys.
-pub const REGISTRY: &[PolicyDef] = &[
-    PolicyDef {
-        name: "baseline",
-        label: "Baseline",
-        summary: "UVM baseline: base TLBs, TBN prefetcher, no promotion",
-        uses_promotion: false,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_none,
-    },
-    PolicyDef {
-        name: "ideal",
-        label: "Ideal-TLB",
-        summary: "translation oracle: every lookup resolves instantly (Fig 3 bound)",
-        uses_promotion: false,
-        embeds_page_info: false,
-        ideal_tlb: true,
-        tlb: TlbKind::Base,
-        supports_dead_entry: false,
-        build: build_none,
-    },
-    PolicyDef {
-        name: "promotion",
-        label: "Promotion",
-        summary: "Mosaic-style 2MB page promotion (adopted by all contenders)",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_none,
-    },
-    PolicyDef {
-        name: "colt",
-        label: "CoLT",
-        summary: "CoLT coalesced TLBs + promotion",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Colt,
-        supports_dead_entry: false,
-        build: build_none,
-    },
-    PolicyDef {
-        name: "snakebyte",
-        label: "SnakeByte",
-        summary: "SnakeByte recursive merging + promotion",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::SnakeByte,
-        supports_dead_entry: false,
-        build: build_none,
-    },
-    PolicyDef {
-        name: "cast",
-        label: "CAST-only",
-        summary: "CAST speculation without validation support",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_cast_only,
-    },
-    PolicyDef {
-        name: "avatar",
-        label: "Avatar",
-        summary: "full Avatar: CAST + CAVA in-cache validation + EAF",
-        uses_promotion: true,
-        embeds_page_info: true,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_avatar,
-    },
-    PolicyDef {
-        name: "avatar-noeaf",
-        label: "Avatar-noEAF",
-        summary: "Avatar without the Early-TLB-Fill path (ablation)",
-        uses_promotion: true,
-        embeds_page_info: true,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_avatar_no_eaf,
-    },
-    PolicyDef {
-        name: "cast-ideal",
-        label: "CAST+Ideal-Valid",
-        summary: "CAST with oracle validation (validation upper bound)",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_cast_ideal,
-    },
-    PolicyDef {
-        name: "avatar-vpnt",
-        label: "Avatar-VPNT",
-        summary: "Avatar with the VPN-T predictor instead of MOD (Fig 22)",
-        uses_promotion: true,
-        embeds_page_info: true,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_avatar_vpnt,
-    },
-    PolicyDef {
-        name: "revelator",
-        label: "Revelator",
-        summary: "hash-based speculative translation from SW-guided seed tables \
-                  with rapid validation-on-use (no compressed sectors needed)",
-        uses_promotion: true,
-        embeds_page_info: false,
-        ideal_tlb: false,
-        tlb: TlbKind::Base,
-        supports_dead_entry: true,
-        build: build_revelator,
-    },
+pub const REGISTRY: &[&PolicyDef] = &[
+    BASELINE,
+    IDEAL,
+    PROMOTION,
+    COLT,
+    SNAKEBYTE,
+    CAST,
+    AVATAR,
+    AVATAR_NOEAF,
+    CAST_IDEAL,
+    AVATAR_VPNT,
+    REVELATOR,
 ];
+
+/// The six columns of the paper's Fig 15, in plot order (Baseline is the
+/// normalization reference, not a column).
+pub const FIG15: [&PolicyDef; 6] = [PROMOTION, COLT, SNAKEBYTE, CAST, AVATAR, CAST_IDEAL];
 
 /// Looks up a registry entry by canonical name.
 pub fn find(name: &str) -> Option<&'static PolicyDef> {
-    REGISTRY.iter().find(|d| d.name == name)
+    REGISTRY.iter().copied().find(|d| d.name == name)
 }
 
 /// Comma-joined canonical names, for error messages and usage text.
@@ -253,7 +288,7 @@ impl PolicySelection {
 
     /// Every registry entry as an unmodified selection, in registry order.
     pub fn all_base() -> impl Iterator<Item = PolicySelection> {
-        REGISTRY.iter().map(Self::base)
+        REGISTRY.iter().map(|&def| Self::base(def))
     }
 
     /// Parses `name[+modifier…]`. Accepted modifiers: `dead` (the
@@ -332,6 +367,14 @@ impl PolicySelection {
         h.finish()
     }
 
+    /// Sets the [`GpuConfig`] flags this selection assembles with: the
+    /// translation oracle, page promotion, and CAVA page-info embedding.
+    pub fn configure(&self, cfg: &mut GpuConfig) {
+        cfg.ideal_tlb = self.def.ideal_tlb;
+        cfg.uvm.promotion = self.def.uses_promotion;
+        cfg.uvm.embed_page_info = self.def.embeds_page_info;
+    }
+
     /// Builds the L1 (per-SM) and L2 TLB models for this selection.
     pub fn build_tlbs(&self, cfg: &GpuConfig) -> (Vec<Box<dyn TlbModel>>, Box<dyn TlbModel>) {
         let base_pages = cfg.uvm.base_page.pages();
@@ -381,6 +424,12 @@ impl PolicySelection {
         } else {
             inner
         }
+    }
+}
+
+impl From<&'static PolicyDef> for PolicySelection {
+    fn from(def: &'static PolicyDef) -> Self {
+        Self::base(def)
     }
 }
 
@@ -456,7 +505,7 @@ mod tests {
     #[test]
     fn key_digest_separates_selections() {
         let mut seen = std::collections::BTreeMap::new();
-        for def in REGISTRY {
+        for &def in REGISTRY {
             for dead in [false, true] {
                 if dead && !def.supports_dead_entry {
                     continue;
@@ -466,6 +515,36 @@ mod tests {
                     panic!("digest collision between {prev} and {}", sel.name());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn registry_rows_pin_labels_and_assembly_flags() {
+        // Figure JSON carries these labels and the flags decide what each
+        // name assembles; a changed row changes published results.
+        let expect = [
+            (BASELINE, "baseline", "Baseline", false, false, false, TlbKind::Base),
+            (IDEAL, "ideal", "Ideal-TLB", false, false, true, TlbKind::Base),
+            (PROMOTION, "promotion", "Promotion", true, false, false, TlbKind::Base),
+            (COLT, "colt", "CoLT", true, false, false, TlbKind::Colt),
+            (SNAKEBYTE, "snakebyte", "SnakeByte", true, false, false, TlbKind::SnakeByte),
+            (CAST, "cast", "CAST-only", true, false, false, TlbKind::Base),
+            (AVATAR, "avatar", "Avatar", true, true, false, TlbKind::Base),
+            (AVATAR_NOEAF, "avatar-noeaf", "Avatar-noEAF", true, true, false, TlbKind::Base),
+            (CAST_IDEAL, "cast-ideal", "CAST+Ideal-Valid", true, false, false, TlbKind::Base),
+            (AVATAR_VPNT, "avatar-vpnt", "Avatar-VPNT", true, true, false, TlbKind::Base),
+            (REVELATOR, "revelator", "Revelator", true, false, false, TlbKind::Base),
+        ];
+        assert_eq!(REGISTRY.len(), expect.len(), "every row is pinned");
+        for (i, (def, name, label, promotes, embeds, ideal, tlb)) in expect.into_iter().enumerate() {
+            assert_eq!(REGISTRY[i].name, def.name, "row {i} is the named constant");
+            assert_eq!(def.name, name);
+            assert_eq!(def.label, label, "{name}");
+            assert_eq!(def.uses_promotion, promotes, "{name}");
+            assert_eq!(def.embeds_page_info, embeds, "{name}");
+            assert_eq!(def.ideal_tlb, ideal, "{name}");
+            assert_eq!(def.tlb, tlb, "{name}");
+            assert_eq!(PolicySelection::from(def), PolicySelection::parse(name).expect("parses"));
         }
     }
 

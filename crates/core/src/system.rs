@@ -4,104 +4,15 @@
 //! Assembly is driven by the name-keyed policy registry
 //! ([`crate::policy`]): a [`PolicySelection`] names the TLB family,
 //! memory-manager behaviour, and speculation policy, and
-//! [`run_policy`]/[`assemble_policy`] execute one workload on it.
-//!
-//! [`SystemConfig`] — the closed enum that used to own the assembly
-//! `match` arms — survives as a thin alias layer over the registry:
-//! every variant maps onto a registry entry via
-//! [`SystemConfig::selection`], and the enum-typed entry points
-//! ([`run`], [`run_with`], [`assemble`], [`gpu_config`]) delegate to the
-//! policy-typed ones. Existing harnesses and their byte-pinned outputs
-//! are untouched; new code (and anything that needs Revelator or the
-//! `+dead` modifier) should prefer [`PolicySelection`] directly.
+//! [`run_policy`]/[`assemble_policy`] execute one workload on it. Every
+//! entry point accepts a selection or a registry row
+//! (`policy::AVATAR`) directly.
 
 use crate::policy::PolicySelection;
 use avatar_sim::config::{BasePage, GpuConfig};
 use avatar_sim::engine::Engine;
 use avatar_sim::stats::Stats;
 use avatar_workloads::Workload;
-
-/// A system configuration from the paper's evaluation.
-///
-/// Kept as a convenience alias over the policy registry — see the
-/// module docs. `SystemConfig::Avatar.selection()` is the registry
-/// entry named `"avatar"`, and so on for every variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SystemConfig {
-    /// UVM baseline: base TLBs, TBN prefetcher, no promotion.
-    Baseline,
-    /// Translation oracle: every lookup resolves instantly (Fig 3 bound).
-    IdealTlb,
-    /// Mosaic-style page promotion (adopted by all techniques below).
-    Promotion,
-    /// CoLT coalesced TLBs + promotion.
-    Colt,
-    /// SnakeByte recursive merging + promotion.
-    SnakeByte,
-    /// CAST speculation without validation support.
-    CastOnly,
-    /// Full Avatar: CAST + CAVA + EAF.
-    Avatar,
-    /// Avatar without Early-TLB-Fill (ablation).
-    AvatarNoEaf,
-    /// CAST with oracle validation (upper bound for validation).
-    CastIdealValid,
-    /// Avatar with the VPN-T predictor instead of MOD (Fig 22).
-    AvatarVpnT,
-}
-
-impl SystemConfig {
-    /// The seven configurations of the paper's Fig 15, in plot order.
-    pub const FIG15: [SystemConfig; 6] = [
-        SystemConfig::Promotion,
-        SystemConfig::Colt,
-        SystemConfig::SnakeByte,
-        SystemConfig::CastOnly,
-        SystemConfig::Avatar,
-        SystemConfig::CastIdealValid,
-    ];
-
-    /// The registry policy this configuration aliases.
-    pub fn selection(self) -> PolicySelection {
-        let name = match self {
-            SystemConfig::Baseline => "baseline",
-            SystemConfig::IdealTlb => "ideal",
-            SystemConfig::Promotion => "promotion",
-            SystemConfig::Colt => "colt",
-            SystemConfig::SnakeByte => "snakebyte",
-            SystemConfig::CastOnly => "cast",
-            SystemConfig::Avatar => "avatar",
-            SystemConfig::AvatarNoEaf => "avatar-noeaf",
-            SystemConfig::CastIdealValid => "cast-ideal",
-            SystemConfig::AvatarVpnT => "avatar-vpnt",
-        };
-        PolicySelection::base(
-            crate::policy::find(name).expect("every SystemConfig aliases a registry entry"),
-        )
-    }
-
-    /// Short label used in harness tables.
-    pub fn label(self) -> &'static str {
-        self.selection().def.label
-    }
-
-    /// Whether the configuration adopts page promotion (the paper adopts
-    /// it for everything except the plain baseline and the ideal bound).
-    pub fn uses_promotion(self) -> bool {
-        self.selection().def.uses_promotion
-    }
-
-    /// Whether migrated data is compressed with embedded page info (CAVA).
-    pub fn embeds_page_info(self) -> bool {
-        self.selection().def.embeds_page_info
-    }
-}
-
-impl From<SystemConfig> for PolicySelection {
-    fn from(config: SystemConfig) -> Self {
-        config.selection()
-    }
-}
 
 /// Options shared by every experiment harness.
 #[derive(Debug, Clone)]
@@ -212,15 +123,10 @@ impl RunOptions {
     }
 }
 
-/// Builds the `GpuConfig` for (workload, configuration, options).
-pub fn gpu_config(workload: &Workload, config: SystemConfig, opts: &RunOptions) -> GpuConfig {
-    gpu_config_for(workload, config.selection(), opts)
-}
-
 /// Builds the `GpuConfig` for (workload, policy selection, options).
 pub fn gpu_config_for(
     workload: &Workload,
-    policy: PolicySelection,
+    policy: impl Into<PolicySelection>,
     opts: &RunOptions,
 ) -> GpuConfig {
     let mut cfg = GpuConfig::rtx3070();
@@ -232,10 +138,8 @@ pub fn gpu_config_for(
     }
     cfg.seed = opts.seed ^ workload.seed.rotate_left(17);
     cfg.tenants = opts.tenants.max(1);
-    cfg.ideal_tlb = policy.def.ideal_tlb;
     cfg.uvm.base_page = opts.base_page;
-    cfg.uvm.promotion = policy.def.uses_promotion;
-    cfg.uvm.embed_page_info = policy.def.embeds_page_info;
+    policy.into().configure(&mut cfg);
     if let Some(factor) = opts.oversubscription {
         // Size memory against the footprint the trace actually touches
         // (the paper adjusts memory per workload to incur the target
@@ -277,47 +181,27 @@ fn touched_footprint_cached(
     v
 }
 
-/// Runs one workload under one configuration and returns its statistics.
-pub fn run(workload: &Workload, config: SystemConfig, opts: &RunOptions) -> Stats {
-    run_policy(workload, config.selection(), opts)
-}
-
-/// Like [`run`] but lets the caller tweak the assembled [`GpuConfig`]
-/// before the engine is built — the hook for sensitivity/ablation studies
-/// (MOD sizing, decompression latency, PIPT caches, …).
-pub fn run_with(
+/// Runs one workload under one registry policy selection and returns its
+/// statistics.
+pub fn run_policy(
     workload: &Workload,
-    config: SystemConfig,
+    policy: impl Into<PolicySelection>,
     opts: &RunOptions,
-    tweak: impl FnOnce(&mut GpuConfig),
 ) -> Stats {
-    run_policy_with(workload, config.selection(), opts, tweak)
-}
-
-/// Runs one workload under one registry policy selection.
-pub fn run_policy(workload: &Workload, policy: PolicySelection, opts: &RunOptions) -> Stats {
     run_policy_with(workload, policy, opts, |_| {})
 }
 
-/// Like [`run_policy`] with a pre-assembly [`GpuConfig`] tweak.
+/// Like [`run_policy`] but lets the caller tweak the assembled
+/// [`GpuConfig`] before the engine is built — the hook for
+/// sensitivity/ablation studies (MOD sizing, decompression latency, PIPT
+/// caches, …).
 pub fn run_policy_with(
     workload: &Workload,
-    policy: PolicySelection,
+    policy: impl Into<PolicySelection>,
     opts: &RunOptions,
     tweak: impl FnOnce(&mut GpuConfig),
 ) -> Stats {
     assemble_policy(workload, policy, opts, tweak).run()
-}
-
-/// Assembles the engine for (workload, configuration, options) without
-/// running it — the enum-typed alias of [`assemble_policy`].
-pub fn assemble(
-    workload: &Workload,
-    config: SystemConfig,
-    opts: &RunOptions,
-    tweak: impl FnOnce(&mut GpuConfig),
-) -> Engine<'static> {
-    assemble_policy(workload, config.selection(), opts, tweak)
 }
 
 /// Assembles the engine for (workload, policy selection, options)
@@ -327,10 +211,11 @@ pub fn assemble(
 /// `Engine::finish`).
 pub fn assemble_policy(
     workload: &Workload,
-    policy: PolicySelection,
+    policy: impl Into<PolicySelection>,
     opts: &RunOptions,
     tweak: impl FnOnce(&mut GpuConfig),
 ) -> Engine<'static> {
+    let policy = policy.into();
     let mut cfg = gpu_config_for(workload, policy, opts);
     tweak(&mut cfg);
     let (l1s, l2) = policy.build_tlbs(&cfg);
@@ -363,7 +248,7 @@ pub fn assemble_policy(
 /// comes from `AVATAR_TRACE_SAMPLE` (0/1 = every warp); it is read once
 /// here, at construction — never on the event path. Public so harnesses
 /// that assemble an [`Engine`] by hand (microbenchmark bins) honour
-/// `--trace-out` the same way [`run`] does.
+/// `--trace-out` the same way [`run_policy`] does.
 #[cfg(feature = "probes")]
 pub fn attach_trace(engine: &mut Engine, opts: &RunOptions) {
     if let Some(path) = opts.trace_path() {
@@ -398,6 +283,7 @@ pub fn speedup(base: &Stats, other: &Stats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AVATAR, BASELINE, CAST, COLT, IDEAL, PROMOTION, SNAKEBYTE};
 
     fn quick_opts() -> RunOptions {
         RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), ..RunOptions::default() }
@@ -409,7 +295,7 @@ mod tests {
 
     #[test]
     fn baseline_runs_to_completion() {
-        let stats = run(&quick_workload(), SystemConfig::Baseline, &quick_opts());
+        let stats = run_policy(&quick_workload(), BASELINE, &quick_opts());
         assert!(stats.cycles > 0);
         assert!(stats.loads > 0);
         assert_eq!(stats.speculations, 0, "baseline never speculates");
@@ -418,8 +304,8 @@ mod tests {
     #[test]
     fn ideal_tlb_beats_baseline() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let base = run(&w, SystemConfig::Baseline, &quick_opts());
-        let ideal = run(&w, SystemConfig::IdealTlb, &quick_opts());
+        let base = run_policy(&w, BASELINE, &quick_opts());
+        let ideal = run_policy(&w, IDEAL, &quick_opts());
         assert!(
             ideal.cycles < base.cycles,
             "ideal {} must beat baseline {}",
@@ -432,7 +318,7 @@ mod tests {
     #[test]
     fn avatar_speculates_and_validates() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let stats = run(&w, SystemConfig::Avatar, &quick_opts());
+        let stats = run_policy(&w, AVATAR, &quick_opts());
         assert!(stats.speculations > 0, "Avatar must speculate");
         assert!(stats.spec_correct > 0, "some speculations must be correct");
         assert!(stats.outcomes.fast_translation > 0, "CAVA must validate some");
@@ -442,7 +328,7 @@ mod tests {
     #[test]
     fn cast_only_speculates_but_never_fast_translates() {
         let w = Workload::by_abbr("SSSP").unwrap();
-        let stats = run(&w, SystemConfig::CastOnly, &quick_opts());
+        let stats = run_policy(&w, CAST, &quick_opts());
         assert!(stats.speculations > 0);
         assert_eq!(stats.outcomes.fast_translation, 0, "no validation hardware");
         assert_eq!(stats.eaf_fills, 0);
@@ -454,7 +340,7 @@ mod tests {
         // chunks become fully resident and promote.
         let w = Workload::by_abbr("GEMM").unwrap();
         let opts = RunOptions { scale: 0.05, sms: Some(8), warps: Some(16), ..RunOptions::default() };
-        let stats = run(&w, SystemConfig::Promotion, &opts);
+        let stats = run_policy(&w, PROMOTION, &opts);
         assert!(stats.promotions > 0, "fully-touched chunks must promote");
     }
 
@@ -469,7 +355,7 @@ mod tests {
             warps: Some(16),
             ..RunOptions::default()
         };
-        let stats = run(&w, SystemConfig::Baseline, &opts);
+        let stats = run_policy(&w, BASELINE, &opts);
         assert!(stats.chunks_evicted > 0, "130% oversubscription must evict");
         assert!(stats.tlb_shootdowns > 0);
     }
@@ -477,8 +363,8 @@ mod tests {
     #[test]
     fn deterministic_runs() {
         let w = quick_workload();
-        let a = run(&w, SystemConfig::Avatar, &quick_opts());
-        let b = run(&w, SystemConfig::Avatar, &quick_opts());
+        let a = run_policy(&w, AVATAR, &quick_opts());
+        let b = run_policy(&w, AVATAR, &quick_opts());
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.speculations, b.speculations);
         assert_eq!(a.dram_read_bytes, b.dram_read_bytes);
@@ -487,32 +373,9 @@ mod tests {
     #[test]
     fn colt_and_snakebyte_run() {
         let w = Workload::by_abbr("KM").unwrap();
-        for config in [SystemConfig::Colt, SystemConfig::SnakeByte] {
-            let stats = run(&w, config, &quick_opts());
-            assert!(stats.cycles > 0, "{} must complete", config.label());
-        }
-    }
-
-    #[test]
-    fn enum_aliases_preserve_labels_and_flags() {
-        use SystemConfig::*;
-        let expect = [
-            (Baseline, "Baseline", false, false),
-            (IdealTlb, "Ideal-TLB", false, false),
-            (Promotion, "Promotion", true, false),
-            (Colt, "CoLT", true, false),
-            (SnakeByte, "SnakeByte", true, false),
-            (CastOnly, "CAST-only", true, false),
-            (Avatar, "Avatar", true, true),
-            (AvatarNoEaf, "Avatar-noEAF", true, true),
-            (CastIdealValid, "CAST+Ideal-Valid", true, false),
-            (AvatarVpnT, "Avatar-VPNT", true, true),
-        ];
-        for (config, label, promotes, embeds) in expect {
-            assert_eq!(config.label(), label);
-            assert_eq!(config.uses_promotion(), promotes, "{label}");
-            assert_eq!(config.embeds_page_info(), embeds, "{label}");
-            assert_eq!(PolicySelection::from(config), config.selection());
+        for def in [COLT, SNAKEBYTE] {
+            let stats = run_policy(&w, def, &quick_opts());
+            assert!(stats.cycles > 0, "{} must complete", def.label);
         }
     }
 }

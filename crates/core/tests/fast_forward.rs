@@ -7,7 +7,8 @@
 //! permitted difference is `idle_cycles_skipped`, which *reports* how much
 //! scanning was avoided (and is zero when the knob is off).
 
-use avatar_core::system::{run_with, RunOptions, SystemConfig};
+use avatar_core::policy::{AVATAR, BASELINE};
+use avatar_core::system::{run_policy_with, RunOptions};
 use avatar_workloads::Workload;
 
 fn opts() -> RunOptions {
@@ -17,15 +18,15 @@ fn opts() -> RunOptions {
 #[test]
 fn fast_forward_changes_no_simulated_statistic() {
     let w = Workload::by_abbr("GEMM").unwrap();
-    for config in [SystemConfig::Baseline, SystemConfig::Avatar] {
-        let mut on = run_with(&w, config, &opts(), |c| c.fast_forward = true);
-        let mut off = run_with(&w, config, &opts(), |c| c.fast_forward = false);
+    for def in [BASELINE, AVATAR] {
+        let mut on = run_policy_with(&w, def, &opts(), |c| c.fast_forward = true);
+        let mut off = run_policy_with(&w, def, &opts(), |c| c.fast_forward = false);
 
         // The counter itself is the one legitimate difference: positive
         // when skipping is on (GPU pipelines leave plenty of idle gaps),
         // zero when the calendar walks every cycle.
-        assert!(on.idle_cycles_skipped > 0, "{}: no idle cycles skipped", config.label());
-        assert_eq!(off.idle_cycles_skipped, 0, "{}", config.label());
+        assert!(on.idle_cycles_skipped > 0, "{}: no idle cycles skipped", def.label);
+        assert_eq!(off.idle_cycles_skipped, 0, "{}", def.label);
 
         // Everything else must match field for field. `Stats` has no
         // `PartialEq` (it holds histograms), so compare the full Debug
@@ -37,7 +38,7 @@ fn fast_forward_changes_no_simulated_statistic() {
             format!("{on:?}"),
             format!("{off:?}"),
             "{}: fast-forward leaked into simulated stats",
-            config.label()
+            def.label
         );
     }
 }

@@ -11,29 +11,23 @@
 //! different calendar occupancy changes how much fast-forward can skip).
 //!
 //! This is the CI-enforced differential gate from DESIGN.md §9: the sweep
-//! covers every figure-bin system configuration at two seeds, so a
+//! covers every registry policy (plus the `+dead` modifier) at two seeds, so a
 //! divergence introduced anywhere in the fast path's classify/commit
 //! logic is caught by `cargo test` alone. The same sweep pins chunked
 //! execution (`Engine::run_steps` in small slices, as long-running
 //! drivers step the engine) to the straight-through `run()` digest.
 
-use avatar_core::system::{assemble, run_with, RunOptions, SystemConfig};
+use avatar_core::policy::{PolicySelection, AVATAR, BASELINE};
+use avatar_core::system::{assemble_policy, run_policy_with, RunOptions};
 use avatar_sim::Stats;
 use avatar_workloads::Workload;
 
-/// Every configuration any figure bin runs, not just Fig 15's seven.
-const ALL_CONFIGS: [SystemConfig; 10] = [
-    SystemConfig::Baseline,
-    SystemConfig::IdealTlb,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-    SystemConfig::AvatarNoEaf,
-    SystemConfig::CastIdealValid,
-    SystemConfig::AvatarVpnT,
-];
+/// Every registry policy, plus the dead-entry modifier on Avatar.
+fn all_policies() -> Vec<PolicySelection> {
+    PolicySelection::all_base()
+        .chain([PolicySelection::parse("avatar+dead").expect("registry name")])
+        .collect()
+}
 
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
@@ -57,9 +51,9 @@ fn fast_path_digest_identical_across_figure_configs() {
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let mut total_fast_sectors = 0u64;
     for seed in [0u64, 1] {
-        for config in ALL_CONFIGS {
-            let on = run_with(&w, config, &opts(seed), |c| c.inline_hit_path = true);
-            let off = run_with(&w, config, &opts(seed), |c| c.inline_hit_path = false);
+        for policy in all_policies() {
+            let on = run_policy_with(&w, policy, &opts(seed), |c| c.inline_hit_path = true);
+            let off = run_policy_with(&w, policy, &opts(seed), |c| c.inline_hit_path = false);
 
             // The fast-path counters classify at issue time in both modes,
             // so even they must agree; only the event count and calendar
@@ -68,24 +62,24 @@ fn fast_path_digest_identical_across_figure_configs() {
                 normalized_digest(&on),
                 normalized_digest(&off),
                 "{} seed {seed}: inline hit path leaked into simulated stats",
-                config.label()
+                policy.label()
             );
             assert_eq!(
                 (on.fast_path_hits, on.fast_path_sectors),
                 (off.fast_path_hits, off.fast_path_sectors),
                 "{} seed {seed}: fast-path classification depends on the knob",
-                config.label()
+                policy.label()
             );
             for chunk in CHUNKS {
                 let mut engine =
-                    assemble(&w, config, &opts(seed), |c| c.inline_hit_path = true);
+                    assemble_policy(&w, policy, &opts(seed), |c| c.inline_hit_path = true);
                 engine.start();
                 while engine.run_steps(chunk) {}
                 assert_eq!(
                     engine.finish().digest(),
                     on.digest(),
                     "{} seed {seed}: run_steps({chunk}) diverged from run()",
-                    config.label()
+                    policy.label()
                 );
             }
             total_fast_sectors += on.fast_path_sectors;
@@ -103,9 +97,9 @@ fn fast_path_full_debug_rendering_matches() {
     // one speculation-heavy config field-for-field via Debug rendering,
     // the same trick fast_forward.rs uses.
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
-    for config in [SystemConfig::Baseline, SystemConfig::Avatar] {
-        let mut on = run_with(&w, config, &opts(0), |c| c.inline_hit_path = true);
-        let mut off = run_with(&w, config, &opts(0), |c| c.inline_hit_path = false);
+    for def in [BASELINE, AVATAR] {
+        let mut on = run_policy_with(&w, def, &opts(0), |c| c.inline_hit_path = true);
+        let mut off = run_policy_with(&w, def, &opts(0), |c| c.inline_hit_path = false);
         for s in [&mut on, &mut off] {
             s.events_processed = 0;
             s.idle_cycles_skipped = 0;
@@ -118,7 +112,7 @@ fn fast_path_full_debug_rendering_matches() {
             format!("{on:?}"),
             format!("{off:?}"),
             "{}: inline hit path leaked into a non-digested field",
-            config.label()
+            def.label
         );
     }
 }

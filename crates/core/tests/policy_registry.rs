@@ -1,53 +1,15 @@
-//! The policy registry is a drop-in replacement for the enum-era
-//! `SystemConfig` assembly — byte-for-byte.
+//! The registry's post-paper policies are live, not stubs.
 //!
-//! Two properties gate the registry refactor:
-//!
-//! * **Digest parity** — every legacy `SystemConfig` variant, run through
-//!   the enum entry points, produces a `Stats` digest identical to the
-//!   same system assembled from its parsed registry name. The registry
-//!   cannot perturb any pre-existing result.
-//! * **New policies live** — Revelator actually speculates and rapid-
-//!   validates on a real workload (not a stub that compiles and idles),
-//!   and the dead-entry modifier runs to completion on top of Avatar.
+//! Revelator actually speculates and rapid-validates on a real workload
+//! (not a stub that compiles and idles), and the dead-entry modifier runs
+//! to completion on top of Avatar and changes what it simulates.
 
 use avatar_core::policy::PolicySelection;
-use avatar_core::system::{run, run_policy, RunOptions, SystemConfig};
+use avatar_core::system::{run_policy, RunOptions};
 use avatar_workloads::Workload;
-
-/// Every enum variant and the registry name it must alias.
-const ENUM_ALIASES: [(SystemConfig, &str); 10] = [
-    (SystemConfig::Baseline, "baseline"),
-    (SystemConfig::IdealTlb, "ideal"),
-    (SystemConfig::Promotion, "promotion"),
-    (SystemConfig::Colt, "colt"),
-    (SystemConfig::SnakeByte, "snakebyte"),
-    (SystemConfig::CastOnly, "cast"),
-    (SystemConfig::Avatar, "avatar"),
-    (SystemConfig::AvatarNoEaf, "avatar-noeaf"),
-    (SystemConfig::CastIdealValid, "cast-ideal"),
-    (SystemConfig::AvatarVpnT, "avatar-vpnt"),
-];
 
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
-}
-
-#[test]
-fn registry_names_reproduce_enum_digests() {
-    let w = Workload::by_abbr("MD").expect("workload table contains MD");
-    for seed in [7u64, 99] {
-        for (config, name) in ENUM_ALIASES {
-            let sel = PolicySelection::parse(name)
-                .unwrap_or_else(|e| panic!("'{name}' must parse: {e}"));
-            let via_enum = run(&w, config, &opts(seed)).digest();
-            let via_name = run_policy(&w, sel, &opts(seed)).digest();
-            assert_eq!(
-                via_name, via_enum,
-                "'{name}' seed {seed}: registry assembly diverged from {config:?}"
-            );
-        }
-    }
 }
 
 #[test]

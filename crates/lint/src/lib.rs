@@ -20,8 +20,7 @@
 //!   and hash-map iteration order at order-sensitive sinks.
 //!
 //! Findings print as `file:line: [rule-id] message` and can also be
-//! emitted as JSON, SARIF, or GitHub annotations for CI. Escapes, most
-//! specific first:
+//! written as a JSON report for CI. Escapes, most specific first:
 //!
 //! * `// lint:allow(rule-id)` on the offending line or the line above
 //!   suppresses one *local*-rule site (still reported as `allowed`);
@@ -38,8 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod emit;
 mod items;
 pub mod lexer;
 mod semantic;
@@ -289,15 +286,6 @@ impl Config {
     pub fn is_allowed(&self, rule: &str) -> bool {
         self.allowed_rules.iter().any(|r| r == rule || r == "all")
     }
-
-    /// The allow set in sorted order (folded into the cache key: a
-    /// different allow set changes which findings are deny-level).
-    pub fn allow_fingerprint(&self) -> Vec<String> {
-        let mut v = self.allowed_rules.clone();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 /// Result of a lint run.
@@ -310,9 +298,6 @@ pub struct Report {
     /// Analysis wall time in milliseconds (filled by the CLI; 0 in
     /// library use).
     pub wall_ms: u64,
-    /// Incremental-cache status for this run: `"off"`, `"miss"`, or
-    /// `"hit"` (filled by the CLI; `"off"` in library use).
-    pub cache: &'static str,
 }
 
 impl Report {
@@ -365,12 +350,11 @@ impl Report {
     /// and analysis wall time.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"avatar-lint/2\",\n");
+        s.push_str("  \"schema\": \"avatar-lint/3\",\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"deny\": {},\n", self.deny_count()));
         s.push_str(&format!("  \"allowed\": {},\n", self.allowed_count()));
         s.push_str(&format!("  \"wall_ms\": {},\n", self.wall_ms));
-        s.push_str(&format!("  \"cache\": \"{}\",\n", self.cache));
         s.push_str("  \"rules\": [\n");
         for (i, r) in RULES.iter().enumerate() {
             let (deny, allowed) = self.rule_counts(r.id);
@@ -401,7 +385,7 @@ impl Report {
     }
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
+fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -698,7 +682,7 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
-    Report { findings, files_scanned: files.len(), wall_ms: 0, cache: "off" }
+    Report { findings, files_scanned: files.len(), wall_ms: 0 }
 }
 
 /// `..` rest patterns inside `fn key_digest` bodies (brace-tracked,
@@ -949,25 +933,18 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Reads every workspace source file under `root` into
-/// `(workspace-relative path, contents)` pairs, sorted by path.
-pub fn read_workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+/// Lints every workspace source file under `root` (local + semantic
+/// rules), as `(workspace-relative path, contents)` pairs sorted by path.
+pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
     let files = workspace_files(root)?;
-    let mut out = Vec::with_capacity(files.len());
+    let mut sources = Vec::with_capacity(files.len());
     for f in &files {
         let rel = match f.strip_prefix(root) {
             Ok(r) => r.to_string_lossy().replace('\\', "/"),
             Err(_) => f.to_string_lossy().replace('\\', "/"),
         };
-        out.push((rel, fs::read_to_string(f)?));
+        sources.push((rel, fs::read_to_string(f)?));
     }
-    Ok(out)
-}
-
-/// Lints every workspace source file under `root` (local + semantic
-/// rules).
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
-    let sources = read_workspace_sources(root)?;
     Ok(lint_sources(&sources, cfg))
 }
 
@@ -1266,7 +1243,7 @@ mod tests {
         let (deny, allowed) = report.rule_counts(DIGEST_FIELD_PARITY);
         assert_eq!((deny, allowed), (1, 0));
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"avatar-lint/2\""));
+        assert!(json.contains("\"schema\": \"avatar-lint/3\""));
         assert!(json.contains("\"rule\": \"digest-field-parity\", \"deny\": 1"));
     }
 }

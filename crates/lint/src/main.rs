@@ -1,24 +1,21 @@
 //! `avatar-lint` CLI: scan the workspace sources and report rule
-//! violations as `file:line: [rule-id] message` (and optionally JSON,
-//! SARIF, or GitHub annotations).
+//! violations as `file:line: [rule-id] message` (and optionally as a
+//! JSON report).
 //!
 //! ```text
 //! cargo run -p avatar-lint                  # text report, exit 1 on findings
 //! cargo run -p avatar-lint -- --json o.json # also write the CI report
-//! cargo run -p avatar-lint -- --sarif o.sarif --emit github
-//! cargo run -p avatar-lint -- --cache target/lint-cache.txt  # warm re-lints replay
 //! AVATAR_LINT_ALLOW=vec-vec cargo run -p avatar-lint   # downgrade a rule
 //! ```
 
 #![forbid(unsafe_code)]
 
-use avatar_lint::{cache, emit, lint_sources, read_workspace_sources, Config, Report, RULES};
+use avatar_lint::{lint_workspace, Config, RULES};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> &'static str {
-    "usage: avatar-lint [--root <dir>] [--json <path>] [--sarif <path>] [--emit <text|github|sarif>]\n\
-     \u{20}                  [--cache <path>] [--no-cache] [--allow <rule,rule>] [--show-allowed]\n\
+    "usage: avatar-lint [--root <dir>] [--json <path>] [--allow <rule,rule>] [--show-allowed]\n\
      \u{20}                  [--list-rules] [--quiet]\n\
      \n\
      Scans <root>/src and <root>/crates/*/src with the local rules, then\n\
@@ -26,11 +23,7 @@ fn usage() -> &'static str {
      if any deny finding remains. AVATAR_LINT_ALLOW=<rule,rule> (or `all`)\n\
      downgrades rules, same as --allow; `// lint:allow(<rule>)` on or above\n\
      a line suppresses a single local-rule site; semantic rules need a\n\
-     reasoned `// lint:exempt(<rule>: <reason>)` marker instead.\n\
-     --cache replays the previous run's findings when neither the sources,\n\
-     the allow set, nor the lint binary changed (content-addressed, like\n\
-     the bench sweep cache); --sarif writes a SARIF 2.1.0 artifact in\n\
-     addition to the chosen --emit stream."
+     reasoned `// lint:exempt(<rule>: <reason>)` marker instead."
 }
 
 /// Walks upward from the current directory to the first directory that
@@ -51,10 +44,6 @@ fn main() -> ExitCode {
     let mut cfg = Config::from_env();
     let mut root: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut sarif_path: Option<PathBuf> = None;
-    let mut cache_path: Option<PathBuf> = None;
-    let mut no_cache = false;
-    let mut emit_mode = "text".to_string();
     let mut show_allowed = false;
     let mut quiet = false;
 
@@ -63,20 +52,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--root" => root = argv.next().map(PathBuf::from),
             "--json" => json_path = argv.next().map(PathBuf::from),
-            "--sarif" => sarif_path = argv.next().map(PathBuf::from),
-            "--cache" => cache_path = argv.next().map(PathBuf::from),
-            "--no-cache" => no_cache = true,
-            "--emit" => {
-                let Some(mode) = argv.next() else {
-                    eprintln!("avatar-lint: --emit needs a mode\n{}", usage());
-                    return ExitCode::from(2);
-                };
-                if !matches!(mode.as_str(), "text" | "github" | "sarif") {
-                    eprintln!("avatar-lint: unknown --emit mode `{mode}`\n{}", usage());
-                    return ExitCode::from(2);
-                }
-                emit_mode = mode;
-            }
             "--allow" => {
                 if let Some(list) = argv.next() {
                     cfg.allow_list(&list);
@@ -107,35 +82,13 @@ fn main() -> ExitCode {
     let t0 = std::time::Instant::now();
 
     let root = root.unwrap_or_else(find_root);
-    let sources = match read_workspace_sources(&root) {
-        Ok(s) => s,
+    let mut report = match lint_workspace(&root, &cfg) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("avatar-lint: failed to scan {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    let key = cache_path
-        .as_ref()
-        .filter(|_| !no_cache)
-        .map(|_| cache::cache_key(&sources, &cfg));
-    let mut report: Report;
-    let mut cache_status = "off";
-    if let (Some(path), Some(key)) = (&cache_path, key) {
-        if let Some((files_scanned, findings)) = cache::load(path, key) {
-            report = Report { findings, files_scanned, wall_ms: 0, cache: "hit" };
-            cache_status = "hit";
-        } else {
-            report = lint_sources(&sources, &cfg);
-            cache_status = "miss";
-            if let Err(e) = cache::store(path, key, report.files_scanned, &report.findings) {
-                eprintln!("avatar-lint: failed to write cache {}: {e}", path.display());
-            }
-        }
-    } else {
-        report = lint_sources(&sources, &cfg);
-    }
-    report.cache = cache_status;
     // lint:allow(nondeterminism)
     report.wall_ms = t0.elapsed().as_millis() as u64;
 
@@ -145,29 +98,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    if let Some(path) = &sarif_path {
-        if let Err(e) = std::fs::write(path, emit::to_sarif(&report)) {
-            eprintln!("avatar-lint: failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
 
-    let text = match emit_mode.as_str() {
-        "github" => emit::to_github(&report),
-        "sarif" => emit::to_sarif(&report),
-        _ => report.to_text(show_allowed),
-    };
+    let text = report.to_text(show_allowed);
     if !text.is_empty() {
         print!("{text}");
     }
     if !quiet {
         eprintln!(
-            "avatar-lint: scanned {} files, {} deny finding(s), {} allowed, {} ms (cache {})",
+            "avatar-lint: scanned {} files, {} deny finding(s), {} allowed, {} ms",
             report.files_scanned,
             report.deny_count(),
             report.allowed_count(),
             report.wall_ms,
-            report.cache,
         );
     }
     if report.deny_count() > 0 {

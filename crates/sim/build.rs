@@ -6,8 +6,8 @@
 //! MOD/VPN tables, system assembly), the workload generators
 //! (`avatar-workloads`: traces and the content model), the compression
 //! codecs (`avatar-bpc`, selected via `RunOptions::codec`), and the
-//! baseline TLBs (`avatar-baselines`, assembled by the baseline
-//! `SystemConfig` stacks). File names and contents are folded in sorted
+//! baseline TLBs (`avatar-baselines`, assembled by the CoLT and
+//! SnakeByte registry policies). File names and contents are folded in sorted
 //! path order; the digest is baked into the library via the
 //! `AVATAR_ENGINE_FINGERPRINT` environment variable and becomes part of
 //! every result-cache key: any change to result-affecting source — even
@@ -31,7 +31,7 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// Source trees whose contents can change simulation results, relative
 /// to this crate's manifest directory. The harness crate
 /// (`avatar-bench`) is deliberately absent: every input it feeds the
-/// engine — workload spec, `SystemConfig`, `RunOptions`, post-tweak
+/// engine — workload spec, `PolicySelection`, `RunOptions`, post-tweak
 /// `GpuConfig` — is folded into the cache key separately, so bench-side
 /// edits must not invalidate the cache. Keep in sync with DESIGN.md §12.
 const RESULT_AFFECTING_SRC: &[&str] = &[

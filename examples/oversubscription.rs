@@ -5,7 +5,8 @@
 //! Usage: `cargo run --release --example oversubscription [ABBR] [FACTOR]`
 //! (default SPMV at 130%).
 
-use avatar_gpu::core::system::{run, speedup, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::{AVATAR, BASELINE, COLT, PROMOTION};
+use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
 use avatar_gpu::workloads::Workload;
 
 fn main() {
@@ -28,16 +29,16 @@ fn main() {
     );
 
     for (label, opts) in [("fits in memory", &base_opts), ("oversubscribed", &over_opts)] {
-        let baseline = run(&workload, SystemConfig::Baseline, opts);
+        let baseline = run_policy(&workload, BASELINE, opts);
         println!(
             "--- {label}: baseline {} cycles, {} chunk evictions, {} TLB shootdowns",
             baseline.cycles, baseline.chunks_evicted, baseline.tlb_shootdowns
         );
-        for cfg in [SystemConfig::Promotion, SystemConfig::Colt, SystemConfig::Avatar] {
-            let s = run(&workload, cfg, opts);
+        for def in [PROMOTION, COLT, AVATAR] {
+            let s = run_policy(&workload, def, opts);
             println!(
                 "    {:<10} speedup {:.3}x  (promotions {}, splinters {}, spec accuracy {:.0}%)",
-                cfg.label(),
+                def.label,
                 speedup(&baseline, &s),
                 s.promotions,
                 s.splinters,

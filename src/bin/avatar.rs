@@ -1,45 +1,28 @@
 //! `avatar` — command-line front end for the reproduction.
 //!
 //! ```text
-//! avatar list                          show workloads and configurations
-//! avatar run <ABBR> [flags]            run one workload on one config
-//! avatar compare <ABBR> [flags]        run the Fig 15 configuration set
+//! avatar list                          show workloads and policies
+//! avatar run <ABBR> [flags]            run one workload on one policy
+//! avatar compare <ABBR> [flags]        run the Fig 15 policy set
 //! avatar trace <ABBR> [--out FILE]     dump the workload's warp trace
 //! avatar replay <FILE> [flags]         run a trace file through the system
 //!
-//! flags: --config <name>  (baseline|ideal|promotion|colt|snakebyte|
-//!                          cast|avatar|avatar-noeaf|ideal-valid|vpnt)
+//! flags: --config <policy>  registry name, optionally with +dead
+//!                           (`avatar list` prints them; default avatar)
 //!        --scale <f> --sms <n> --warps <n> --oversub <f>
 //!        --compress <f>   (replay only: sector compressibility 0..1)
 //! ```
 
-use avatar_gpu::core::system::{run, speedup, RunOptions, SystemConfig};
-use avatar_gpu::core::AvatarPolicy;
+use avatar_gpu::core::policy::{PolicySelection, AVATAR, BASELINE, FIG15, REGISTRY};
+use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
 use avatar_gpu::sim::config::GpuConfig;
 use avatar_gpu::sim::engine::Engine;
 use avatar_gpu::sim::hooks::UniformCompression;
-use avatar_gpu::sim::tlb::{BaseTlb, TlbModel};
 use avatar_gpu::workloads::{FileProgram, Workload};
 use std::process::ExitCode;
 
-fn parse_config(name: &str) -> Option<SystemConfig> {
-    Some(match name {
-        "baseline" => SystemConfig::Baseline,
-        "ideal" => SystemConfig::IdealTlb,
-        "promotion" => SystemConfig::Promotion,
-        "colt" => SystemConfig::Colt,
-        "snakebyte" => SystemConfig::SnakeByte,
-        "cast" => SystemConfig::CastOnly,
-        "avatar" => SystemConfig::Avatar,
-        "avatar-noeaf" => SystemConfig::AvatarNoEaf,
-        "ideal-valid" => SystemConfig::CastIdealValid,
-        "vpnt" => SystemConfig::AvatarVpnT,
-        _ => return None,
-    })
-}
-
 struct Flags {
-    config: SystemConfig,
+    config: PolicySelection,
     opts: RunOptions,
     out: Option<String>,
     compress: f64,
@@ -48,7 +31,7 @@ struct Flags {
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut f = Flags {
-        config: SystemConfig::Avatar,
+        config: AVATAR.into(),
         opts: RunOptions { scale: 0.25, sms: Some(16), warps: Some(32), ..RunOptions::default() },
         out: None,
         compress: 0.675,
@@ -60,10 +43,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             it.next().cloned().ok_or_else(|| format!("{what} needs a value"))
         };
         match a.as_str() {
-            "--config" => {
-                let v = next("--config")?;
-                f.config = parse_config(&v).ok_or_else(|| format!("unknown config '{v}'"))?;
-            }
+            "--config" => f.config = PolicySelection::parse(&next("--config")?)?,
             "--scale" => f.opts.scale = next("--scale")?.parse().map_err(|e| format!("{e}"))?,
             "--sms" => f.opts.sms = Some(next("--sms")?.parse().map_err(|e| format!("{e}"))?),
             "--warps" => f.opts.warps = Some(next("--warps")?.parse().map_err(|e| format!("{e}"))?),
@@ -126,7 +106,10 @@ fn main() -> ExitCode {
             for w in Workload::ml_suite() {
                 println!("  {:<6} {}", w.abbr, w.name);
             }
-            println!("configs: baseline ideal promotion colt snakebyte cast avatar avatar-noeaf ideal-valid vpnt");
+            println!("policies (--config NAME, optionally NAME+dead):");
+            for def in REGISTRY {
+                println!("  {:<13} {}", def.name, def.summary);
+            }
             ExitCode::SUCCESS
         }
         "run" | "compare" | "trace" => {
@@ -140,15 +123,15 @@ fn main() -> ExitCode {
             };
             match cmd.as_str() {
                 "run" => {
-                    let s = run(&w, flags.config, &flags.opts);
-                    summarize(flags.config.label(), &s);
+                    let s = run_policy(&w, flags.config, &flags.opts);
+                    summarize(&flags.config.label(), &s);
                 }
                 "compare" => {
-                    let base = run(&w, SystemConfig::Baseline, &flags.opts);
-                    summarize("Baseline", &base);
-                    for cfg in SystemConfig::FIG15 {
-                        let s = run(&w, cfg, &flags.opts);
-                        println!("{:<18} speedup {:.3}x", cfg.label(), speedup(&base, &s));
+                    let base = run_policy(&w, BASELINE, &flags.opts);
+                    summarize(BASELINE.label, &base);
+                    for def in FIG15 {
+                        let s = run_policy(&w, def, &flags.opts);
+                        println!("{:<18} speedup {:.3}x", def.label, speedup(&base, &s));
                     }
                 }
                 _ => {
@@ -200,32 +183,15 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
+            // Replay assembles the selected system like `run` does, but
+            // drives it with the trace file and a uniform content model.
+            let sel = flags.config;
             let mut cfg = GpuConfig::rtx3070();
             cfg.num_sms = flags.opts.sms.unwrap_or(16);
             cfg.warps_per_sm = flags.opts.warps.unwrap_or(32);
-            let avatar_mode = matches!(
-                flags.config,
-                SystemConfig::Avatar | SystemConfig::AvatarNoEaf | SystemConfig::AvatarVpnT
-            );
-            cfg.uvm.promotion = flags.config.uses_promotion();
-            cfg.uvm.embed_page_info = avatar_mode;
-            cfg.ideal_tlb = flags.config == SystemConfig::IdealTlb;
-            let l1s: Vec<Box<dyn TlbModel>> = (0..cfg.num_sms)
-                .map(|_| {
-                    Box::new(BaseTlb::new(
-                        cfg.l1_tlb.base_entries,
-                        cfg.l1_tlb.large_entries,
-                        0,
-                        1,
-                    )) as Box<dyn TlbModel>
-                })
-                .collect();
-            let l2 = Box::new(BaseTlb::new(cfg.l2_tlb.base_entries, cfg.l2_tlb.large_entries, 8, 1));
-            let policy: Box<dyn avatar_gpu::sim::hooks::TranslationPolicy> = if avatar_mode {
-                Box::new(AvatarPolicy::avatar(cfg.num_sms, 32, 2))
-            } else {
-                Box::new(avatar_gpu::sim::hooks::NoSpeculation)
-            };
+            sel.configure(&mut cfg);
+            let (l1s, l2) = sel.build_tlbs(&cfg);
+            let policy = sel.build_policy(&cfg);
             let stats = Engine::new(
                 cfg,
                 l1s,
@@ -235,7 +201,7 @@ fn main() -> ExitCode {
                 Box::new(program),
             )
             .run();
-            summarize(flags.config.label(), &stats);
+            summarize(&sel.label(), &stats);
             ExitCode::SUCCESS
         }
         other => {

@@ -16,13 +16,14 @@
 //! # Quick start
 //!
 //! ```
-//! use avatar_gpu::core::system::{run, RunOptions, SystemConfig};
+//! use avatar_gpu::core::policy::{AVATAR, BASELINE};
+//! use avatar_gpu::core::system::{run_policy, RunOptions};
 //! use avatar_gpu::workloads::Workload;
 //!
 //! let w = Workload::by_abbr("SSSP").expect("Table III workload");
 //! let opts = RunOptions { scale: 0.02, sms: Some(2), warps: Some(4), ..RunOptions::default() };
-//! let base = run(&w, SystemConfig::Baseline, &opts);
-//! let avatar = run(&w, SystemConfig::Avatar, &opts);
+//! let base = run_policy(&w, BASELINE, &opts);
+//! let avatar = run_policy(&w, AVATAR, &opts);
 //! println!(
 //!     "Avatar speedup {:.2}x, speculation accuracy {:.1}%",
 //!     avatar_gpu::core::system::speedup(&base, &avatar),

@@ -2,44 +2,42 @@
 //! architectural behaviour, runs must be deterministic, and the accounting
 //! must be conserved across configurations.
 
-use avatar_gpu::core::system::{run, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::{
+    PolicySelection, AVATAR, AVATAR_NOEAF, BASELINE, CAST, COLT, IDEAL, SNAKEBYTE,
+};
+use avatar_gpu::core::system::{run_policy, RunOptions};
 use avatar_gpu::workloads::Workload;
 
 fn opts() -> RunOptions {
     RunOptions { scale: 0.05, sms: Some(4), warps: Some(8), ..RunOptions::default() }
 }
 
-const ALL_CONFIGS: [SystemConfig; 9] = [
-    SystemConfig::Baseline,
-    SystemConfig::IdealTlb,
-    SystemConfig::Promotion,
-    SystemConfig::Colt,
-    SystemConfig::SnakeByte,
-    SystemConfig::CastOnly,
-    SystemConfig::Avatar,
-    SystemConfig::CastIdealValid,
-    SystemConfig::AvatarVpnT,
-];
+/// Every registry policy, plus the dead-entry modifier on Avatar.
+fn all_policies() -> Vec<PolicySelection> {
+    PolicySelection::all_base()
+        .chain([PolicySelection::parse("avatar+dead").expect("registry name")])
+        .collect()
+}
 
 #[test]
 fn every_configuration_completes_every_issued_access() {
     // The engine debug-asserts internally that all sector requests
     // complete; here we check the visible accounting across configs.
     let w = Workload::by_abbr("SSSP").unwrap();
-    for cfg in ALL_CONFIGS {
-        let s = run(&w, cfg, &opts());
-        assert!(s.loads > 0, "{}: no loads issued", cfg.label());
+    for sel in all_policies() {
+        let s = run_policy(&w, sel, &opts());
+        assert!(s.loads > 0, "{}: no loads issued", sel.label());
         assert_eq!(
             s.sector_latency.count(),
             s.sector_requests,
             "{}: every sector request must record a completion latency",
-            cfg.label()
+            sel.label()
         );
         assert_eq!(
             s.load_latency.count(),
             s.loads + s.stores,
             "{}: every warp memory instruction must complete",
-            cfg.label()
+            sel.label()
         );
     }
 }
@@ -50,26 +48,26 @@ fn speculation_does_not_change_the_work_performed() {
     // counts under every configuration — speculation accelerates, it must
     // not add or drop architectural work.
     let w = Workload::by_abbr("GC").unwrap();
-    let base = run(&w, SystemConfig::Baseline, &opts());
-    for cfg in ALL_CONFIGS {
-        let s = run(&w, cfg, &opts());
-        assert_eq!(s.instructions, base.instructions, "{}", cfg.label());
-        assert_eq!(s.loads, base.loads, "{}", cfg.label());
-        assert_eq!(s.sector_requests, base.sector_requests, "{}", cfg.label());
+    let base = run_policy(&w, BASELINE, &opts());
+    for sel in all_policies() {
+        let s = run_policy(&w, sel, &opts());
+        assert_eq!(s.instructions, base.instructions, "{}", sel.label());
+        assert_eq!(s.loads, base.loads, "{}", sel.label());
+        assert_eq!(s.sector_requests, base.sector_requests, "{}", sel.label());
     }
 }
 
 #[test]
 fn runs_are_deterministic() {
     let w = Workload::by_abbr("XSB").unwrap();
-    for cfg in [SystemConfig::Avatar, SystemConfig::Colt, SystemConfig::SnakeByte] {
-        let a = run(&w, cfg, &opts());
-        let b = run(&w, cfg, &opts());
-        assert_eq!(a.cycles, b.cycles, "{}", cfg.label());
-        assert_eq!(a.speculations, b.speculations, "{}", cfg.label());
-        assert_eq!(a.page_walks, b.page_walks, "{}", cfg.label());
-        assert_eq!(a.dram_read_bytes, b.dram_read_bytes, "{}", cfg.label());
-        assert_eq!(a.stall_cycles, b.stall_cycles, "{}", cfg.label());
+    for def in [AVATAR, COLT, SNAKEBYTE] {
+        let a = run_policy(&w, def, &opts());
+        let b = run_policy(&w, def, &opts());
+        assert_eq!(a.cycles, b.cycles, "{}", def.label);
+        assert_eq!(a.speculations, b.speculations, "{}", def.label);
+        assert_eq!(a.page_walks, b.page_walks, "{}", def.label);
+        assert_eq!(a.dram_read_bytes, b.dram_read_bytes, "{}", def.label);
+        assert_eq!(a.stall_cycles, b.stall_cycles, "{}", def.label);
     }
 }
 
@@ -77,7 +75,7 @@ fn runs_are_deterministic() {
 fn accuracy_and_coverage_are_probabilities() {
     for abbr in ["GEMM", "SSSP", "SC"] {
         let w = Workload::by_abbr(abbr).unwrap();
-        let s = run(&w, SystemConfig::Avatar, &opts());
+        let s = run_policy(&w, AVATAR, &opts());
         assert!((0.0..=1.0).contains(&s.spec_accuracy()), "{abbr}");
         assert!((0.0..=1.0).contains(&s.spec_coverage()), "{abbr}");
         assert!(s.spec_correct <= s.speculations, "{abbr}");
@@ -92,7 +90,7 @@ fn accuracy_and_coverage_are_probabilities() {
 #[test]
 fn ideal_tlb_never_walks_or_misses() {
     let w = Workload::by_abbr("KM").unwrap();
-    let s = run(&w, SystemConfig::IdealTlb, &opts());
+    let s = run_policy(&w, IDEAL, &opts());
     assert_eq!(s.page_walks, 0);
     assert_eq!(s.l1_tlb_lookups, 0, "ideal TLB bypasses the hierarchy");
     assert_eq!(s.speculations, 0);
@@ -101,13 +99,13 @@ fn ideal_tlb_never_walks_or_misses() {
 #[test]
 fn cast_only_never_fast_translates_and_avatar_does() {
     let w = Workload::by_abbr("SSSP").unwrap();
-    let cast = run(&w, SystemConfig::CastOnly, &opts());
+    let cast = run_policy(&w, CAST, &opts());
     assert!(cast.speculations > 0);
     assert_eq!(cast.outcomes.fast_translation, 0);
     assert_eq!(cast.eaf_fills, 0);
     assert_eq!(cast.spec_compressed, 0, "CAST-only never inspects sectors");
 
-    let avatar = run(&w, SystemConfig::Avatar, &opts());
+    let avatar = run_policy(&w, AVATAR, &opts());
     assert!(avatar.outcomes.fast_translation > 0);
     assert!(avatar.eaf_fills > 0);
 }
@@ -115,8 +113,8 @@ fn cast_only_never_fast_translates_and_avatar_does() {
 #[test]
 fn eaf_reduces_page_walks() {
     let w = Workload::by_abbr("SSSP").unwrap();
-    let no_eaf = run(&w, SystemConfig::AvatarNoEaf, &opts());
-    let avatar = run(&w, SystemConfig::Avatar, &opts());
+    let no_eaf = run_policy(&w, AVATAR_NOEAF, &opts());
+    let avatar = run_policy(&w, AVATAR, &opts());
     assert!(
         avatar.page_walks + avatar.walks_aborted <= no_eaf.page_walks + no_eaf.walks_aborted + no_eaf.page_walks / 2,
         "EAF must not inflate walk work: avatar {}+{} vs no-eaf {}",
@@ -132,7 +130,7 @@ fn dram_traffic_is_conserved() {
     // Reads cover the fetched sectors and eviction flushes; writes cover
     // the migrated pages. Both must be nonzero and sane.
     let w = Workload::by_abbr("MD").unwrap();
-    let s = run(&w, SystemConfig::Baseline, &opts());
+    let s = run_policy(&w, BASELINE, &opts());
     assert!(s.dram_read_bytes > 0);
     assert_eq!(
         s.dram_write_bytes,
@@ -144,13 +142,13 @@ fn dram_traffic_is_conserved() {
 #[test]
 fn oversubscription_only_evicts_under_pressure() {
     let w = Workload::by_abbr("XSB").unwrap();
-    let unlimited = run(&w, SystemConfig::Baseline, &opts());
+    let unlimited = run_policy(&w, BASELINE, &opts());
     assert_eq!(unlimited.chunks_evicted, 0, "no pressure, no evictions");
     // A strongly constrained capacity guarantees churn regardless of how
     // much of the footprint the reduced trace touches.
-    let constrained = run(
+    let constrained = run_policy(
         &w,
-        SystemConfig::Baseline,
+        BASELINE,
         &RunOptions { oversubscription: Some(1.3), scale: 0.25, ..opts() },
     );
     assert!(constrained.chunks_evicted > 0);
@@ -163,7 +161,7 @@ fn mis_speculation_is_detected_not_consumed() {
     // speculations, and Avatar must remain architecturally equivalent (all
     // loads complete — checked by the engine) despite them.
     let w = Workload::by_abbr("SC").unwrap();
-    let s = run(&w, SystemConfig::Avatar, &RunOptions { scale: 0.25, ..opts() });
+    let s = run_policy(&w, AVATAR, &RunOptions { scale: 0.25, ..opts() });
     assert!(s.speculations > 0);
     assert!(s.cava_mismatches <= s.speculations);
     assert!(s.spec_false <= s.speculations);
@@ -176,14 +174,14 @@ fn multi_tenancy_isolates_address_spaces() {
     // accurate (no cross-tenant aliasing in the shared TLB hierarchy) and
     // validation must never accept another tenant's page (ASID check).
     let w = Workload::by_abbr("SSSP").unwrap();
-    let single = run(
+    let single = run_policy(
         &w,
-        SystemConfig::Avatar,
+        AVATAR,
         &RunOptions { tenants: 1, scale: 0.1, sms: Some(8), warps: Some(8), ..RunOptions::default() },
     );
-    let dual = run(
+    let dual = run_policy(
         &w,
-        SystemConfig::Avatar,
+        AVATAR,
         &RunOptions { tenants: 2, scale: 0.1, sms: Some(8), warps: Some(8), ..RunOptions::default() },
     );
     assert!(dual.loads > 0);
@@ -202,8 +200,8 @@ fn multi_tenancy_isolates_address_spaces() {
 fn multi_tenancy_is_deterministic() {
     let w = Workload::by_abbr("GEMM").unwrap();
     let opts = RunOptions { tenants: 2, scale: 0.05, sms: Some(4), warps: Some(4), ..RunOptions::default() };
-    let a = run(&w, SystemConfig::Avatar, &opts);
-    let b = run(&w, SystemConfig::Avatar, &opts);
+    let a = run_policy(&w, AVATAR, &opts);
+    let b = run_policy(&w, AVATAR, &opts);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.speculations, b.speculations);
 }

@@ -3,7 +3,8 @@
 //! — they run reduced configurations, so they check *direction*, not
 //! magnitude.
 
-use avatar_gpu::core::system::{run, RunOptions, SystemConfig};
+use avatar_gpu::core::policy::{AVATAR, AVATAR_VPNT, BASELINE, CAST, IDEAL, PROMOTION};
+use avatar_gpu::core::system::{run_policy, RunOptions};
 use avatar_gpu::workloads::{Class, Workload};
 
 fn opts() -> RunOptions {
@@ -16,8 +17,8 @@ fn fig3_translation_overhead_direction() {
     // workloads than class-L ones.
     let loss = |abbr: &str| {
         let w = Workload::by_abbr(abbr).unwrap();
-        let base = run(&w, SystemConfig::Baseline, &opts());
-        let ideal = run(&w, SystemConfig::IdealTlb, &opts());
+        let base = run_policy(&w, BASELINE, &opts());
+        let ideal = run_policy(&w, IDEAL, &opts());
         1.0 - ideal.cycles as f64 / base.cycles as f64
     };
     let low = loss("LMD");
@@ -30,8 +31,8 @@ fn fig3_translation_overhead_direction() {
 fn fig15_avatar_beats_baseline_on_tlb_heavy_workloads() {
     for abbr in ["SSSP", "GC", "XSB"] {
         let w = Workload::by_abbr(abbr).unwrap();
-        let base = run(&w, SystemConfig::Baseline, &opts());
-        let avatar = run(&w, SystemConfig::Avatar, &opts());
+        let base = run_policy(&w, BASELINE, &opts());
+        let avatar = run_policy(&w, AVATAR, &opts());
         assert!(
             avatar.cycles < base.cycles,
             "{abbr}: Avatar {} must beat baseline {}",
@@ -49,8 +50,8 @@ fn fig15_avatar_beats_cast_only() {
     let mut ratio = 1.0;
     for abbr in ["SSSP", "CC", "XSB"] {
         let w = Workload::by_abbr(abbr).unwrap();
-        let cast = run(&w, SystemConfig::CastOnly, &opts());
-        let avatar = run(&w, SystemConfig::Avatar, &opts());
+        let cast = run_policy(&w, CAST, &opts());
+        let avatar = run_policy(&w, AVATAR, &opts());
         ratio *= avatar.cycles as f64 / cast.cycles as f64;
     }
     let gmean = ratio.powf(1.0 / 3.0);
@@ -62,8 +63,8 @@ fn fig16_outcomes_follow_compressibility() {
     // High-compressibility workloads validate (Fast_Translation); the
     // low-compressibility outlier (SC, 13.5%) must rely on hit/merge.
     let o = opts();
-    let sssp = run(&Workload::by_abbr("SSSP").unwrap(), SystemConfig::Avatar, &o);
-    let sc = run(&Workload::by_abbr("SC").unwrap(), SystemConfig::Avatar, &o);
+    let sssp = run_policy(&Workload::by_abbr("SSSP").unwrap(), AVATAR, &o);
+    let sc = run_policy(&Workload::by_abbr("SC").unwrap(), AVATAR, &o);
     let ft = |s: &avatar_gpu::sim::Stats| s.outcomes.fraction(s.outcomes.fast_translation);
     assert!(
         ft(&sssp) > ft(&sc),
@@ -76,8 +77,8 @@ fn fig16_outcomes_follow_compressibility() {
 #[test]
 fn fig17_eaf_cuts_walks_versus_promotion() {
     let w = Workload::by_abbr("CC").unwrap();
-    let promo = run(&w, SystemConfig::Promotion, &opts());
-    let avatar = run(&w, SystemConfig::Avatar, &opts());
+    let promo = run_policy(&w, PROMOTION, &opts());
+    let avatar = run_policy(&w, AVATAR, &opts());
     assert!(
         avatar.page_walks < promo.page_walks,
         "EAF must reduce completed walks: {} vs {}",
@@ -93,7 +94,7 @@ fn fig18_accuracy_in_band() {
     let mut accs = Vec::new();
     for abbr in ["GEMM", "PAF", "SSSP", "XSB"] {
         let w = Workload::by_abbr(abbr).unwrap();
-        let s = run(&w, SystemConfig::Avatar, &opts());
+        let s = run_policy(&w, AVATAR, &opts());
         if s.speculations > 100 {
             accs.push(s.spec_accuracy());
         }
@@ -109,8 +110,8 @@ fn fig22_vpnt_coverage_depends_on_entry_adequacy() {
     // adequate* for the footprint (it needs one entry per live 2MB
     // region); on huge irregular footprints its 32 entries thrash.
     let small = Workload::by_abbr("GEMM").unwrap(); // ~10 chunks at this scale
-    let m = run(&small, SystemConfig::Avatar, &opts());
-    let v = run(&small, SystemConfig::AvatarVpnT, &opts());
+    let m = run_policy(&small, AVATAR, &opts());
+    let v = run_policy(&small, AVATAR_VPNT, &opts());
     assert!(
         v.spec_coverage() >= m.spec_coverage() * 0.95,
         "with adequate entries VPN-T must at least match MOD: {} vs {}",
@@ -119,7 +120,7 @@ fn fig22_vpnt_coverage_depends_on_entry_adequacy() {
     );
     // Both predictors must function on the big irregular footprint too.
     let big = Workload::by_abbr("BET").unwrap();
-    let vb = run(&big, SystemConfig::AvatarVpnT, &opts());
+    let vb = run_policy(&big, AVATAR_VPNT, &opts());
     assert!(vb.spec_coverage() > 0.1);
 }
 
@@ -148,7 +149,7 @@ fn class_tlb_pressure_ordering_emerges() {
     let pressure = |class: Class, abbr: &str| {
         let w = Workload::by_abbr(abbr).unwrap();
         assert_eq!(w.class, class);
-        let s = run(&w, SystemConfig::Baseline, &opts());
+        let s = run_policy(&w, BASELINE, &opts());
         (s.l2_tlb_lookups - s.l2_tlb_hits) as f64 / s.sector_requests as f64
     };
     let l = pressure(Class::L, "GEMM");
