@@ -115,12 +115,9 @@ fn main() {
     let opts = HarnessArgs::parse();
     let n_cells = grid(&opts).len();
 
-    // Host environment + speed-knob provenance, recorded per JSON entry so
-    // a benchmark number can never be quoted without the knobs it ran
-    // under. Cells build their configs from `GpuConfig::default()`, which
-    // is where the env-driven knobs are read.
+    // Host CPU count, recorded per JSON entry so a benchmark number can
+    // never be quoted without the host it ran on.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let knobs = avatar_sim::config::GpuConfig::default();
 
     // On a one-CPU host every multi-thread pass serializes into a repeat
     // of the serial measurement; skip them (the scaling gate ignores
@@ -203,8 +200,6 @@ fn main() {
             "scaling": scaling,
             "scaling_measured": scaling_measured,
             "fast_path_ratio": fast_path_ratio,
-            "fast_forward": knobs.fast_forward,
-            "inline_hit_path": knobs.inline_hit_path,
             "failed_cells": failed,
         });
     }

@@ -327,43 +327,19 @@ pub fn run_scenarios(threads: usize, scenarios: Vec<Scenario>) -> Vec<ScenarioRe
     results
 }
 
-/// Deterministic jittered exponential backoff for retry loops.
-///
-/// Attempt `a` sleeps somewhere in the envelope `[2^a/2, 3·2^a/2)`
-/// milliseconds, with the exponent capped at 10 (≈1s envelope) and the
-/// jitter drawn from a splitmix64-style mix of `(cell, attempt)`. No
-/// clock and no RNG state: the schedule is a pure function of its
-/// arguments, so retries are reproducible per cell and lint-clean on
-/// the nondeterminism rule, while distinct cells de-synchronize instead
-/// of thundering-herd retrying in lockstep.
-pub fn retry_backoff(cell: u64, attempt: u32) -> Duration {
-    const MAX_EXP: u32 = 10;
-    const BASE_US: u64 = 1_000;
-    let exp = BASE_US << attempt.min(MAX_EXP);
-    // splitmix64 finalizer over the (cell, attempt) pair.
-    let mut z =
-        cell ^ u64::from(attempt).wrapping_add(1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    // Jitter spans the full ±50% of the exponential step.
-    Duration::from_micros(exp / 2 + z % exp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn results_come_back_in_submission_order() {
-        // Jobs sleep deterministic, jittered backoff amounts (the same
-        // helper real retry loops use), so completion order scrambles
-        // relative to submission order; the runner must still hand each
-        // result back at its submission index.
+        // Later jobs sleep less, so completion order scrambles relative
+        // to submission order; the runner must still hand each result
+        // back at its submission index.
         let jobs: Vec<_> = (0..8usize)
             .map(|i| {
                 move || {
-                    std::thread::sleep(retry_backoff(i as u64, ((8 - i) % 5) as u32));
+                    std::thread::sleep(Duration::from_millis(2 * (8 - i) as u64));
                     i * 10
                 }
             })
@@ -373,28 +349,6 @@ mod tests {
             assert_eq!(c.index, i);
             assert_eq!(c.outcome.as_ref().copied().unwrap(), i * 10);
         }
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_and_bounded() {
-        for cell in 0..16u64 {
-            for attempt in 0..16u32 {
-                let d = retry_backoff(cell, attempt);
-                assert_eq!(d, retry_backoff(cell, attempt), "pure function of (cell, attempt)");
-                let exp = 1_000u128 << attempt.min(10);
-                let us = d.as_micros();
-                assert!(
-                    us >= exp / 2 && us < exp / 2 + exp,
-                    "attempt {attempt} escaped the [exp/2, 3exp/2) envelope: {us}us vs exp {exp}us"
-                );
-            }
-        }
-        // The exponent cap holds for absurd attempt counts: no overflow,
-        // still inside the widest envelope.
-        assert!(retry_backoff(3, u32::MAX).as_micros() < (1_000u128 << 10) * 3 / 2);
-        // Distinct cells draw distinct jitter (de-synchronized retries).
-        let draws: Vec<_> = (0..8u64).map(|c| retry_backoff(c, 4)).collect();
-        assert!(draws.iter().any(|&d| d != draws[0]), "cells must not retry in lockstep");
     }
 
     #[test]

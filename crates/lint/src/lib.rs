@@ -1130,7 +1130,7 @@ mod tests {
         assert_eq!(f.len(), 1, "inner fn imbalance: {f:#?}");
         assert_eq!(f[0].line, 4);
         // lint:allow above the fn signature escapes the whole function
-        // (the ProbeHub forwarding-shim pattern).
+        // (a forwarding shim that passes one half of a span to a sink).
         let shim = "//! Doc.\n\
                     // lint:allow(probe-span-balance)\n\
                     pub fn span_enter(&mut self, at: u64) {\n\

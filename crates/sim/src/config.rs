@@ -200,17 +200,6 @@ pub struct GpuConfig {
     pub ideal_tlb: bool,
     /// Deterministic seed for allocation randomness.
     pub seed: u64,
-    /// Let the event calendar jump over cycles with no pending events
-    /// (host-side speed knob; simulated behaviour is identical either way,
-    /// and the skipped cycles are reported in
-    /// [`Stats::idle_cycles_skipped`](crate::stats::Stats::idle_cycles_skipped)).
-    pub fast_forward: bool,
-    /// Resolve all-hit warp memory instructions inline at issue instead of
-    /// routing them through the event calendar (host-side speed knob; the
-    /// resulting statistics are identical either way — a CI-enforced
-    /// property). Defaults to on; set `AVATAR_NO_FASTPATH=1` to default it
-    /// off for debugging.
-    pub inline_hit_path: bool,
 }
 
 /// The engine's window span (cycles): the modeled turnaround of the
@@ -302,9 +291,6 @@ impl Default for GpuConfig {
             tenants: 1,
             ideal_tlb: false,
             seed: 0x5EED,
-            fast_forward: true,
-            // Read once at config construction, never on the event path.
-            inline_hit_path: std::env::var_os("AVATAR_NO_FASTPATH").is_none(),
         }
     }
 }
@@ -359,8 +345,6 @@ impl GpuConfig {
             tenants,
             ideal_tlb,
             seed,
-            fast_forward,
-            inline_hit_path,
         } = self;
         h.write_u64(*num_sms as u64);
         h.write_u64(*warps_per_sm as u64);
@@ -446,8 +430,6 @@ impl GpuConfig {
         h.write_u64(*tenants as u64);
         h.write_u64(u64::from(*ideal_tlb));
         h.write_u64(*seed);
-        h.write_u64(u64::from(*fast_forward));
-        h.write_u64(u64::from(*inline_hit_path));
         h.finish()
     }
 
@@ -635,18 +617,6 @@ impl GpuConfigBuilder {
         self
     }
 
-    /// Calendar fast-forward (host-side speed knob).
-    pub fn fast_forward(mut self, on: bool) -> Self {
-        self.cfg.fast_forward = on;
-        self
-    }
-
-    /// Inline hit fast path (host-side speed knob).
-    pub fn inline_hit_path(mut self, on: bool) -> Self {
-        self.cfg.inline_hit_path = on;
-        self
-    }
-
     /// L1 cache arrangement (VIPT default, PIPT for the §III-D study).
     pub fn l1_arrangement(mut self, a: CacheArrangement) -> Self {
         self.cfg.l1_arrangement = a;
@@ -820,7 +790,7 @@ mod tests {
                 uvm: UvmConfig { fragmentation: 0.5, ..base.uvm.clone() },
                 ..base.clone()
             },
-            GpuConfig { fast_forward: !base.fast_forward, ..base.clone() },
+            GpuConfig { ideal_tlb: !base.ideal_tlb, ..base.clone() },
             GpuConfig {
                 l2_tlb: TlbConfig { mshr_entries: 64, ..base.l2_tlb.clone() },
                 ..base.clone()

@@ -154,12 +154,6 @@ impl Dram {
     pub fn total_bytes(&self) -> u64 {
         self.read_bytes + self.write_bytes
     }
-
-    /// The furthest-future cycle at which any channel bus frees (debug
-    /// visibility into queue horizons).
-    pub fn max_bus_horizon(&self) -> Cycle {
-        self.channels.iter().map(|c| c.bus_free_at).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

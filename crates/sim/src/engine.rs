@@ -137,9 +137,6 @@ enum Ev {
     /// the content metadata sampled at emission time.
     L1Fill { sm: u32, pa: u64, meta: FetchedSector },
     RemoteDone { req: ReqId },
-    /// Evented twin of the inline fast path (`inline_hit_path` off): one
-    /// sector of a fully-hitting warp completing at its computed cycle.
-    FastComplete { sm: u32, warp: u32, last: bool },
     /// The speculation policy predicted a frame for this request; the
     /// lane starts the speculative L1 probe. Token event: the request is
     /// NOT pinned by it (the translation may complete first).
@@ -216,7 +213,6 @@ struct ShardLane<'a> {
     /// Striping modulus for sequence numbers: one stripe per SM plus one
     /// for the shared actor.
     actors: u64,
-    trace_req: Option<u32>,
     q: EventQueue<Ev>,
     /// Per-SM sequence counters (`seq = c * actors + sm`).
     seqs: Vec<u64>,
@@ -271,10 +267,11 @@ impl<'a> ShardLane<'a> {
         c * self.actors + sm as u64
     }
 
-    /// Discards one sequence number on `sm`'s stripe. The inline fast
-    /// path burns the seq its evented twin would have used for each
-    /// `FastComplete`, keeping the two modes' sequence streams — and
-    /// digests — identical.
+    /// Discards one sequence number on `sm`'s stripe. The fast path
+    /// skips one per sector it resolves, and that skip is part of the
+    /// recorded event order: striped seqs break same-cycle ties between
+    /// SMs, so dropping it would reorder those events and change every
+    /// digest and trace.
     #[inline]
     fn burn_seq(&mut self, sm: u32) {
         self.seqs[sm as usize] += 1;
@@ -291,12 +288,6 @@ impl<'a> ShardLane<'a> {
         let seq = self.next_seq(sm);
         self.outbox.push((t, seq, ev));
         self.exchange_out += 1;
-    }
-
-    fn trace(&self, id: ReqId, msg: &str) {
-        if self.trace_req == Some(id.slot()) {
-            eprintln!("[req {} @ {}] {msg}", id.slot(), self.q.now());
-        }
     }
 
     /// The live request behind `id`.
@@ -485,7 +476,6 @@ impl<'a> ShardLane<'a> {
             // RemoteDone pins its request only in ideal-TLB mode (where
             // no MSHR waiter holds it); the handler balances the books.
             Ev::RemoteDone { req } => self.remote_done(now, req),
-            Ev::FastComplete { sm, warp, last } => self.fast_complete(now, sm, warp, last),
             // Token event: never pinned, the handler tolerates a freed id.
             Ev::SpecDispatch { req, ppn, ideal } => self.spec_dispatch(now, req, Ppn(ppn), ideal),
             Ev::ResolveSm { sm, svpn, ppn, pages, run, via_eaf } => {
@@ -523,7 +513,6 @@ impl<'a> ShardLane<'a> {
 struct SharedLane<'a> {
     cfg: GpuConfig,
     actors: u64,
-    trace_req: Option<u32>,
     q: EventQueue<Ev>,
     /// Sequence counter for the shared actor's stripe
     /// (`seq = c * actors + (actors - 1)`).
@@ -579,12 +568,6 @@ impl<'a> SharedLane<'a> {
         let seq = self.next_seq();
         self.outbox.push((t, seq, ev));
         self.exchange_out += 1;
-    }
-
-    fn trace_id(&self, id: ReqId, msg: &str) {
-        if self.trace_req == Some(id.slot()) {
-            eprintln!("[req {} @ {}] {msg}", id.slot(), self.q.now());
-        }
     }
 
     fn tenant(&self, sm: u32) -> usize {
@@ -680,7 +663,6 @@ impl<'a> SharedLane<'a> {
             | Ev::L1Result { .. }
             | Ev::L1Fill { .. }
             | Ev::RemoteDone { .. }
-            | Ev::FastComplete { .. }
             | Ev::SpecDispatch { .. }
             | Ev::ResolveSm { .. }
             | Ev::Shootdown { .. } => {
@@ -845,13 +827,9 @@ impl<'a> ShardLane<'a> {
     /// state updates the event path spreads across its TLB-result and
     /// L1-result events — TLB LRU bump and stats, port grants, cache
     /// LRU/dirty bits — and computes each sector's completion cycle from
-    /// the Table II latencies. With `inline_hit_path` on, the latency
-    /// bookkeeping happens inline and the calendar carries only the warp
-    /// wake-up; with it off, the identical bookkeeping rides per-sector
-    /// [`Ev::FastComplete`] events. The two must be digest-identical —
-    /// that is the CI differential gate's whole claim. The inline mode
-    /// burns one sequence number per sector (the seq its evented twin
-    /// would consume), so the two modes' event orderings stay aligned.
+    /// the Table II latencies. The latency bookkeeping happens inline and
+    /// the calendar carries only the warp wake-up; one sequence number
+    /// per sector is skipped (see [`Self::burn_seq`]).
     fn fast_path_commit(
         &mut self,
         now: Cycle,
@@ -874,7 +852,7 @@ impl<'a> ShardLane<'a> {
             self.log.span_enter(SpanPoint::FastPath, Track::sm_warp(sm, warp), now);
         }
         let mut t_done = now;
-        for (i, &vaddr) in sectors.iter().enumerate() {
+        for &vaddr in sectors {
             self.stats.sector_requests += 1;
             let vpn = vaddr.vpn();
             let (ppn, done) = if let Some(sh) = ideal.as_deref_mut() {
@@ -922,58 +900,28 @@ impl<'a> ShardLane<'a> {
             if is_store {
                 self.l1_caches[li].mark_dirty(pa);
             }
-            if self.cfg.inline_hit_path {
-                self.stats.sector_latency.add(done - now);
-                self.stats.sector_latency_hist.add(done - now);
-                // Fast-path sectors allocate no request, so they feed the
-                // breakdown here: the whole latency is data-side (Fetch).
-                // The evented twin adds the identical value at its
-                // FastComplete event — commutative, digest-safe.
-                #[cfg(feature = "probes")]
-                {
-                    self.stats.latency_breakdown.add(Phase::Fetch, done - now);
-                    self.stats.latency_breakdown.sectors += 1;
-                }
-                // Seq-stream parity with the evented twin's FastComplete.
-                self.burn_seq(sm);
-            } else {
-                self.sched(sm, done, Ev::FastComplete { sm, warp, last: i + 1 == sectors.len() });
+            self.stats.sector_latency.add(done - now);
+            self.stats.sector_latency_hist.add(done - now);
+            // Fast-path sectors allocate no request, so they feed the
+            // breakdown here: the whole latency is data-side (Fetch).
+            #[cfg(feature = "probes")]
+            {
+                self.stats.latency_breakdown.add(Phase::Fetch, done - now);
+                self.stats.latency_breakdown.sectors += 1;
             }
+            self.burn_seq(sm);
             // Port grants are non-decreasing across the loop, so the last
             // sector carries the warp's completion cycle.
             t_done = t_done.max(done);
         }
-        if self.cfg.inline_hit_path {
-            self.stats.load_latency.add(t_done - now);
-        }
+        self.stats.load_latency.add(t_done - now);
         #[cfg(feature = "probes")]
         if emit_span {
             self.log.span_exit(SpanPoint::FastPath, Track::sm_warp(sm, warp), t_done);
         }
         // The warp re-issues one cycle after its last sector completes —
-        // the same wake point `complete_req` produces. Scheduled here, at
-        // issue, in *both* modes, so the wake-up occupies the identical
-        // calendar position whichever mode does the bookkeeping.
+        // the same wake point `complete_req` produces.
         self.sched(sm, t_done + 1, Ev::WarpIssue { sm, warp });
-    }
-
-    /// Evented twin of the inline fast-path latency bookkeeping
-    /// (`inline_hit_path` off): credits one sector's latency at its
-    /// computed completion cycle, and the whole warp's at the last
-    /// sector. All the adds are commutative integer sums, so running
-    /// them here instead of inline cannot change `Stats::digest()`.
-    fn fast_complete(&mut self, now: Cycle, sm: u32, warp: u32, last: bool) {
-        let issued = self.warp_issue_time[self.warp_slot(sm, warp)];
-        self.stats.sector_latency.add(now - issued);
-        self.stats.sector_latency_hist.add(now - issued);
-        #[cfg(feature = "probes")]
-        {
-            self.stats.latency_breakdown.add(Phase::Fetch, now - issued);
-            self.stats.latency_breakdown.sectors += 1;
-        }
-        if last {
-            self.stats.load_latency.add(now - issued);
-        }
     }
 
     fn start_translation(&mut self, now: Cycle, id: ReqId, ideal: Option<&mut SharedLane<'_>>) {
@@ -1183,11 +1131,6 @@ impl<'a> ShardLane<'a> {
     }
 
     fn translation_resolved_for_req(&mut self, now: Cycle, id: ReqId, ppn: Ppn, via_eaf: bool) {
-        if self.trace_req.is_some() {
-            // Guarded: the format! must not run (or allocate) per sector
-            // when tracing is off.
-            self.trace(id, &format!("translation_resolved ppn={}", ppn.0));
-        }
         let req = self.req_mut(id);
         req.real_ppn = Some(ppn);
         req.translation_done = true;
@@ -1227,14 +1170,12 @@ impl<'a> ShardLane<'a> {
                 } else {
                     SpecOutcome::L1dMerge
                 });
-                self.trace(id, "merge-wait");
                 return; // completion happens at the fill
             }
             if self.l1_caches[li].peek(spec_pa).is_some() {
                 // Prefetched sector still resident: guarantee and re-access.
                 self.l1_caches[li].set_guarantee(spec_pa, true);
                 self.wake_unguaranteed(now, sm, spec_pa);
-                self.trace(id, "l1d-hit-path");
                 self.stats.outcomes.record(if via_eaf {
                     SpecOutcome::FastTranslation
                 } else {
@@ -1278,7 +1219,6 @@ impl<'a> ShardLane<'a> {
     }
 
     fn l1_result(&mut self, now: Cycle, id: ReqId) {
-        self.trace(id, "l1_result");
         if self.req(id).completed {
             return;
         }
@@ -1358,7 +1298,6 @@ impl<'a> ShardLane<'a> {
     }
 
     fn spec_l1_result(&mut self, now: Cycle, id: ReqId, accel: &dyn TranslationPolicy) {
-        self.trace(id, "spec_l1_result");
         let req = self.req(id);
         if req.completed || req.translation_done {
             // Translation beat the speculative lookup; the normal path owns
@@ -1463,9 +1402,6 @@ impl<'a> ShardLane<'a> {
         let mut all_killed_specs = true;
         if let Some(mut waiters) = self.l1_mshrs[li].complete(pa.0) {
             for id in waiters.drain(..) {
-                if self.trace_req.is_some() {
-                    self.trace(id, &format!("l1_fill waiter pa={:#x}", pa.0));
-                }
                 let req = self.req(id);
                 if req.completed {
                     // Already satisfied elsewhere; never a reason to drop
@@ -1662,7 +1598,6 @@ impl<'a> ShardLane<'a> {
             req.completed = true;
             (req.sm, req.warp, req.issued)
         };
-        self.trace(id, "complete");
         self.stats.sector_latency.add(now - issued);
         self.stats.sector_latency_hist.add(now - issued);
         self.probe_complete(now, id);
@@ -1719,7 +1654,6 @@ impl<'a> SharedLane<'a> {
     ) {
         let tenant = tenant_of_svpn(svpn);
         let vpn = unsalt(svpn);
-        self.trace_id(id, "tlb-miss reaches shared lane");
         // Residency first: the pre-shard engine touched at issue; the
         // decomposed protocol touches at the first shared-side sighting.
         if self.touch_page(now, tenant, vpn) {
@@ -2381,12 +2315,8 @@ impl<'a> Engine<'a> {
         }
         let uvms: Vec<Uvm> =
             (0..cfg.tenants).map(|t| Uvm::for_tenant(uvm_cfg.clone(), cfg.seed, t)).collect();
-        // `AVATAR_TRACE_REQ`, parsed once at construction — `trace` sits
-        // on the per-event path and must not re-read the environment.
-        let trace_req = std::env::var("AVATAR_TRACE_REQ").ok().and_then(|v| v.parse().ok());
         let lane = ShardLane {
             actors,
-            trace_req,
             q: EventQueue::new(),
             seqs: vec![0; n],
             sms: (0..n).map(|_| SmState::new(cfg.warps_per_sm)).collect(),
@@ -2417,7 +2347,6 @@ impl<'a> Engine<'a> {
         };
         let shared = SharedLane {
             actors,
-            trace_req,
             q: EventQueue::new(),
             seq: 0,
             l2_tlb,
@@ -2618,7 +2547,6 @@ impl<'a> Engine<'a> {
         self.audit_invariants();
         self.merge_idle();
         let now = self.now();
-        let fast_forward = self.cfg.fast_forward;
         let mut stats = Stats::default();
         for sm in &mut self.lane.sms {
             sm.finish(now);
@@ -2630,7 +2558,7 @@ impl<'a> Engine<'a> {
         // (barriers/exchange) are digest-excluded: they describe how the
         // host advanced the calendars, not what the simulated GPU did.
         stats.cycles = now;
-        stats.idle_cycles_skipped = if fast_forward { self.idle_acc } else { 0 };
+        stats.idle_cycles_skipped = self.idle_acc;
         stats.horizon_barriers = self.barriers;
         stats.exchange_enqueued = self.lane.exchange_out + self.shared.exchange_out;
         stats.exchange_dequeued = self.exchange_delivered;

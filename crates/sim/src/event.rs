@@ -15,12 +15,7 @@
 //! allocates nothing and moves no enum values through the calendar — a
 //! bucket is just a `(head, tail)` index pair. An occupancy bitmap (one bit
 //! per bucket) lets `pop` jump straight to the next occupied cycle instead
-//! of draining empty buckets one at a time; the cycles skipped that way are
-//! reported as `idle_cycles_skipped` (the engine surfaces them in
-//! [`crate::stats::Stats`]). The jump can be disabled
-//! ([`EventQueue::set_fast_forward`]) to force the legacy linear scan —
-//! both paths visit the identical event sequence, which a workspace test
-//! pins byte-for-byte.
+//! of draining empty buckets one at a time.
 //!
 //! Ordering semantics are identical to the heap it replaced and are pinned
 //! by differential tests below: events pop in ascending cycle order, and
@@ -40,6 +35,9 @@ const WINDOW: u64 = 1024;
 const OCC_WORDS: usize = (WINDOW / 64) as usize;
 /// Null slab index (list terminator / empty bucket).
 const NIL: u32 = u32::MAX;
+
+/// `(time, seq)`: the total pop order of the calendar.
+type Key = (Cycle, u64);
 
 /// One slab slot: an event plus its calendar linkage.
 #[derive(Debug)]
@@ -84,10 +82,6 @@ pub struct EventQueue<E> {
     cursor: Cycle,
     seq: u64,
     now: Cycle,
-    /// Whether `pop` may jump over empty buckets via the occupancy bitmap.
-    fast_forward: bool,
-    /// Cycles jumped over while fast-forwarding (0 when disabled).
-    idle_skipped: u64,
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -115,7 +109,7 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue at cycle 0 with fast-forward enabled.
+    /// Creates an empty queue at cycle 0.
     pub fn new() -> Self {
         Self {
             slab: Vec::new(),
@@ -128,27 +122,12 @@ impl<E> EventQueue<E> {
             cursor: 0,
             seq: 0,
             now: 0,
-            fast_forward: true,
-            idle_skipped: 0,
         }
     }
 
     /// Current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> Cycle {
         self.now
-    }
-
-    /// Enables or disables the empty-bucket jump. Popping order is
-    /// identical either way; only the scan cost and the
-    /// [`idle_cycles_skipped`](Self::idle_cycles_skipped) accounting
-    /// change.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Cycles jumped over by fast-forward so far (0 while disabled).
-    pub fn idle_cycles_skipped(&self) -> u64 {
-        self.idle_skipped
     }
 
     /// Takes a slot from the free list or grows the slab.
@@ -191,11 +170,6 @@ impl<E> EventQueue<E> {
         } else {
             self.overflow.push(Reverse(FarEntry { time, seq, slot }));
         }
-    }
-
-    /// Schedules `event` `delta` cycles from now.
-    pub fn schedule_in(&mut self, delta: Cycle, event: E) {
-        self.schedule(self.now + delta, event);
     }
 
     /// Schedules `event` at `time` under a caller-assigned sequence
@@ -251,19 +225,23 @@ impl<E> EventQueue<E> {
     /// popping. Read-only; the engine's window loop compares lane heads
     /// this way when choosing the next window start.
     pub fn peek_key(&self) -> Option<(Cycle, u64)> {
-        let ring = if self.ring_len > 0 {
-            let t = self.next_occupied();
-            let head = self.heads[(t & (WINDOW - 1)) as usize];
-            let s = &self.slab[head as usize];
-            Some((s.time, s.seq))
-        } else {
-            None
-        };
-        let over = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
-        match (ring, over) {
+        match self.head_keys() {
             (Some(r), Some(o)) => Some(r.min(o)),
             (r, o) => r.or(o),
         }
+    }
+
+    /// `(time, seq)` of the ring's earliest event and of the overflow
+    /// heap's, each `None` when that part is empty.
+    #[inline]
+    fn head_keys(&self) -> (Option<Key>, Option<Key>) {
+        let ring = (self.ring_len > 0).then(|| {
+            let t = self.next_occupied();
+            let s = &self.slab[self.heads[(t & (WINDOW - 1)) as usize] as usize];
+            debug_assert_eq!(s.time, t, "bucket holds a foreign cycle");
+            (t, s.seq)
+        });
+        (ring, self.overflow.peek().map(|Reverse(e)| (e.time, e.seq)))
     }
 
     /// Cycle of the earliest non-empty ring bucket at or after `cursor`,
@@ -289,65 +267,9 @@ impl<E> EventQueue<E> {
         unreachable!("ring_len > 0 guarantees an occupied bucket");
     }
 
-    /// Cycle of the earliest non-empty ring bucket, by the legacy
-    /// one-bucket-per-cycle scan (fast-forward disabled).
-    #[inline]
-    fn next_occupied_scan(&self) -> Cycle {
-        let mut t = self.cursor;
-        loop {
-            if self.heads[(t & (WINDOW - 1)) as usize] != NIL {
-                return t;
-            }
-            t += 1;
-            debug_assert!(t - self.cursor <= WINDOW, "ring_len desynchronized");
-        }
-    }
-
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let ring_head = if self.ring_len > 0 {
-            let t = if self.fast_forward { self.next_occupied() } else { self.next_occupied_scan() };
-            let head = self.heads[(t & (WINDOW - 1)) as usize];
-            debug_assert_ne!(head, NIL);
-            let s = &self.slab[head as usize];
-            debug_assert_eq!(s.time, t, "bucket holds a foreign cycle");
-            Some((s.time, s.seq))
-        } else {
-            None
-        };
-        let overflow_head = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
-
-        let take_ring = match (ring_head, overflow_head) {
-            (Some(r), Some(o)) => r < o,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let (time, slot) = if take_ring {
-            let (t, _) = ring_head.expect("take_ring implies the ring head exists");
-            let b = (t & (WINDOW - 1)) as usize;
-            let slot = self.heads[b];
-            self.heads[b] = self.slab[slot as usize].next;
-            if self.heads[b] == NIL {
-                self.tails[b] = NIL;
-                self.occupied[b / 64] &= !(1 << (b % 64));
-            }
-            self.ring_len -= 1;
-            (t, slot)
-        } else {
-            let Reverse(e) = self.overflow.pop().expect("overflow head vanished");
-            (e.time, e.slot)
-        };
-        let event = self.slab[slot as usize].event.take().expect("slot holds an event");
-        self.free.push(slot);
-        if self.fast_forward {
-            // Cycles strictly between the previous and the new clock carry
-            // no events at all — they were never visited.
-            self.idle_skipped += (time - self.now).saturating_sub(1);
-        }
-        self.now = time;
-        self.cursor = time;
-        Some((time, event))
+        self.pop_through(Cycle::MAX)
     }
 
     /// Pops the next event only if its timestamp is strictly below
@@ -357,42 +279,29 @@ impl<E> EventQueue<E> {
     /// window drain primitive: a domain pops until the window's horizon
     /// without paying a separate peek scan per event.
     pub fn pop_before(&mut self, horizon: Cycle) -> Option<(Cycle, E)> {
-        let ring_head = if self.ring_len > 0 {
-            let t = if self.fast_forward { self.next_occupied() } else { self.next_occupied_scan() };
-            let head = self.heads[(t & (WINDOW - 1)) as usize];
-            debug_assert_ne!(head, NIL);
-            let s = &self.slab[head as usize];
-            debug_assert_eq!(s.time, t, "bucket holds a foreign cycle");
-            Some((s.time, s.seq))
-        } else {
-            None
-        };
-        let overflow_head = self.overflow.peek().map(|Reverse(e)| (e.time, e.seq));
+        self.pop_through(horizon.checked_sub(1)?)
+    }
 
-        let take_ring = match (ring_head, overflow_head) {
-            (Some(r), Some(o)) => {
-                if r.min(o).0 >= horizon {
-                    return None;
-                }
-                r < o
-            }
-            (Some(r), None) => {
-                if r.0 >= horizon {
-                    return None;
-                }
-                true
-            }
-            (None, Some(o)) => {
-                if o.0 >= horizon {
-                    return None;
-                }
-                false
-            }
+    /// The one pop body behind [`pop`](Self::pop) and
+    /// [`pop_before`](Self::pop_before): takes the `(time, seq)`-least
+    /// event if its time is at most `last`, from whichever of the ring
+    /// and the overflow heap holds it.
+    #[inline]
+    fn pop_through(&mut self, last: Cycle) -> Option<(Cycle, E)> {
+        let (time, from_overflow) = match self.head_keys() {
+            (Some(r), Some(o)) => (r.min(o).0, o < r),
+            (Some(r), None) => (r.0, false),
+            (None, Some(o)) => (o.0, true),
             (None, None) => return None,
         };
-        let (time, slot) = if take_ring {
-            let (t, _) = ring_head.expect("take_ring implies the ring head exists");
-            let b = (t & (WINDOW - 1)) as usize;
+        if time > last {
+            return None;
+        }
+        let slot = if from_overflow {
+            let Reverse(e) = self.overflow.pop().expect("overflow head vanished");
+            e.slot
+        } else {
+            let b = (time & (WINDOW - 1)) as usize;
             let slot = self.heads[b];
             self.heads[b] = self.slab[slot as usize].next;
             if self.heads[b] == NIL {
@@ -400,16 +309,10 @@ impl<E> EventQueue<E> {
                 self.occupied[b / 64] &= !(1 << (b % 64));
             }
             self.ring_len -= 1;
-            (t, slot)
-        } else {
-            let Reverse(e) = self.overflow.pop().expect("overflow head vanished");
-            (e.time, e.slot)
+            slot
         };
         let event = self.slab[slot as usize].event.take().expect("slot holds an event");
         self.free.push(slot);
-        if self.fast_forward {
-            self.idle_skipped += (time - self.now).saturating_sub(1);
-        }
         self.now = time;
         self.cursor = time;
         Some((time, event))
@@ -632,7 +535,7 @@ mod tests {
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 7);
-        q.schedule_in(3, ());
+        q.schedule(q.now() + 3, ());
         assert_eq!(q.pop(), Some((10, ())));
     }
 
@@ -694,8 +597,6 @@ mod tests {
         for trial in 0..50u64 {
             let mut rng = SimRng::seed_from_u64(0xD1FF ^ trial);
             let mut calendar = EventQueue::new();
-            // Cover both pop paths: bitmap jump and legacy linear scan.
-            calendar.set_fast_forward(trial % 2 == 0);
             let mut classic = ClassicHeap::new();
             let mut next_tag = 0u32;
             for _ in 0..2000 {
@@ -750,27 +651,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_forward_counts_skipped_idle_cycles() {
-        let mut q = EventQueue::new();
-        q.schedule(10, "a"); // skips cycles 1..=9 -> 9 idle
-        q.schedule(10, "b"); // same cycle -> no idle
-        q.schedule(12, "c"); // skips cycle 11 -> 1 idle
-        q.schedule(WINDOW * 3, "far"); // overflow pop also fast-forwards
-        while q.pop().is_some() {}
-        assert_eq!(q.idle_cycles_skipped(), 9 + 1 + (WINDOW * 3 - 12 - 1));
-    }
-
-    #[test]
-    fn disabled_fast_forward_reports_zero_idle() {
-        let mut q = EventQueue::new();
-        q.set_fast_forward(false);
-        q.schedule(10, "a");
-        q.schedule(500, "b");
-        while q.pop().is_some() {}
-        assert_eq!(q.idle_cycles_skipped(), 0);
-    }
-
-    #[test]
     fn audit_passes_under_random_churn() {
         let mut q = EventQueue::new();
         q.audit_invariants();
@@ -811,7 +691,7 @@ mod tests {
         // should never grow past the high-water mark.
         for round in 0..1000u64 {
             for k in 0..4 {
-                q.schedule_in(1 + k, round * 10 + k);
+                q.schedule(q.now() + 1 + k, round * 10 + k);
             }
             for _ in 0..4 {
                 q.pop().unwrap();

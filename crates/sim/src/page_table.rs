@@ -138,11 +138,6 @@ impl PageTable {
         self.mapped
     }
 
-    /// Number of promoted chunks.
-    pub fn promoted_chunks(&self) -> usize {
-        self.large.len()
-    }
-
     /// Radix prefix of `vpn` at `level` (0 = root .. 3 = leaf index).
     pub fn prefix(vpn: Vpn, level: usize) -> u64 {
         debug_assert!(level < LEVELS);

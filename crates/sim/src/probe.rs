@@ -244,101 +244,6 @@ pub trait Probe {
     fn finish(&mut self, end: Cycle);
 }
 
-/// The engine-side dispatch point: an optional boxed sink plus the
-/// per-warp sampling policy.
-///
-/// All forwarding methods are no-ops when no sink is attached, so the
-/// probes build without a trace request pays only a branch per emitted
-/// span — and nothing at all in the default build, where the engine
-/// does not contain the call sites.
-#[derive(Default)]
-pub struct ProbeHub {
-    sink: Option<Box<dyn Probe>>,
-    /// Emit request-level spans only for warps where
-    /// `warp % warp_sample == 0` (component spans are never sampled
-    /// away). 0 behaves as 1 (trace everything).
-    warp_sample: u32,
-}
-
-impl std::fmt::Debug for ProbeHub {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProbeHub")
-            .field("attached", &self.sink.is_some())
-            .field("warp_sample", &self.warp_sample)
-            .finish()
-    }
-}
-
-impl ProbeHub {
-    /// Attach a sink; request-level spans are kept for every
-    /// `warp_sample`-th warp (0 or 1 = all).
-    pub fn attach(&mut self, sink: Box<dyn Probe>, warp_sample: u32) {
-        self.sink = Some(sink);
-        self.warp_sample = warp_sample;
-    }
-
-    /// Whether a sink is attached.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Whether request-level spans from `warp` survive sampling.
-    #[inline]
-    pub fn sampled(&self, warp: u32) -> bool {
-        self.warp_sample <= 1 || warp.is_multiple_of(self.warp_sample)
-    }
-
-    /// Forward a complete span (no-op without a sink).
-    #[inline]
-    pub fn span(&mut self, point: SpanPoint, track: Track, start: Cycle, end: Cycle, arg: u64) {
-        if let Some(sink) = &mut self.sink {
-            sink.span(point, track, start, end, arg);
-        }
-    }
-
-    /// Forward a span open (no-op without a sink).
-    #[inline]
-    // lint:allow(probe-span-balance) — forwarding shim, not a call pair.
-    pub fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        if let Some(sink) = &mut self.sink {
-            sink.span_enter(point, track, at);
-        }
-    }
-
-    /// Forward a span close (no-op without a sink).
-    #[inline]
-    // lint:allow(probe-span-balance) — forwarding shim, not a call pair.
-    pub fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        if let Some(sink) = &mut self.sink {
-            sink.span_exit(point, track, at);
-        }
-    }
-
-    /// Forward an instant (no-op without a sink).
-    #[inline]
-    pub fn instant(&mut self, point: SpanPoint, track: Track, at: Cycle, arg: u64) {
-        if let Some(sink) = &mut self.sink {
-            sink.instant(point, track, at, arg);
-        }
-    }
-
-    /// Forward a counter sample (no-op without a sink).
-    #[inline]
-    pub fn counter(&mut self, name: &'static str, track: Track, at: Cycle, value: u64) {
-        if let Some(sink) = &mut self.sink {
-            sink.counter(name, track, at, value);
-        }
-    }
-
-    /// Flush the sink, if any, consuming it.
-    pub fn finish(&mut self, end: Cycle) {
-        if let Some(mut sink) = self.sink.take() {
-            sink.finish(end);
-        }
-    }
-}
-
 /// One buffered probe call, replayed verbatim into the inner sink.
 #[cfg(feature = "probes")]
 #[derive(Debug, Clone, Copy)]
@@ -358,7 +263,9 @@ enum Record {
 #[derive(Debug, Default)]
 pub(crate) struct RecordLog {
     records: Vec<Record>,
-    /// Per-warp sampling stride (see [`ProbeHub::sampled`]).
+    /// Emit request-level spans only for warps where
+    /// `warp % warp_sample == 0` (component spans are never sampled
+    /// away). 0 behaves as 1 (trace everything).
     warp_sample: u32,
     active: bool,
 }
@@ -400,7 +307,6 @@ impl RecordLog {
 
     /// Buffer a span open (no-op when unarmed).
     #[inline]
-    // lint:allow(probe-span-balance) — buffering shim, not a call pair.
     pub(crate) fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle) {
         if self.active {
             self.records.push(Record::Enter { point, track, at });
@@ -409,7 +315,6 @@ impl RecordLog {
 
     /// Buffer a span close (no-op when unarmed).
     #[inline]
-    // lint:allow(probe-span-balance) — buffering shim, not a call pair.
     pub(crate) fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle) {
         if self.active {
             self.records.push(Record::Exit { point, track, at });
@@ -477,13 +382,14 @@ mod tests {
         assert_eq!(Phase::ALL.len(), Phase::COUNT);
     }
 
+    #[cfg(feature = "probes")]
     #[derive(Default)]
     struct CountingSink {
         spans: usize,
         enters: usize,
         exits: usize,
-        finished: bool,
     }
+    #[cfg(feature = "probes")]
     impl Probe for CountingSink {
         fn span(&mut self, _: SpanPoint, _: Track, _: Cycle, _: Cycle, _: u64) {
             self.spans += 1;
@@ -496,26 +402,39 @@ mod tests {
         }
         fn instant(&mut self, _: SpanPoint, _: Track, _: Cycle, _: u64) {}
         fn counter(&mut self, _: &'static str, _: Track, _: Cycle, _: u64) {}
-        fn finish(&mut self, _: Cycle) {
-            self.finished = true;
-        }
+        fn finish(&mut self, _: Cycle) {}
     }
 
+    #[cfg(feature = "probes")]
     #[test]
-    fn hub_without_sink_is_inert_and_samples_every_warp() {
-        let mut hub = ProbeHub::default();
-        assert!(!hub.is_active());
-        assert!(hub.sampled(0) && hub.sampled(17));
-        hub.span_enter(SpanPoint::WarpMem, Track::sm_warp(0, 0), 5);
-        hub.finish(10); // nothing to flush, must not panic
+    fn unarmed_log_is_inert_and_samples_every_warp() {
+        let mut log = RecordLog::default();
+        assert!(!log.is_active());
+        assert!(log.sampled(0) && log.sampled(17));
+        log.span_enter(SpanPoint::WarpMem, Track::sm_warp(0, 0), 5);
+        log.span_exit(SpanPoint::WarpMem, Track::sm_warp(0, 0), 9);
+        let mut sink = CountingSink::default();
+        log.replay_into(&mut sink);
+        assert_eq!((sink.spans, sink.enters, sink.exits), (0, 0, 0), "unarmed log kept records");
     }
 
+    #[cfg(feature = "probes")]
     #[test]
-    fn hub_sampling_keeps_every_nth_warp() {
-        let mut hub = ProbeHub::default();
-        hub.attach(Box::<CountingSink>::default(), 4);
-        assert!(hub.is_active());
-        assert!(hub.sampled(0) && hub.sampled(8));
-        assert!(!hub.sampled(1) && !hub.sampled(7));
+    fn armed_log_samples_every_nth_warp_and_replays_in_order() {
+        let mut log = RecordLog::default();
+        log.arm(4);
+        assert!(log.is_active());
+        assert!(log.sampled(0) && log.sampled(8));
+        assert!(!log.sampled(1) && !log.sampled(7));
+        log.span_enter(SpanPoint::FastPath, Track::sm_warp(0, 4), 5);
+        log.span(SpanPoint::Phase(Phase::Fetch), Track::sm_warp(0, 4), 5, 9, 0);
+        log.span_exit(SpanPoint::FastPath, Track::sm_warp(0, 4), 9);
+        let mut sink = CountingSink::default();
+        log.replay_into(&mut sink);
+        assert_eq!((sink.spans, sink.enters, sink.exits), (1, 1, 1));
+        // Replay drains the log.
+        let mut again = CountingSink::default();
+        log.replay_into(&mut again);
+        assert_eq!(again.spans + again.enters + again.exits, 0, "replay left records behind");
     }
 }

@@ -147,11 +147,6 @@ impl SmState {
     pub fn all_retired(&self) -> bool {
         self.warps.iter().all(|w| matches!(w, WarpState::Retired))
     }
-
-    /// Number of warp slots.
-    pub fn num_warps(&self) -> usize {
-        self.warps.len()
-    }
 }
 
 #[cfg(test)]

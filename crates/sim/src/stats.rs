@@ -200,10 +200,10 @@ pub struct Stats {
     /// Simulation events dispatched by the engine's calendar (a host-side
     /// throughput denominator: events per wall-second, not a GPU metric).
     pub events_processed: u64,
-    /// Empty calendar cycles the engine jumped over instead of scanning
-    /// (host-side accounting; 0 when `fast_forward` is disabled). These
-    /// cycles still count in `cycles` — skipping is invisible to every
-    /// simulated metric.
+    /// Cycles in which neither engine domain processed an event, counted
+    /// from the domains' merged processed-cycle lists at each barrier.
+    /// The calendars jump over these cycles; they still count in
+    /// `cycles`, so skipping them is invisible to every simulated metric.
     pub idle_cycles_skipped: u64,
     /// Warp instructions issued (loads + compute ops).
     pub instructions: u64,
@@ -465,15 +465,6 @@ impl Stats {
     /// Total DRAM traffic in bytes.
     pub fn dram_bytes(&self) -> u64 {
         self.dram_read_bytes + self.dram_write_bytes
-    }
-
-    /// Fraction of migrated sectors that fit the 22-byte budget.
-    pub fn migrate_compress_fraction(&self) -> f64 {
-        if self.migrate_sectors == 0 {
-            0.0
-        } else {
-            self.migrate_compressed as f64 / self.migrate_sectors as f64
-        }
     }
 
     /// Fraction of sector requests resolved on the inline hit fast path.

@@ -235,14 +235,6 @@ impl PageWalkSystem {
         Some(WalkProgress::Done)
     }
 
-    /// The VPN of a live (queued or active) walk.
-    pub fn vpn_of(&self, id: WalkId) -> Option<Vpn> {
-        if let Some(w) = self.active.iter().find(|w| w.id == id) {
-            return Some(w.vpn);
-        }
-        self.queue.iter().find(|q| q.id == id).map(|q| q.vpn)
-    }
-
     /// Start cycle of a live walk (for latency stats).
     pub fn started_at(&self, id: WalkId) -> Option<Cycle> {
         self.active.iter().find(|w| w.id == id).map(|w| w.started_at)
@@ -261,11 +253,6 @@ impl PageWalkSystem {
         let before = self.queue.len();
         self.queue.retain(|q| q.id != id);
         before != self.queue.len()
-    }
-
-    /// Flushes the page-walk cache (shootdown of page-structure entries).
-    pub fn flush_pw_cache(&mut self) {
-        self.pw_cache.flush();
     }
 
     /// Queued (not yet dispatched) walks.

@@ -283,6 +283,9 @@ fn compute_only_program_costs_compute_time() {
     assert!(stats.cycles >= 5000, "50 x 100-cycle compute ops");
     assert_eq!(stats.stall_cycles, 0, "compute never counts as memory stall");
     assert_eq!(stats.dram_read_bytes, 0);
+    // Only the 51 issue cycles (0, 100, ..., 5000) hold events; the
+    // engine reports the 99 empty cycles of each gap as skipped.
+    assert_eq!(stats.idle_cycles_skipped, 50 * 99);
 }
 
 #[test]

@@ -85,15 +85,20 @@ fn corrupted_free_list_is_detected() {
     q.corrupt_free_list_for_test();
     let err = catch_unwind(AssertUnwindSafe(|| q.audit_invariants()))
         .expect_err("audit must detect a double-freed slot");
-    let msg = err
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-        .unwrap_or_default();
+    let msg = panic_message(err);
     assert!(
         msg.contains("slab slots leaked") || msg.contains("claimed twice") || msg.contains("still holds an event"),
         "unexpected audit failure message: {msg}"
     );
+}
+
+/// The text of a caught panic payload (`panic!` with arguments boxes a
+/// `String`, a literal message a `&str`).
+fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
+    err.downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
 }
 
 #[test]
@@ -104,5 +109,22 @@ fn engine_audit_detects_corrupted_calendar() {
     assert!(
         catch_unwind(AssertUnwindSafe(|| engine.audit_invariants())).is_err(),
         "engine audit must surface calendar corruption"
+    );
+}
+
+#[test]
+fn engine_audit_detects_unbalanced_exchange() {
+    // Mid-run, at a barrier, so the exchange counters are live.
+    let mut engine = small_engine();
+    engine.start();
+    assert!(engine.run_steps(64), "the run must still be in flight");
+    engine.audit_invariants(); // healthy state passes
+    engine.corrupt_exchange_for_test();
+    let err = catch_unwind(AssertUnwindSafe(|| engine.audit_invariants()))
+        .expect_err("engine audit must surface a lost cross-domain event");
+    let msg = panic_message(err);
+    assert!(
+        msg.contains("exchange counters desynchronized"),
+        "unexpected audit failure message: {msg}"
     );
 }

@@ -91,11 +91,6 @@ impl TraceProgram {
         Self { w, warps_per_sm, total_warps, ws_bytes, rounds, gens, loads_issued: 0 }
     }
 
-    /// The working-set size this program touches, in bytes.
-    pub fn working_set_bytes(&self) -> u64 {
-        self.ws_bytes
-    }
-
     fn region(&self, index: u64, count: u64) -> (u64, u64) {
         let size = self.ws_bytes / count;
         (index * size, size.max(4096))

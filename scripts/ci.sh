@@ -5,15 +5,16 @@
 # rules plus the workspace-semantic rules: shard-reachability,
 # digest/checkpoint field parity, map-iteration determinism), clippy
 # reports any warning, any test fails (including the probes-off build and
-# the checked-mode `--features invariants` suite), the inline-hit fast
-# path changes any simulated statistic (the on/off digest differential),
-# the observability layer changes any simulated statistic (probe-sink
-# differential + latency-conservation tests), the fig15 grid diverges
-# between the default, invariants, or probes-compiled-out builds, the
-# policy_sweep harness drops a default-set policy or its GMEAN row,
-# the result cache fails its warm-sweep gate (a repeat fig15 run into a
-# fresh cache directory must replay every cell, match the cold pass
-# byte-for-byte modulo the cache section, and beat the
+# the checked-mode `--features invariants` suite), a host-side variation
+# of a run (chunked stepping, an attached probe sink) changes any
+# simulated statistic in a release build (the equivalence matrix), the
+# latency breakdown loses a cycle (observability conservation), the
+# fig15 grid diverges between the default, invariants, or
+# probes-compiled-out builds (build features a runtime matrix cannot
+# toggle), the policy_sweep harness drops a default-set policy or its
+# GMEAN row, the result cache fails its warm-sweep gate (a repeat fig15
+# run into a fresh cache directory must replay every cell, match the
+# cold pass byte-for-byte modulo the cache section, and beat the
 # AVATAR_CACHE_SPEEDUP_MIN floor, default 5x),
 # a scenario cell panics during the throughput grid (the harness exits
 # non-zero on a failed cell, and on any thread-count digest divergence),
@@ -52,19 +53,15 @@ echo "== checked-mode invariants (audits + negative tests) =="
 cargo test -q -p avatar-sim --features invariants
 cargo test -q -p avatar-sim --features invariants,probes
 
-echo "== observability differential + conservation gate (release) =="
-# Attaching a probe sink must change no simulated statistic, and the
+echo "== equivalence matrix + observability conservation (release) =="
+# Every host-side variation of a run (run_steps chunking, an attached
+# probe sink) must reproduce a plain run's statistics for every registry
+# policy plus avatar+dead (crates/core/tests/equivalence.rs), and the
 # per-phase latency breakdown must attribute every sector cycle exactly
-# once (crates/core/tests/observability.rs).
-cargo test --release -q -p avatar-core --features probes --test observability
-
-echo "== fast-path differential gate (inline vs evented, every registry policy) =="
-# The inline hit fast path is a host-side speed knob: Stats::digest()
-# must be identical with it on and off for every registry policy (plus
-# avatar+dead). The sweep lives in crates/core/tests/fast_path.rs; it
-# already ran once inside the workspace test pass above, so this release
-# re-run guards against opt-level-dependent divergence.
-cargo test --release -q -p avatar-core --test fast_path
+# once (crates/core/tests/observability.rs). Both already ran inside the
+# workspace test pass above; this release re-run guards against
+# opt-level-dependent divergence.
+cargo test --release -q -p avatar-core --features probes --test equivalence --test observability
 
 echo "== invariants/probes builds must not perturb results (fig15 byte-diff) =="
 # The differential gates run with --no-cache: replaying one build's cached
