@@ -32,6 +32,7 @@ impl WarpProgram for Sweep {
     }
 }
 
+#[derive(Clone, Copy)]
 enum Kind {
     Base,
     Colt,
@@ -39,11 +40,16 @@ enum Kind {
 }
 
 fn run_with_tlb(kind: Kind) -> Stats {
+    run_with(kind, |_| {})
+}
+
+fn run_with(kind: Kind, tweak: impl FnOnce(&mut GpuConfig)) -> Stats {
     let mut cfg = GpuConfig::rtx3070();
     cfg.num_sms = 2;
     cfg.warps_per_sm = 4;
     cfg.uvm.fragmentation = 0.0;
     cfg.uvm.cross_chunk_contiguity = 1.0;
+    tweak(&mut cfg);
     let mk = |entries: usize, large: usize, assoc: usize| -> Box<dyn TlbModel> {
         match kind {
             Kind::Base => Box::new(BaseTlb::new(entries, large, assoc, 1)),
@@ -119,4 +125,20 @@ fn all_models_complete_identical_work() {
     assert_eq!(base.loads, snake.loads);
     assert_eq!(base.sector_requests, colt.sector_requests);
     assert_eq!(base.sector_requests, snake.sector_requests);
+}
+
+#[test]
+fn every_model_completes_the_work_behind_a_full_l2_tlb_mshr_file() {
+    // Two L2 TLB MSHR entries queue most lookups, so the overflow drain
+    // skips retries; CoLT and SnakeByte cannot probe, so a fill in a
+    // queued lookup's chunk always re-runs it. Under `--features
+    // invariants` checked mode proves every skip.
+    for kind in [Kind::Base, Kind::Colt, Kind::Snake] {
+        let free = run_with_tlb(kind);
+        let tight = run_with(kind, |cfg| cfg.l2_tlb.mshr_entries = 2);
+        assert!(tight.l2_tlb_mshr_full > 0, "the L2 TLB MSHR file never overflowed");
+        assert_eq!(tight.lost_requests, 0);
+        assert_eq!(tight.loads, free.loads);
+        assert_eq!(tight.sector_requests, free.sector_requests);
+    }
 }

@@ -528,7 +528,17 @@ struct SharedLane<'a> {
     accel: Box<dyn TranslationPolicy>,
     compression: Box<dyn SectorCompression + 'a>,
     l2_tlb_mshr: MshrFile<u64, u32>,
+    /// L2 TLB lookups `(sm, svpn)` that found `l2_tlb_mshr` full, oldest
+    /// first; [`SharedLane::drain_l2_tlb_overflow`] retries them.
     l2_tlb_overflow: Vec<(u32, u64)>,
+    /// Number of `l2_tlb_overflow` entries per svpn.
+    l2_tlb_queued: FxHashMap<u64, u32>,
+    /// Queued svpns allocated in `l2_tlb_mshr`, or with a marker that left
+    /// `pending_resolve`, since the last drain.
+    l2_tlb_dirty_keys: Vec<u64>,
+    /// Salted 2MB chunks an L2 TLB fill landed in since the last drain,
+    /// recorded while lookups are queued.
+    l2_tlb_dirty_chunks: Vec<u64>,
     l2_mshr: MshrFile<u64, L2Waiter>,
     l2_mshr_overflow: std::collections::VecDeque<(u64, L2Waiter)>,
     walk_of_vpn: FxHashMap<u64, WalkId>,
@@ -1663,10 +1673,10 @@ impl<'a> SharedLane<'a> {
             // to GPU-mapped regions). The lane-side MSHR waiter entry
             // drains one RemoteDone at a time.
             self.stats.remote_accesses += 1;
-            if need_l2 {
-                // Nothing was dispatched for this entry; make sure no
-                // stale resolution marker survives from a prior lifetime.
-                self.pending_resolve.remove(&(sm, svpn));
+            // Nothing was dispatched for this entry; make sure no stale
+            // resolution marker survives from a prior lifetime.
+            if need_l2 && self.pending_resolve.remove(&(sm, svpn)) {
+                self.l2_tlb_key_changed(svpn);
             }
             self.probe_span(
                 SpanPoint::Remote,
@@ -1743,9 +1753,19 @@ impl<'a> SharedLane<'a> {
     }
 
     fn l2_tlb_result(&mut self, now: Cycle, sm: u32, svpn: u64) {
+        if self.l2_tlb_access(now, sm, svpn) {
+            self.l2_tlb_overflow.push((sm, svpn));
+            *self.l2_tlb_queued.entry(svpn).or_insert(0) += 1;
+        }
+    }
+
+    /// One L2 TLB access for `(sm, svpn)`: dropped if its marker is gone,
+    /// else a hit, an MSHR merge or allocation, or `true` when the MSHR
+    /// file is full and the caller must queue the lookup.
+    fn l2_tlb_access(&mut self, now: Cycle, sm: u32, svpn: u64) -> bool {
         if !self.pending_resolve.contains(&(sm, svpn)) {
             // Already resolved (e.g. EAF released the entry).
-            return;
+            return false;
         }
         if let Some(hit) = self.l2_tlb.lookup(Vpn(svpn)) {
             self.stats.l2_tlb_hits += 1;
@@ -1756,15 +1776,38 @@ impl<'a> SharedLane<'a> {
                 1
             };
             self.resolve_one_sm(now, sm, svpn, hit.ppn, pages, Some(hit.run()), false);
-            return;
+            return false;
         }
         match self.l2_tlb_mshr.request(svpn, sm) {
-            MshrGrant::Allocated => self.start_walk(now, svpn),
+            MshrGrant::Allocated => {
+                self.l2_tlb_key_changed(svpn);
+                self.start_walk(now, svpn);
+            }
             MshrGrant::Merged => self.stats.walk_merges += 1,
             MshrGrant::Full => {
                 self.stats.l2_tlb_mshr_full += 1;
-                self.l2_tlb_overflow.push((sm, svpn));
+                return true;
             }
+        }
+        false
+    }
+
+    /// Records that queued lookups for `svpn` may no longer find the MSHR
+    /// file full: the key was allocated (they would merge) or one of its
+    /// markers left `pending_resolve` (they would be dropped).
+    fn l2_tlb_key_changed(&mut self, svpn: u64) {
+        if self.l2_tlb_queued.contains_key(&svpn) && !self.l2_tlb_dirty_keys.contains(&svpn) {
+            self.l2_tlb_dirty_keys.push(svpn);
+        }
+    }
+
+    /// Records an L2 TLB fill for `svpn`: queued lookups in its 2MB chunk
+    /// may now hit (a [`TlbModel`] requirement: a fill never makes a
+    /// lookup outside its own chunk hit).
+    fn l2_tlb_filled(&mut self, svpn: u64) {
+        let chunk = Vpn(svpn).chunk();
+        if !self.l2_tlb_queued.is_empty() && !self.l2_tlb_dirty_chunks.contains(&chunk) {
+            self.l2_tlb_dirty_chunks.push(chunk);
         }
     }
 
@@ -1783,7 +1826,9 @@ impl<'a> SharedLane<'a> {
         run: Option<ContigRun>,
         via_eaf: bool,
     ) {
-        self.pending_resolve.remove(&(sm, svpn));
+        if self.pending_resolve.remove(&(sm, svpn)) {
+            self.l2_tlb_key_changed(svpn);
+        }
         self.send(
             now + DEFAULT_RESPONSE_LOOKAHEAD,
             Ev::ResolveSm { sm, svpn, ppn: ppn.0, pages, run, via_eaf },
@@ -1905,6 +1950,7 @@ impl<'a> SharedLane<'a> {
         let run = salt_run(tenant, run);
         let fill = TlbFill { vpn: Vpn(svpn), ppn, pages, run };
         self.l2_tlb.fill(&fill);
+        self.l2_tlb_filled(svpn);
         self.charge_merge_refs(now);
         if let Some(mut waiters) = self.l2_tlb_mshr.complete(svpn) {
             let mut seen = Vec::new();
@@ -1932,10 +1978,56 @@ impl<'a> SharedLane<'a> {
         }
     }
 
+    /// Retries the queued L2 TLB lookups in arrival order, after every
+    /// MSHR release or L2 TLB fill. Every outcome is what re-running each
+    /// entry would give, but only entries whose outcome can have changed
+    /// are re-run (DESIGN.md §5 item 6); every other entry is counted as
+    /// finding the file full again and stays in place.
     fn drain_l2_tlb_overflow(&mut self, now: Cycle) {
-        let pending = std::mem::take(&mut self.l2_tlb_overflow);
-        for (sm, vpn) in pending {
-            self.l2_tlb_result(now, sm, vpn);
+        let mut queue = std::mem::take(&mut self.l2_tlb_overflow);
+        let keys = std::mem::take(&mut self.l2_tlb_dirty_keys);
+        let chunks = std::mem::take(&mut self.l2_tlb_dirty_chunks);
+        let mut kept = 0;
+        for i in 0..queue.len() {
+            let (sm, svpn) = queue[i];
+            // Entries leave the queue until one retry finds the file full
+            // (the first one kept). No MSHR slot frees inside a drain, so
+            // from then on an entry finds it full again unless its key
+            // changed (now or since the last drain) or a fill landed in
+            // its chunk and may make it hit.
+            let retry = kept == 0
+                || keys.contains(&svpn)
+                || self.l2_tlb_dirty_keys.contains(&svpn)
+                || (chunks.contains(&Vpn(svpn).chunk())
+                    && self.l2_tlb.probe(Vpn(svpn)) != Some(None));
+            if retry {
+                self.unqueue_l2_tlb_lookup(svpn);
+                if !self.l2_tlb_access(now, sm, svpn) {
+                    continue;
+                }
+                *self.l2_tlb_queued.entry(svpn).or_insert(0) += 1;
+            } else {
+                crate::debug_invariant!(
+                    self.pending_resolve.contains(&(sm, svpn))
+                        && self.l2_tlb_mshr.is_full()
+                        && !self.l2_tlb_mshr.contains(svpn)
+                        && !matches!(self.l2_tlb.probe(Vpn(svpn)), Some(Some(_))),
+                    "skipped L2 TLB retry for ({sm}, {svpn:#x}) would not find the MSHR file full"
+                );
+                self.stats.l2_tlb_mshr_full += 1;
+            }
+            queue[kept] = (sm, svpn);
+            kept += 1;
+        }
+        queue.truncate(kept);
+        self.l2_tlb_overflow = queue;
+    }
+
+    fn unqueue_l2_tlb_lookup(&mut self, svpn: u64) {
+        let n = self.l2_tlb_queued.get_mut(&svpn).expect("queued lookup is indexed");
+        *n -= 1;
+        if *n == 0 {
+            self.l2_tlb_queued.remove(&svpn);
         }
     }
 
@@ -1948,9 +2040,12 @@ impl<'a> SharedLane<'a> {
         let tenant = tenant_of_svpn(svpn);
         let fill = TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None };
         self.l2_tlb.fill(&fill);
+        self.l2_tlb_filled(svpn);
         // The origin resolved locally; retire its pending marker so a
         // later L2TlbResult doesn't double-deliver.
-        self.pending_resolve.remove(&(sm, svpn));
+        if self.pending_resolve.remove(&(sm, svpn)) {
+            self.l2_tlb_key_changed(svpn);
+        }
         // Release the shared translation machinery.
         if let Some(mut waiters) = self.l2_tlb_mshr.complete(svpn) {
             self.stats.eaf_releases += 1;
@@ -2360,6 +2455,9 @@ impl<'a> Engine<'a> {
             compression,
             l2_tlb_mshr: MshrFile::new(cfg.l2_tlb.mshr_entries),
             l2_tlb_overflow: Vec::new(),
+            l2_tlb_queued: FxHashMap::default(),
+            l2_tlb_dirty_keys: Vec::new(),
+            l2_tlb_dirty_chunks: Vec::new(),
             l2_mshr: MshrFile::new(cfg.l2_cache.mshr_entries),
             l2_mshr_overflow: std::collections::VecDeque::new(),
             walk_of_vpn: FxHashMap::default(),
@@ -2623,7 +2721,8 @@ impl<'a> Engine<'a> {
     /// tracks is known to the shared lane, walk start-times belong to
     /// live walks, the per-warp outstanding counters sum to exactly the
     /// incomplete sector requests, request pin counts match their stored
-    /// copies, and the exchange counters conserve (everything a domain
+    /// copies, every queued L2 TLB lookup would find the MSHR file full
+    /// again, and the exchange counters conserve (everything a domain
     /// ever emitted was delivered).
     ///
     /// Read-only and O(total structure size): called at barrier
@@ -2773,6 +2872,30 @@ impl<'a> Engine<'a> {
             );
         }
 
+        // The L2 TLB overflow queue holds only lookups that a retry would
+        // find the MSHR file full for, which is what lets its drain skip
+        // them (DESIGN.md §5 item 6).
+        let shared = &self.shared;
+        let mut queued: FxHashMap<u64, u32> = FxHashMap::default();
+        for &(sm, svpn) in &shared.l2_tlb_overflow {
+            *queued.entry(svpn).or_insert(0) += 1;
+            if shared.pending_resolve.contains(&(sm, svpn)) {
+                assert!(
+                    !shared.l2_tlb_mshr.contains(svpn),
+                    "queued L2 TLB lookup ({sm}, {svpn:#x}) would merge into a live MSHR entry"
+                );
+                assert!(
+                    !matches!(shared.l2_tlb.probe(Vpn(svpn)), Some(Some(_))),
+                    "queued L2 TLB lookup ({sm}, {svpn:#x}) would hit the L2 TLB"
+                );
+            }
+        }
+        assert_eq!(queued, shared.l2_tlb_queued, "L2 TLB overflow key index desynchronized");
+        assert!(
+            shared.l2_tlb_overflow.is_empty() || shared.l2_tlb_mshr.is_full(),
+            "L2 TLB lookups queued behind an MSHR file with free slots"
+        );
+
         // Exchange conservation: everything any domain pushed into its
         // outbox was delivered to a calendar at a barrier. A mismatch
         // means a cross-domain event was dropped or double-delivered.
@@ -2796,5 +2919,13 @@ impl<'a> Engine<'a> {
     #[cfg(feature = "invariants")]
     pub fn corrupt_exchange_for_test(&mut self) {
         self.exchange_delivered += 1;
+    }
+
+    /// Deliberately desynchronizes the L2 TLB overflow queue's key index
+    /// (it counts a lookup that is not queued), the barrier audit's
+    /// negative-test hook.
+    #[cfg(feature = "invariants")]
+    pub fn corrupt_l2_tlb_queue_index_for_test(&mut self) {
+        *self.shared.l2_tlb_queued.entry(u64::MAX).or_insert(0) += 1;
     }
 }

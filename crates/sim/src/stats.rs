@@ -248,9 +248,15 @@ pub struct Stats {
     pub eaf_cross_sm_fills: u64,
     /// TLB entries installed by EAF.
     pub eaf_fills: u64,
-    /// Requests that found the per-SM L1 TLB MSHR file full.
+    /// Attempts that found the per-SM L1 TLB MSHR file full: the first
+    /// attempt of a request and every retry of it from the overflow
+    /// queue, so one request can count many times.
     pub l1_tlb_mshr_full: u64,
-    /// Requests that found the shared L2 TLB MSHR file full.
+    /// Attempts that found the shared L2 TLB MSHR file full: the first
+    /// lookup and every retry of it from the overflow queue, which is
+    /// retried after each walk completion and each early or rapid fill.
+    /// One lookup can count many times (37.6M counts for 94.5k L2 TLB
+    /// lookups on the benchmark's paper-scale SSSP cells).
     pub l2_tlb_mshr_full: u64,
     /// Sector fetches that found a cache MSHR file full.
     pub cache_mshr_full: u64,

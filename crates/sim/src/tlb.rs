@@ -86,6 +86,19 @@ impl TlbHit {
 }
 
 /// The pluggable TLB interface.
+///
+/// # Requirements
+///
+/// The engine's L2 TLB overflow drain skips retries it can prove would
+/// miss (DESIGN.md §5 item 6), so every model must meet two requirements,
+/// property-tested for each model in `crates/baselines/tests/tlb_contract.rs`:
+///
+/// 1. A [`lookup`](TlbModel::lookup) that misses changes nothing a later
+///    call can observe. It may advance an LRU stamp counter, provided
+///    stamps are only ever compared with one another.
+/// 2. A [`fill`](TlbModel::fill) makes lookups hit only inside the 2MB
+///    chunk of its `vpn` ([`Vpn::chunk`]): a page outside that chunk that
+///    missed before the fill still misses after it.
 pub trait TlbModel: std::fmt::Debug {
     /// Looks up a page, updating replacement state.
     fn lookup(&mut self, vpn: Vpn) -> Option<TlbHit>;
@@ -93,9 +106,10 @@ pub trait TlbModel: std::fmt::Debug {
     /// Whether [`TlbModel::lookup`] would hit for `vpn`, without touching
     /// replacement state or any other model state. `None` means the model
     /// cannot answer non-destructively (the engine's inline fast path then
-    /// falls back to the event path); `Some(hit)` must equal exactly what
-    /// `lookup` would return. The default is `None`, so coalescing models
-    /// (CoLT, SnakeByte) opt out automatically.
+    /// falls back to the event path, and the L2 TLB overflow drain retries
+    /// the lookup); `Some(hit)` must equal exactly what `lookup` would
+    /// return. The default is `None`, so coalescing models (CoLT,
+    /// SnakeByte) opt out automatically.
     fn probe(&self, _vpn: Vpn) -> Option<Option<TlbHit>> {
         None
     }

@@ -52,6 +52,10 @@ cargo test -q -p avatar-sim -p avatar-core
 echo "== checked-mode invariants (audits + negative tests) =="
 cargo test -q -p avatar-sim --features invariants
 cargo test -q -p avatar-sim --features invariants,probes
+# CoLT and SnakeByte cannot probe, so the L2 TLB overflow drain re-runs
+# more of their queued lookups; checked mode proves every skip for them
+# too.
+cargo test -q -p avatar-baselines --features invariants
 
 echo "== equivalence matrix + observability conservation (release) =="
 # Every host-side variation of a run (run_steps chunking, an attached
