@@ -3,10 +3,11 @@
 //! retries it can prove would find the MSHR file full:
 //!
 //! 1. a `lookup` that misses changes nothing a later call can observe;
-//! 2. a `fill` makes lookups hit only inside the fill's own 2MB chunk: a
-//!    page outside it that missed before the fill still misses.
+//! 2. a `fill` makes lookups hit only inside its `fill_reach`, which holds
+//!    the fill's page and lies inside its 2MB chunk: a page outside the
+//!    reach that missed before the fill still misses.
 //!
-//! A fill may change a *hit* outside its chunk: it can evict the entry,
+//! A fill may change a *hit* outside its reach: it can evict the entry,
 //! and SnakeByte's eviction reorders its entries, so of two overlapping
 //! entries a different one may answer. The drain never retries a hit, so
 //! only misses are pinned.
@@ -152,37 +153,47 @@ fn missing_lookups_change_nothing_observable() {
 }
 
 #[test]
-fn fills_make_lookups_hit_only_inside_their_chunk() {
+fn fills_make_lookups_hit_only_inside_their_reach() {
     for &(name, make) in MODELS {
-        let mut kept_misses = 0;
+        let (mut kept_misses, mut neighbour_misses) = (0, 0);
         for trial in 0..TRIALS {
             let mut rng = SimRng::seed_from_u64(0x7c1 ^ trial);
             let mut log: Vec<Op> = (0..OPS).map(|_| op(&mut rng)).collect();
             for _ in 0..4 {
                 let f = fill(&mut rng);
-                let chunk = f.vpn.chunk();
                 // Lookups never evict, so one copy per side serves every
                 // page.
                 let mut before = replay(make, &log);
                 log.push(Op::Fill(f));
                 let mut after = replay(make, &log);
+                let reach = after.fill_reach(&f);
+                let chunk = f.vpn.chunk() * PAGES_PER_CHUNK;
+                assert!(
+                    reach.contains(&f.vpn.0)
+                        && chunk <= reach.start
+                        && reach.end <= chunk + PAGES_PER_CHUNK,
+                    "{name} trial {trial}: reach {reach:?} of {f:?} misses the page or leaves \
+                     its chunk"
+                );
                 assert!(after.lookup(f.vpn).is_some(), "{name} trial {trial}: {f:?} missed itself");
+                let neighbours = [reach.start - 1, reach.end];
                 let mut pages: Vec<u64> = (0..96).map(|_| any_page(&mut rng)).collect();
-                pages.extend([chunk * PAGES_PER_CHUNK - 1, (chunk + 1) * PAGES_PER_CHUNK]);
-                for v in pages.into_iter().map(Vpn).filter(|v| v.chunk() != chunk) {
-                    if before.lookup(v).is_none() {
-                        let is = after.lookup(v);
+                pages.extend(neighbours);
+                for v in pages.into_iter().filter(|v| !reach.contains(v)) {
+                    if before.lookup(Vpn(v)).is_none() {
+                        let is = after.lookup(Vpn(v));
                         assert!(
                             is.is_none(),
-                            "{name} trial {trial}: {f:?} made page {} outside its chunk \
-                             hit: {is:?}",
-                            v.0
+                            "{name} trial {trial}: {f:?} made page {v} outside its reach \
+                             {reach:?} hit: {is:?}"
                         );
                         kept_misses += 1;
+                        neighbour_misses += usize::from(neighbours.contains(&v));
                     }
                 }
             }
         }
-        assert!(kept_misses > 0, "{name}: no page outside a fill's chunk ever missed");
+        assert!(kept_misses > 0, "{name}: no page outside a fill's reach ever missed");
+        assert!(neighbour_misses > 0, "{name}: no neighbour of a fill's reach ever missed");
     }
 }

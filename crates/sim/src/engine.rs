@@ -54,6 +54,8 @@ use crate::stats::{CoverageBucket, SpecOutcome, Stats};
 use crate::tlb::{ContigRun, TlbFill, TlbModel};
 use crate::uvm::Uvm;
 use crate::walker::{PageWalkSystem, WalkId, WalkProgress};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
 /// Bit position where the tenant id is folded into TLB/walk keys, so one
@@ -528,17 +530,19 @@ struct SharedLane<'a> {
     accel: Box<dyn TranslationPolicy>,
     compression: Box<dyn SectorCompression + 'a>,
     l2_tlb_mshr: MshrFile<u64, u32>,
-    /// L2 TLB lookups `(sm, svpn)` that found `l2_tlb_mshr` full, oldest
-    /// first; [`SharedLane::drain_l2_tlb_overflow`] retries them.
-    l2_tlb_overflow: Vec<(u32, u64)>,
-    /// Number of `l2_tlb_overflow` entries per svpn.
-    l2_tlb_queued: FxHashMap<u64, u32>,
-    /// Queued svpns allocated in `l2_tlb_mshr`, or with a marker that left
-    /// `pending_resolve`, since the last drain.
-    l2_tlb_dirty_keys: Vec<u64>,
-    /// Salted 2MB chunks an L2 TLB fill landed in since the last drain,
-    /// recorded while lookups are queued.
-    l2_tlb_dirty_chunks: Vec<u64>,
+    /// L2 TLB lookups `(sm, svpn)` that found `l2_tlb_mshr` full, by
+    /// arrival number; [`SharedLane::drain_l2_tlb_overflow`] retries them
+    /// oldest first.
+    l2_tlb_overflow: BTreeMap<u64, (u32, u64)>,
+    /// Arrival number of the next queued L2 TLB lookup.
+    l2_tlb_arrivals: u64,
+    /// `l2_tlb_overflow` as `(svpn, arrival)`: a page's queued lookups, or
+    /// those in a fill's reach, are one range query.
+    l2_tlb_queued: BTreeSet<(u64, u64)>,
+    /// Queued svpns allocated in `l2_tlb_mshr`, with a marker that left
+    /// `pending_resolve`, or in the reach of an L2 TLB fill, since the last
+    /// drain.
+    l2_tlb_dirty_keys: BTreeSet<u64>,
     l2_mshr: MshrFile<u64, L2Waiter>,
     l2_mshr_overflow: std::collections::VecDeque<(u64, L2Waiter)>,
     walk_of_vpn: FxHashMap<u64, WalkId>,
@@ -1754,8 +1758,10 @@ impl<'a> SharedLane<'a> {
 
     fn l2_tlb_result(&mut self, now: Cycle, sm: u32, svpn: u64) {
         if self.l2_tlb_access(now, sm, svpn) {
-            self.l2_tlb_overflow.push((sm, svpn));
-            *self.l2_tlb_queued.entry(svpn).or_insert(0) += 1;
+            let arrival = self.l2_tlb_arrivals;
+            self.l2_tlb_arrivals += 1;
+            self.l2_tlb_overflow.insert(arrival, (sm, svpn));
+            self.l2_tlb_queued.insert((svpn, arrival));
         }
     }
 
@@ -1796,18 +1802,19 @@ impl<'a> SharedLane<'a> {
     /// file full: the key was allocated (they would merge) or one of its
     /// markers left `pending_resolve` (they would be dropped).
     fn l2_tlb_key_changed(&mut self, svpn: u64) {
-        if self.l2_tlb_queued.contains_key(&svpn) && !self.l2_tlb_dirty_keys.contains(&svpn) {
-            self.l2_tlb_dirty_keys.push(svpn);
+        if self.l2_tlb_queued.range((svpn, 0)..=(svpn, u64::MAX)).next().is_some() {
+            self.l2_tlb_dirty_keys.insert(svpn);
         }
     }
 
-    /// Records an L2 TLB fill for `svpn`: queued lookups in its 2MB chunk
-    /// may now hit (a [`TlbModel`] requirement: a fill never makes a
-    /// lookup outside its own chunk hit).
-    fn l2_tlb_filled(&mut self, svpn: u64) {
-        let chunk = Vpn(svpn).chunk();
-        if !self.l2_tlb_queued.is_empty() && !self.l2_tlb_dirty_chunks.contains(&chunk) {
-            self.l2_tlb_dirty_chunks.push(chunk);
+    /// Installs `fill` in the L2 TLB. Queued lookups in its reach may now
+    /// hit (a [`TlbModel`] requirement: a fill makes lookups hit only
+    /// inside [`TlbModel::fill_reach`]), so their keys become dirty.
+    fn l2_tlb_fill(&mut self, fill: &TlbFill) {
+        self.l2_tlb.fill(fill);
+        let reach = self.l2_tlb.fill_reach(fill);
+        for &(svpn, _) in self.l2_tlb_queued.range((reach.start, 0)..(reach.end, 0)) {
+            self.l2_tlb_dirty_keys.insert(svpn);
         }
     }
 
@@ -1948,9 +1955,7 @@ impl<'a> SharedLane<'a> {
         let tenant = tenant_of_svpn(svpn);
         let run = self.uvms[tenant].page_table.contiguous_run(unsalt(svpn), 16);
         let run = salt_run(tenant, run);
-        let fill = TlbFill { vpn: Vpn(svpn), ppn, pages, run };
-        self.l2_tlb.fill(&fill);
-        self.l2_tlb_filled(svpn);
+        self.l2_tlb_fill(&TlbFill { vpn: Vpn(svpn), ppn, pages, run });
         self.charge_merge_refs(now);
         if let Some(mut waiters) = self.l2_tlb_mshr.complete(svpn) {
             let mut seen = Vec::new();
@@ -1984,51 +1989,75 @@ impl<'a> SharedLane<'a> {
     /// are re-run (DESIGN.md §5 item 6); every other entry is counted as
     /// finding the file full again and stays in place.
     fn drain_l2_tlb_overflow(&mut self, now: Cycle) {
-        let mut queue = std::mem::take(&mut self.l2_tlb_overflow);
-        let keys = std::mem::take(&mut self.l2_tlb_dirty_keys);
-        let chunks = std::mem::take(&mut self.l2_tlb_dirty_chunks);
-        let mut kept = 0;
-        for i in 0..queue.len() {
-            let (sm, svpn) = queue[i];
-            // Entries leave the queue until one retry finds the file full
-            // (the first one kept). No MSHR slot frees inside a drain, so
-            // from then on an entry finds it full again unless its key
-            // changed (now or since the last drain) or a fill landed in
-            // its chunk and may make it hit.
-            let retry = kept == 0
-                || keys.contains(&svpn)
-                || self.l2_tlb_dirty_keys.contains(&svpn)
-                || (chunks.contains(&Vpn(svpn).chunk())
-                    && self.l2_tlb.probe(Vpn(svpn)) != Some(None));
-            if retry {
-                self.unqueue_l2_tlb_lookup(svpn);
-                if !self.l2_tlb_access(now, sm, svpn) {
-                    continue;
-                }
-                *self.l2_tlb_queued.entry(svpn).or_insert(0) += 1;
-            } else {
-                crate::debug_invariant!(
-                    self.pending_resolve.contains(&(sm, svpn))
-                        && self.l2_tlb_mshr.is_full()
-                        && !self.l2_tlb_mshr.contains(svpn)
-                        && !matches!(self.l2_tlb.probe(Vpn(svpn)), Some(Some(_))),
-                    "skipped L2 TLB retry for ({sm}, {svpn:#x}) would not find the MSHR file full"
-                );
-                self.stats.l2_tlb_mshr_full += 1;
+        // Entries leave from the head until one retry finds the file full.
+        let head = loop {
+            let Some((&arrival, &(sm, svpn))) = self.l2_tlb_overflow.first_key_value() else {
+                self.l2_tlb_dirty_keys.clear();
+                return;
+            };
+            if self.l2_tlb_access(now, sm, svpn) {
+                break arrival;
             }
-            queue[kept] = (sm, svpn);
-            kept += 1;
+            self.unqueue_l2_tlb_lookup(arrival, svpn);
+        };
+        // No MSHR slot frees inside a drain, so from here on an entry finds
+        // the file full again unless its key is dirty. Only later entries
+        // of dirty keys re-run, in arrival order. A re-run dirties at most
+        // its own key, which is already re-running; expanding any other
+        // key it dirtied keeps the drain exact should a hook ever do so.
+        let mut expanded = std::mem::take(&mut self.l2_tlb_dirty_keys);
+        let mut rerun = BinaryHeap::new();
+        for &svpn in &expanded {
+            self.queue_l2_tlb_rerun(&mut rerun, svpn, head);
         }
-        queue.truncate(kept);
-        self.l2_tlb_overflow = queue;
+        let mut rerun_kept = 0;
+        while let Some(Reverse(arrival)) = rerun.pop() {
+            let (sm, svpn) = self.l2_tlb_overflow[&arrival];
+            if self.l2_tlb_access(now, sm, svpn) {
+                rerun_kept += 1;
+            } else {
+                self.unqueue_l2_tlb_lookup(arrival, svpn);
+            }
+            while let Some(key) = self.l2_tlb_dirty_keys.pop_first() {
+                if expanded.insert(key) {
+                    self.queue_l2_tlb_rerun(&mut rerun, key, arrival);
+                }
+            }
+        }
+        // The head and every entry re-run have been counted; the rest are
+        // skipped retries that find the file full.
+        self.stats.l2_tlb_mshr_full += self.l2_tlb_overflow.len() as u64 - 1 - rerun_kept;
+        #[cfg(feature = "invariants")]
+        for &(sm, svpn) in self.l2_tlb_overflow.values() {
+            assert!(
+                self.l2_tlb_retry_finds_full(sm, svpn),
+                "queued L2 TLB lookup ({sm}, {svpn:#x}) would not find the MSHR file full \
+                 after the drain"
+            );
+        }
     }
 
-    fn unqueue_l2_tlb_lookup(&mut self, svpn: u64) {
-        let n = self.l2_tlb_queued.get_mut(&svpn).expect("queued lookup is indexed");
-        *n -= 1;
-        if *n == 0 {
-            self.l2_tlb_queued.remove(&svpn);
-        }
+    /// Adds the arrival numbers of `svpn`'s queued lookups after `after`
+    /// to `rerun`.
+    fn queue_l2_tlb_rerun(&self, rerun: &mut BinaryHeap<Reverse<u64>>, svpn: u64, after: u64) {
+        let later = self.l2_tlb_queued.range((svpn, after + 1)..=(svpn, u64::MAX));
+        rerun.extend(later.map(|&(_, arrival)| Reverse(arrival)));
+    }
+
+    fn unqueue_l2_tlb_lookup(&mut self, arrival: u64, svpn: u64) {
+        self.l2_tlb_overflow.remove(&arrival);
+        self.l2_tlb_queued.remove(&(svpn, arrival));
+    }
+
+    /// Whether retrying the queued lookup `(sm, svpn)` would find the MSHR
+    /// file full, as far as the L2 TLB can tell without a lookup: its
+    /// marker is live, the file is full with no entry for its page, and a
+    /// probe does not report a hit.
+    fn l2_tlb_retry_finds_full(&self, sm: u32, svpn: u64) -> bool {
+        self.pending_resolve.contains(&(sm, svpn))
+            && self.l2_tlb_mshr.is_full()
+            && !self.l2_tlb_mshr.contains(svpn)
+            && !matches!(self.l2_tlb.probe(Vpn(svpn)), Some(Some(_)))
     }
 
     /// Shared half of Early TLB Fill ([`Ev::EafResolve`]): installs the
@@ -2038,9 +2067,7 @@ impl<'a> SharedLane<'a> {
     /// `eaf_local`.
     fn eaf_resolve(&mut self, now: Cycle, sm: u32, svpn: u64, ppn: Ppn) {
         let tenant = tenant_of_svpn(svpn);
-        let fill = TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None };
-        self.l2_tlb.fill(&fill);
-        self.l2_tlb_filled(svpn);
+        self.l2_tlb_fill(&TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None });
         // The origin resolved locally; retire its pending marker so a
         // later L2TlbResult doesn't double-deliver.
         if self.pending_resolve.remove(&(sm, svpn)) {
@@ -2454,10 +2481,10 @@ impl<'a> Engine<'a> {
             accel,
             compression,
             l2_tlb_mshr: MshrFile::new(cfg.l2_tlb.mshr_entries),
-            l2_tlb_overflow: Vec::new(),
-            l2_tlb_queued: FxHashMap::default(),
-            l2_tlb_dirty_keys: Vec::new(),
-            l2_tlb_dirty_chunks: Vec::new(),
+            l2_tlb_overflow: BTreeMap::new(),
+            l2_tlb_arrivals: 0,
+            l2_tlb_queued: BTreeSet::new(),
+            l2_tlb_dirty_keys: BTreeSet::new(),
             l2_mshr: MshrFile::new(cfg.l2_cache.mshr_entries),
             l2_mshr_overflow: std::collections::VecDeque::new(),
             walk_of_vpn: FxHashMap::default(),
@@ -2531,9 +2558,13 @@ impl<'a> Engine<'a> {
             return;
         }
         self.started = true;
-        let warps = self.cfg.warps_per_sm as u32;
-        for sm in 0..self.cfg.num_sms as u32 {
-            for warp in 0..warps {
+        // Warp-major: each SM's n-th event gets sequence number
+        // `n * actors + sm` in either loop order, but only this one
+        // schedules them in ascending order, so each insert appends to the
+        // cycle-0 bucket instead of walking it.
+        let sms = self.cfg.num_sms as u32;
+        for warp in 0..self.cfg.warps_per_sm as u32 {
+            for sm in 0..sms {
                 self.lane.sched(sm, 0, Ev::WarpIssue { sm, warp });
             }
         }
@@ -2872,25 +2903,21 @@ impl<'a> Engine<'a> {
             );
         }
 
-        // The L2 TLB overflow queue holds only lookups that a retry would
-        // find the MSHR file full for, which is what lets its drain skip
-        // them (DESIGN.md §5 item 6).
+        // A queued L2 TLB lookup that a retry would not find the MSHR file
+        // full for has a dirty key, which is what lets the drain skip the
+        // others (DESIGN.md §5 item 6).
         let shared = &self.shared;
-        let mut queued: FxHashMap<u64, u32> = FxHashMap::default();
-        for &(sm, svpn) in &shared.l2_tlb_overflow {
-            *queued.entry(svpn).or_insert(0) += 1;
-            if shared.pending_resolve.contains(&(sm, svpn)) {
-                assert!(
-                    !shared.l2_tlb_mshr.contains(svpn),
-                    "queued L2 TLB lookup ({sm}, {svpn:#x}) would merge into a live MSHR entry"
-                );
-                assert!(
-                    !matches!(shared.l2_tlb.probe(Vpn(svpn)), Some(Some(_))),
-                    "queued L2 TLB lookup ({sm}, {svpn:#x}) would hit the L2 TLB"
-                );
-            }
-        }
+        let queued: BTreeSet<(u64, u64)> =
+            shared.l2_tlb_overflow.iter().map(|(&arrival, &(_, svpn))| (svpn, arrival)).collect();
         assert_eq!(queued, shared.l2_tlb_queued, "L2 TLB overflow key index desynchronized");
+        for &(sm, svpn) in shared.l2_tlb_overflow.values() {
+            assert!(
+                shared.l2_tlb_retry_finds_full(sm, svpn)
+                    || shared.l2_tlb_dirty_keys.contains(&svpn),
+                "queued L2 TLB lookup ({sm}, {svpn:#x}) may not find the MSHR file full, \
+                 but its key is not dirty"
+            );
+        }
         assert!(
             shared.l2_tlb_overflow.is_empty() || shared.l2_tlb_mshr.is_full(),
             "L2 TLB lookups queued behind an MSHR file with free slots"
@@ -2926,6 +2953,6 @@ impl<'a> Engine<'a> {
     /// negative-test hook.
     #[cfg(feature = "invariants")]
     pub fn corrupt_l2_tlb_queue_index_for_test(&mut self) {
-        *self.shared.l2_tlb_queued.entry(u64::MAX).or_insert(0) += 1;
+        self.shared.l2_tlb_queued.insert((u64::MAX, u64::MAX));
     }
 }

@@ -79,10 +79,16 @@ pub enum WarpState {
 ///
 /// An SM is *stalled* while it has unretired warps but none ready or
 /// computing — every live warp is blocked on memory. The paper's Fig 3a
-/// "stall cycles waiting for memory" is the sum of these intervals.
+/// "stall cycles waiting for memory" is the sum of these intervals. The
+/// stall test is O(1): it reads counts of active and waiting warps that
+/// every state change keeps current.
 #[derive(Debug, Clone)]
 pub struct SmState {
     warps: Vec<WarpState>,
+    /// Warps Ready or Computing.
+    active: u32,
+    /// Warps WaitingMemory.
+    waiting: u32,
     stall_started: Option<Cycle>,
     /// Accumulated stall cycles.
     pub stall_cycles: u64,
@@ -95,6 +101,8 @@ impl SmState {
     pub fn new(warps: usize) -> Self {
         Self {
             warps: vec![WarpState::Ready; warps],
+            active: warps as u32,
+            waiting: 0,
             stall_started: None,
             stall_cycles: 0,
             issue_free_at: 0,
@@ -108,20 +116,27 @@ impl SmState {
 
     /// Updates a warp's state and the stall clock.
     pub fn set_warp(&mut self, w: usize, state: WarpState, now: Cycle) {
-        self.warps[w] = state;
+        let old = std::mem::replace(&mut self.warps[w], state);
+        if let Some(n) = self.count_of(old) {
+            *n -= 1;
+        }
+        if let Some(n) = self.count_of(state) {
+            *n += 1;
+        }
         self.update_stall(now);
     }
 
-    fn is_stalled(&self) -> bool {
-        let mut any_live = false;
-        for w in &self.warps {
-            match w {
-                WarpState::Ready | WarpState::Computing => return false,
-                WarpState::WaitingMemory { .. } => any_live = true,
-                WarpState::Retired => {}
-            }
+    /// The count a warp in `state` adds to (retired warps are not counted).
+    fn count_of(&mut self, state: WarpState) -> Option<&mut u32> {
+        match state {
+            WarpState::Ready | WarpState::Computing => Some(&mut self.active),
+            WarpState::WaitingMemory { .. } => Some(&mut self.waiting),
+            WarpState::Retired => None,
         }
-        any_live
+    }
+
+    fn is_stalled(&self) -> bool {
+        self.active == 0 && self.waiting > 0
     }
 
     fn update_stall(&mut self, now: Cycle) {
@@ -203,5 +218,96 @@ mod tests {
         sm.set_warp(0, WarpState::WaitingMemory { outstanding: 2 }, 10);
         sm.finish(25);
         assert_eq!(sm.stall_cycles, 15);
+    }
+
+    /// Stall accounting by a full scan over the warps on every change, as
+    /// `SmState` did before it kept counts: the oracle for the counters.
+    struct FullScan {
+        warps: Vec<WarpState>,
+        stall_started: Option<Cycle>,
+        stall_cycles: u64,
+    }
+
+    impl FullScan {
+        fn new(warps: usize) -> Self {
+            Self { warps: vec![WarpState::Ready; warps], stall_started: None, stall_cycles: 0 }
+        }
+
+        fn is_stalled(&self) -> bool {
+            let mut any_live = false;
+            for w in &self.warps {
+                match w {
+                    WarpState::Ready | WarpState::Computing => return false,
+                    WarpState::WaitingMemory { .. } => any_live = true,
+                    WarpState::Retired => {}
+                }
+            }
+            any_live
+        }
+
+        fn set_warp(&mut self, w: usize, state: WarpState, now: Cycle) {
+            self.warps[w] = state;
+            match (self.stall_started, self.is_stalled()) {
+                (None, true) => self.stall_started = Some(now),
+                (Some(start), false) => {
+                    self.stall_cycles += now - start;
+                    self.stall_started = None;
+                }
+                _ => {}
+            }
+        }
+
+        fn finish(&mut self, now: Cycle) {
+            if let Some(start) = self.stall_started.take() {
+                self.stall_cycles += now - start;
+            }
+        }
+    }
+
+    #[test]
+    fn stall_counters_agree_with_a_full_scan() {
+        let (mut all_retired, mut stalled) = (0, 0);
+        for trial in 0..64u64 {
+            let mut rng = crate::rng::SimRng::seed_from_u64(0x5a11 ^ trial);
+            let warps = 1 + rng.index(48);
+            let mut sm = SmState::new(warps);
+            let mut oracle = FullScan::new(warps);
+            let mut now = 0;
+            let set = |sm: &mut SmState, oracle: &mut FullScan, w, state, now, step| {
+                sm.set_warp(w, state, now);
+                oracle.set_warp(w, state, now);
+                let at = format!("trial {trial} step {step}: warp {w} -> {state:?} at {now}");
+                assert_eq!(sm.is_stalled(), oracle.is_stalled(), "{at}");
+                assert_eq!(sm.stall_cycles, oracle.stall_cycles, "{at}");
+            };
+            for step in 0..300 {
+                now += rng.next_below(8);
+                let w = rng.index(warps);
+                let state = match rng.index(7) {
+                    0 => WarpState::Ready,
+                    1 => WarpState::Computing,
+                    6 => WarpState::Retired,
+                    _ => WarpState::WaitingMemory { outstanding: 1 + rng.next_below(4) as u32 },
+                };
+                set(&mut sm, &mut oracle, w, state, now, step);
+            }
+            // Half the trials retire every warp before the end, closing or
+            // never reopening the last stall interval.
+            if trial % 2 == 0 {
+                for w in 0..warps {
+                    now += rng.next_below(8);
+                    set(&mut sm, &mut oracle, w, WarpState::Retired, now, 300 + w);
+                }
+                assert!(sm.all_retired(), "trial {trial}");
+                all_retired += 1;
+            }
+            now += rng.next_below(64);
+            sm.finish(now);
+            oracle.finish(now);
+            assert_eq!(sm.stall_cycles, oracle.stall_cycles, "trial {trial}: after finish");
+            stalled += usize::from(sm.stall_cycles > 0);
+        }
+        assert_eq!(all_retired, 32);
+        assert!(stalled >= 16, "only {stalled} of 64 trials ever stalled");
     }
 }

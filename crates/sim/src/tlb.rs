@@ -7,6 +7,7 @@
 //! `avatar-baselines` crate.
 
 use crate::addr::{Ppn, Vpn, PAGES_PER_CHUNK};
+use std::ops::Range;
 
 /// A physically contiguous virtual→physical run around a translated page,
 /// computed by the page table at walk completion. Coalescing TLBs use it to
@@ -96,9 +97,9 @@ impl TlbHit {
 /// 1. A [`lookup`](TlbModel::lookup) that misses changes nothing a later
 ///    call can observe. It may advance an LRU stamp counter, provided
 ///    stamps are only ever compared with one another.
-/// 2. A [`fill`](TlbModel::fill) makes lookups hit only inside the 2MB
-///    chunk of its `vpn` ([`Vpn::chunk`]): a page outside that chunk that
-///    missed before the fill still misses after it.
+/// 2. A [`fill`](TlbModel::fill) makes lookups hit only inside
+///    [`fill_reach(fill)`](TlbModel::fill_reach): a page outside that
+///    range that missed before the fill still misses after it.
 pub trait TlbModel: std::fmt::Debug {
     /// Looks up a page, updating replacement state.
     fn lookup(&mut self, vpn: Vpn) -> Option<TlbHit>;
@@ -106,16 +107,24 @@ pub trait TlbModel: std::fmt::Debug {
     /// Whether [`TlbModel::lookup`] would hit for `vpn`, without touching
     /// replacement state or any other model state. `None` means the model
     /// cannot answer non-destructively (the engine's inline fast path then
-    /// falls back to the event path, and the L2 TLB overflow drain retries
-    /// the lookup); `Some(hit)` must equal exactly what `lookup` would
-    /// return. The default is `None`, so coalescing models (CoLT,
-    /// SnakeByte) opt out automatically.
+    /// falls back to the event path); `Some(hit)` must equal exactly what
+    /// `lookup` would return. The default is `None`, so coalescing models
+    /// (CoLT, SnakeByte) opt out automatically.
     fn probe(&self, _vpn: Vpn) -> Option<Option<TlbHit>> {
         None
     }
 
     /// Installs a translation.
     fn fill(&mut self, fill: &TlbFill);
+
+    /// The VPNs `fill` can make hit (requirement 2). It contains
+    /// `fill.vpn` and lies inside its 2MB chunk. The L2 TLB overflow drain
+    /// re-runs the queued lookups in this range after the fill, so a
+    /// tighter reach means fewer re-runs. The default is the whole chunk.
+    fn fill_reach(&self, fill: &TlbFill) -> Range<u64> {
+        let first = fill.vpn.chunk() * PAGES_PER_CHUNK;
+        first..first + PAGES_PER_CHUNK
+    }
 
     /// Installs a translation with a replacement-priority hint. The
     /// default discards the hint and installs normally — models without
@@ -447,19 +456,24 @@ impl TlbModel for BaseTlb {
     }
 
     fn fill_prioritized(&mut self, fill: &TlbFill, priority: FillPriority) {
+        // The entry spans exactly `fill_reach`, aligned on its boundary.
+        let base_vpn = self.fill_reach(fill).start;
+        let base_ppn = fill.ppn.0 - (fill.vpn.0 - base_vpn);
         if fill.pages >= PAGES_PER_CHUNK {
-            // Align the 2MB entry on its natural boundary. Promoted pages
-            // aggregate many uses, so the dead-entry hint only applies to
-            // the base array.
-            let base_vpn = fill.vpn.0 & !(PAGES_PER_CHUNK - 1);
-            let base_ppn = fill.ppn.0 - (fill.vpn.0 - base_vpn);
+            // Promoted pages aggregate many uses, so the dead-entry hint
+            // only applies to the base array.
             self.large.insert(base_vpn, base_ppn, PAGES_PER_CHUNK);
         } else {
-            // Align on the base-page boundary.
-            let base_vpn = fill.vpn.0 & !(self.base_pages - 1);
-            let base_ppn = fill.ppn.0 - (fill.vpn.0 - base_vpn);
             self.base.insert_prio(base_vpn, base_ppn, self.base_pages, priority);
         }
+    }
+
+    /// The one entry the fill installs: its base page, or its 2MB chunk for
+    /// a promoted fill.
+    fn fill_reach(&self, fill: &TlbFill) -> Range<u64> {
+        let span = if fill.pages >= PAGES_PER_CHUNK { PAGES_PER_CHUNK } else { self.base_pages };
+        let first = fill.vpn.0 & !(span - 1);
+        first..first + span
     }
 
     fn invalidate(&mut self, vpn: Vpn, pages: u64) -> u64 {
@@ -532,6 +546,17 @@ mod tests {
         assert_eq!(hit.ppn, Ppn(116));
         assert_eq!(hit.coverage_pages, 16);
         assert!(t.lookup(Vpn(32)).is_none());
+    }
+
+    #[test]
+    fn fill_reach_is_the_installed_entry() {
+        let fill = TlbFill { vpn: Vpn(512 + 37), ppn: Ppn(7), pages: 1, run: None };
+        let promoted = TlbFill { pages: PAGES_PER_CHUNK, ..fill };
+        let (t4k, t64k) = (BaseTlb::new(4, 2, 0, 1), BaseTlb::new(4, 2, 0, 16));
+        assert_eq!(t4k.fill_reach(&fill), 549..550);
+        assert_eq!(t64k.fill_reach(&fill), 544..560);
+        assert_eq!(t4k.fill_reach(&promoted), 512..1024);
+        assert_eq!(t64k.fill_reach(&promoted), 512..1024);
     }
 
     #[test]

@@ -7,13 +7,14 @@
 //! from one that checks nothing.
 #![cfg(feature = "invariants")]
 
-use avatar_sim::addr::VirtAddr;
+use avatar_sim::addr::{VirtAddr, Vpn};
 use avatar_sim::config::{BasePage, GpuConfig};
 use avatar_sim::engine::Engine;
 use avatar_sim::event::EventQueue;
 use avatar_sim::hooks::{NoSpeculation, UniformCompression};
 use avatar_sim::sm::{WarpOp, WarpProgram};
-use avatar_sim::tlb::{BaseTlb, TlbModel};
+use avatar_sim::tlb::{BaseTlb, TlbFill, TlbHit, TlbModel};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A small strided streaming kernel on every warp of every SM. With
@@ -54,6 +55,15 @@ fn small_engine() -> Engine<'static> {
 }
 
 fn engine_with(shared_pages: bool, tweak: impl FnOnce(&mut GpuConfig)) -> Engine<'static> {
+    engine_with_l2(shared_pages, tweak, |t| Box::new(t))
+}
+
+/// [`engine_with`] with the L2 TLB wrapped by `l2`.
+fn engine_with_l2(
+    shared_pages: bool,
+    tweak: impl FnOnce(&mut GpuConfig),
+    l2: impl FnOnce(BaseTlb) -> Box<dyn TlbModel>,
+) -> Engine<'static> {
     let mut cfg = GpuConfig::rtx3070();
     cfg.num_sms = 2;
     cfg.warps_per_sm = 4;
@@ -62,7 +72,7 @@ fn engine_with(shared_pages: bool, tweak: impl FnOnce(&mut GpuConfig)) -> Engine
     let l1s: Vec<Box<dyn TlbModel>> = (0..cfg.num_sms)
         .map(|_| Box::new(BaseTlb::new(32, 16, 0, pages)) as Box<dyn TlbModel>)
         .collect();
-    let l2 = Box::new(BaseTlb::new(1024, 128, 8, pages));
+    let l2 = l2(BaseTlb::new(1024, 128, 8, pages));
     let warps = cfg.num_sms * cfg.warps_per_sm;
     let warps_per_sm = cfg.warps_per_sm;
     let program = Stream { remaining: vec![24; warps], warps_per_sm, shared_pages };
@@ -171,6 +181,60 @@ fn overflowing_l2_tlb_mshr_passes_every_barrier_audit() {
         assert!(audited.l2_tlb_mshr_full > 0, "{base_page:?}: the MSHR file never overflowed");
         assert_eq!(audited.digest(), plain.digest(), "{base_page:?}: auditing changed the run");
     }
+}
+
+/// A `BaseTlb` that under-reports what its fills can make hit: its
+/// `fill_reach` is empty.
+#[derive(Debug)]
+struct NoReach(BaseTlb);
+
+impl TlbModel for NoReach {
+    fn lookup(&mut self, vpn: Vpn) -> Option<TlbHit> {
+        self.0.lookup(vpn)
+    }
+    fn probe(&self, vpn: Vpn) -> Option<Option<TlbHit>> {
+        self.0.probe(vpn)
+    }
+    fn fill(&mut self, fill: &TlbFill) {
+        self.0.fill(fill);
+    }
+    fn fill_reach(&self, fill: &TlbFill) -> Range<u64> {
+        fill.vpn.0..fill.vpn.0
+    }
+    fn invalidate(&mut self, vpn: Vpn, pages: u64) -> u64 {
+        self.0.invalidate(vpn, pages)
+    }
+    fn flush(&mut self) {
+        self.0.flush();
+    }
+    fn name(&self) -> &'static str {
+        "no-reach"
+    }
+}
+
+#[test]
+fn drain_check_detects_an_under_reported_fill_reach() {
+    // As in the overflow run above with 64KB pages, but with 32 warps per
+    // SM, so lookups for several 64KB pages queue behind the full MSHR
+    // file at once. A fill makes lookups for the other 15 pages of its
+    // 64KB page hit. The model does not report them, so the drain skips
+    // them where they queue behind a lookup that finds the file full, and
+    // the end-of-drain check must catch that. With the true reach the same
+    // run passes.
+    let tight = |cfg: &mut GpuConfig| {
+        cfg.warps_per_sm = 32;
+        cfg.l2_tlb.mshr_entries = 2;
+        cfg.uvm.base_page = BasePage::Size64K;
+    };
+    assert!(engine_with(true, tight).run().l2_tlb_mshr_full > 0, "the MSHR file never overflowed");
+    let engine = engine_with_l2(true, tight, |t| Box::new(NoReach(t)));
+    let err = catch_unwind(AssertUnwindSafe(|| engine.run()))
+        .expect_err("the drain check must catch a lookup a fill made hit");
+    let msg = panic_message(err);
+    assert!(
+        msg.contains("would not find the MSHR file full after the drain"),
+        "unexpected audit failure message: {msg}"
+    );
 }
 
 #[test]

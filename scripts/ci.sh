@@ -52,10 +52,13 @@ cargo test -q -p avatar-sim -p avatar-core
 echo "== checked-mode invariants (audits + negative tests) =="
 cargo test -q -p avatar-sim --features invariants
 cargo test -q -p avatar-sim --features invariants,probes
-# CoLT and SnakeByte cannot probe, so the L2 TLB overflow drain re-runs
-# more of their queued lookups; checked mode proves every skip for them
-# too.
+# CoLT and SnakeByte keep the default chunk-wide fill reach, so the L2
+# TLB overflow drain re-runs more of their queued lookups; checked mode
+# checks every drain for them too.
 cargo test -q -p avatar-baselines --features invariants
+# The only suite that sends every registry policy through the L2 TLB
+# overflow drain (a two-entry MSHR file, digests pinned).
+cargo test -q -p avatar-core --features invariants --test tlb_overflow
 
 echo "== equivalence matrix + observability conservation (release) =="
 # Every host-side variation of a run (run_steps chunking, an attached
