@@ -30,9 +30,9 @@
 //! avatar-lint rule denies `..` rest patterns in those functions).
 //!
 //! **Entry format.** One JSON file per key (`<dir>/<key:016x>.json`),
-//! schema-versioned (`avatar-cache/2`), holding the recorded engine
+//! schema-versioned (`avatar-cache/3`), holding the recorded engine
 //! fingerprint, the cell's `Stats::digest()`, its wall time, and the
-//! `Stats` payload hex-encoded via the `Stats` codec's [`Writer`].
+//! `Stats` payload: [`Stats::to_words`], 16 hex digits per word.
 //! Writes go through a temp file + atomic rename so concurrent sweeps
 //! sharing a cache directory never observe a torn entry.
 //!
@@ -49,7 +49,6 @@ use crate::json::Json;
 use crate::obj;
 use avatar_core::policy::PolicySelection;
 use avatar_core::system::RunOptions;
-use avatar_sim::checkpoint::{Reader, Writer};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::invariant::Fnv64;
 use avatar_sim::Stats;
@@ -60,7 +59,7 @@ use std::sync::OnceLock;
 
 /// Entry schema identifier; bump on any layout change. A file with a
 /// different schema is treated as a miss (old format, not corruption).
-pub const SCHEMA: &str = "avatar-cache/2";
+pub const SCHEMA: &str = "avatar-cache/3";
 
 /// Default cache directory when neither `--cache` nor `AVATAR_CACHE`
 /// names one.
@@ -181,20 +180,9 @@ impl ResultCache {
             .get("wall_s")
             .and_then(Json::as_f64)
             .ok_or_else(|| format!("cache entry {} is missing \"wall_s\"", path.display()))?;
-        let bytes = decode_hex(field_str("stats_hex")?)
+        let stats = decode_words(field_str("stats_hex")?)
+            .and_then(|words| Stats::from_words(&words))
             .map_err(|e| format!("cache entry {} stats payload: {e}", path.display()))?;
-        let mut stats = Stats::default();
-        let mut r = Reader::new(&bytes);
-        stats
-            .load_state(&mut r)
-            .map_err(|e| format!("cache entry {} stats payload: {e}", path.display()))?;
-        if r.remaining() != 0 {
-            return Err(format!(
-                "cache entry {} stats payload has {} trailing bytes",
-                path.display(),
-                r.remaining()
-            ));
-        }
         // The re-verification the whole design hinges on: the decoded
         // statistics must reproduce the digest recorded at store time.
         let digest = stats.digest();
@@ -213,15 +201,13 @@ impl ResultCache {
     pub fn store(&self, key: u64, stats: &Stats, wall_s: f64) -> Result<(), String> {
         std::fs::create_dir_all(&self.dir)
             .map_err(|e| format!("cache dir {}: {e}", self.dir.display()))?;
-        let mut w = Writer::new();
-        stats.save_state(&mut w);
         let entry = obj! {
             "schema": SCHEMA,
             "engine_fingerprint": self.fingerprint.as_str(),
             "key": format!("{key:016x}"),
             "stats_digest": format!("{:016x}", stats.digest()),
             "wall_s": wall_s,
-            "stats_hex": encode_hex(&w.into_bytes()),
+            "stats_hex": encode_words(&stats.to_words()),
         };
         let path = self.entry_path(key);
         // Temp + rename: concurrent sweeps sharing the directory either
@@ -236,25 +222,21 @@ impl ResultCache {
     }
 }
 
-fn encode_hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
+fn encode_words(words: &[u64]) -> String {
+    words.iter().map(|w| format!("{w:016x}")).collect()
 }
 
-fn decode_hex(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err("odd-length hex payload".to_string());
+fn decode_words(text: &str) -> Result<Vec<u64>, String> {
+    if !text.len().is_multiple_of(16) {
+        return Err(format!("{} hex digits are not a whole number of words", text.len()));
     }
-    let tb = text.as_bytes();
-    let mut out = Vec::with_capacity(text.len() / 2);
-    for pair in tb.chunks_exact(2) {
-        let hex = std::str::from_utf8(pair).map_err(|_| "non-ASCII hex payload".to_string())?;
-        out.push(u8::from_str_radix(hex, 16).map_err(|e| format!("bad hex byte '{hex}': {e}"))?);
-    }
-    Ok(out)
+    text.as_bytes()
+        .chunks_exact(16)
+        .map(|word| {
+            let hex = std::str::from_utf8(word).map_err(|_| "non-ASCII hex payload".to_string())?;
+            u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex word '{hex}': {e}"))
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -403,15 +385,15 @@ mod tests {
         let dir = scratch_dir();
         let cache = ResultCache::with_fingerprint(&dir, "deadbeefdeadbeef");
         cache.store(7, &sample_stats(), 0.5).expect("store succeeds");
-        // Flip one byte of the hex payload: the decoded stats no longer
-        // reproduce the recorded digest.
+        // Flip the top digit of the first word (`cycles`): the decoded
+        // stats no longer reproduce the recorded digest.
         let path = cache.entry_path(7);
         let text = std::fs::read_to_string(&path).expect("entry readable");
-        let tampered = text.replacen("\"stats_hex\": \"", "\"stats_hex\": \"ff", 1);
+        let tampered = text.replacen("\"stats_hex\": \"0", "\"stats_hex\": \"f", 1);
         assert_ne!(text, tampered, "tamper must change the payload");
         std::fs::write(&path, tampered).expect("tamper write");
         let err = cache.load(7).expect_err("tampered payload must be a hard error");
-        assert!(err.contains("cache entry"), "error names the entry: {err}");
+        assert!(err.contains("DETERMINISM") && err.contains("cache entry"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -457,11 +439,27 @@ mod tests {
     }
 
     #[test]
-    fn hex_codec_round_trips() {
-        let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(decode_hex(&encode_hex(&bytes)).expect("valid hex"), bytes);
-        assert!(decode_hex("abc").is_err(), "odd length rejected");
-        assert!(decode_hex("zz").is_err(), "non-hex rejected");
+    fn payload_one_word_short_is_a_hard_error() {
+        let dir = scratch_dir();
+        let cache = ResultCache::with_fingerprint(&dir, "deadbeefdeadbeef");
+        cache.store(7, &sample_stats(), 0.5).expect("store succeeds");
+        let path = cache.entry_path(7);
+        let text = std::fs::read_to_string(&path).expect("entry readable");
+        let head = "\"stats_hex\": \"";
+        let at = text.find(head).expect("entry has a payload") + head.len();
+        let short = format!("{}{}", &text[..at], &text[at + 16..]);
+        std::fs::write(&path, short).expect("tamper write");
+        let err = cache.load(7).expect_err("a short payload must be a hard error");
+        assert!(err.contains("cache entry") && err.contains("words"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn word_codec_round_trips() {
+        let words = [0, 1, 0xdead_beef, u64::MAX];
+        assert_eq!(decode_words(&encode_words(&words)).expect("valid hex"), words);
+        assert!(decode_words("abc").is_err(), "partial word rejected");
+        assert!(decode_words(&"z".repeat(16)).is_err(), "non-hex rejected");
     }
 
     #[test]

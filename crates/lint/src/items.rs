@@ -20,8 +20,6 @@ pub struct FieldDef {
     pub name: String,
     /// Rendered type text (tokens joined, e.g. `FxHashMap<u64, u64>`).
     pub ty: String,
-    /// 1-based declaration line.
-    pub line: u32,
 }
 
 /// One `struct` item with named fields (tuple/unit structs record no
@@ -41,8 +39,6 @@ pub struct StructDef {
 pub struct FnDef {
     /// Function name.
     pub name: String,
-    /// 1-based declaration line (of the `fn` keyword).
-    pub line: u32,
     /// Enclosing `impl` target type name, if any.
     pub self_type: Option<String>,
     /// Named, explicitly-typed parameters (`self` excluded).
@@ -423,7 +419,6 @@ fn parse_struct(cur: &mut Cursor, model: &mut FileModel) {
                 continue;
             }
             let fname = cur.text(t).to_string();
-            let fline = t.line;
             cur.bump();
             if !cur.at_punct(':') {
                 continue;
@@ -451,7 +446,7 @@ fn parse_struct(cur: &mut Cursor, model: &mut FileModel) {
                 cur.bump();
             }
             let ty = join_tokens(cur.src, &cur.toks[from..cur.i]);
-            fields.push(FieldDef { name: fname, ty, line: fline });
+            fields.push(FieldDef { name: fname, ty });
             if cur.at_punct(',') {
                 cur.bump();
             }
@@ -541,7 +536,6 @@ fn parse_fn(cur: &mut Cursor, self_type: Option<&str>, model: &mut FileModel) {
     let _ = self_type;
     model.fns.push(FnDef {
         name,
-        line,
         self_type: self_type.map(str::to_string),
         params,
         body,
@@ -629,7 +623,6 @@ mod tests {
         assert_eq!(s.fields[0].name, "hits");
         assert_eq!(s.fields[1].name, "map");
         assert_eq!(s.fields[1].ty, "FxHashMap<u64,Vec<u64>>");
-        assert_eq!(s.fields[1].line, 4);
     }
 
     #[test]

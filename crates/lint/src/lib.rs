@@ -16,8 +16,8 @@
 //! * **Semantic rules** parse each file into an item model (structs +
 //!   fields, impls, fns), stitch a workspace item graph and an
 //!   intra-workspace call graph, and check cross-cutting invariants:
-//!   lane→shared-domain reachability, digest/save-load field parity,
-//!   and hash-map iteration order at order-sensitive sinks.
+//!   lane→shared-domain reachability and hash-map iteration order at
+//!   order-sensitive sinks.
 //!
 //! Findings print as `file:line: [rule-id] message` and can also be
 //! written as a JSON report for CI. Escapes, most specific first:
@@ -25,10 +25,8 @@
 //! * `// lint:allow(rule-id)` on the offending line or the line above
 //!   suppresses one *local*-rule site (still reported as `allowed`);
 //! * semantic rules demand a reasoned marker instead —
-//!   `// lint:exempt(rule-id: reason)`, or the field-level shorthand
-//!   `// lint:digest-exempt(reason)` for digest parity — whose reason
-//!   is held to the same ≥ [`MIN_EXPECT_LEN`]-char standard as
-//!   `expect` messages;
+//!   `// lint:exempt(rule-id: reason)` — whose reason is held to the
+//!   same ≥ [`MIN_EXPECT_LEN`]-char standard as `expect` messages;
 //! * the `AVATAR_LINT_ALLOW=rule-a,rule-b` environment variable (or the
 //!   `--allow` flag) downgrades whole rules for local iteration;
 //! * a rule's scope (which crates it applies to) is part of the rule
@@ -92,16 +90,6 @@ pub const PROBE_SPAN_BALANCE: &str = "probe-span-balance";
 /// models instant translation) carry
 /// `lint:exempt(shard-reachability): <reason>` at the call site.
 pub const SHARD_REACHABILITY: &str = "shard-reachability";
-/// Rule id (semantic): a field of a struct that has a `digest` /
-/// `key_digest` method is never read inside that method and carries no
-/// `lint:digest-exempt(reason)` marker. A counter that silently falls
-/// out of the digest weakens every digest-equality gate in CI.
-pub const DIGEST_FIELD_PARITY: &str = "digest-field-parity";
-/// Rule id (semantic): a `save_state`/`load_state` impl pair touches
-/// different field sets. A field saved but not restored (or vice versa)
-/// makes the `Stats` codec behind the result cache replay a value that
-/// differs from the one stored.
-pub const CHECKPOINT_FIELD_PARITY: &str = "checkpoint-field-parity";
 /// Rule id (semantic): iteration over an `FxHashMap`/`FxHashSet` (or a
 /// std hash map) inside an order-sensitive fn — one that digests,
 /// schedules events, or serializes state — without a sorted
@@ -216,16 +204,6 @@ pub const RULES: &[RuleInfo] = &[
         id: SHARD_REACHABILITY,
         scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs) + ShardLane entry points + workspace call graph",
         summary: "no call path (and no direct reference) from shard-domain code or a ShardLane entry point to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events that pay the window latency (DESIGN.md \u{a7}11, \u{a7}13)",
-    },
-    RuleInfo {
-        id: DIGEST_FIELD_PARITY,
-        scope: "all crates (structs with a digest/key_digest method)",
-        summary: "every field of a digest-bearing struct must be read inside its digest()/key_digest(), or carry lint:digest-exempt(<reason>) (DESIGN.md \u{a7}13)",
-    },
-    RuleInfo {
-        id: CHECKPOINT_FIELD_PARITY,
-        scope: "all crates (save_state/load_state impl pairs)",
-        summary: "save_state and load_state of one impl must touch identical field sets, or the fn carries lint:exempt(checkpoint-field-parity: <reason>) (DESIGN.md \u{a7}13)",
     },
     RuleInfo {
         id: MAP_ITERATION_DETERMINISM,
@@ -1228,9 +1206,13 @@ mod tests {
             (
                 "crates/sim/src/x.rs".to_string(),
                 "//! Doc.\n\
-                 pub struct S { pub a: u64, pub b: u64 }\n\
+                 pub struct S { pub slots: FxHashMap<u64, u64> }\n\
                  impl S {\n\
-                     pub fn digest(&self) -> u64 { self.a }\n\
+                     pub fn digest(&self) -> u64 {\n\
+                         let mut h = 0u64;\n\
+                         for (k, v) in self.slots.iter() { h ^= k ^ v; }\n\
+                         h\n\
+                     }\n\
                  }\n"
                     .to_string(),
             ),
@@ -1239,11 +1221,11 @@ mod tests {
         let report = lint_sources(&files, &Config::default());
         assert_eq!(report.files_scanned, 2);
         let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec![DIGEST_FIELD_PARITY, NONDETERMINISM], "{:#?}", report.findings);
-        let (deny, allowed) = report.rule_counts(DIGEST_FIELD_PARITY);
+        assert_eq!(rules, vec![MAP_ITERATION_DETERMINISM, NONDETERMINISM], "{:#?}", report.findings);
+        let (deny, allowed) = report.rule_counts(MAP_ITERATION_DETERMINISM);
         assert_eq!((deny, allowed), (1, 0));
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"avatar-lint/3\""));
-        assert!(json.contains("\"rule\": \"digest-field-parity\", \"deny\": 1"));
+        assert!(json.contains("\"rule\": \"map-iteration-determinism\", \"deny\": 1"));
     }
 }

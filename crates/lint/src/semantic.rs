@@ -10,33 +10,27 @@
 //! be derived this way produce no edge: the analysis deliberately
 //! under-approximates rather than guess (documented in DESIGN.md §13).
 //!
-//! Four rules run on top:
+//! Two rules run on top:
 //!
 //! * `shard-reachability` — no call path from a fn defined in a
 //!   shard-domain module to a method of a shared-domain type (and no
 //!   direct mention of one, subsuming the retired `shard-shared-state`
 //!   line rule).
-//! * `digest-field-parity` — every field of a struct that has a
-//!   `digest`/`key_digest` method must be read inside that method or
-//!   carry `lint:digest-exempt(reason)`.
-//! * `checkpoint-field-parity` — a `save_state`/`load_state` impl pair
-//!   must touch identical field sets.
 //! * `map-iteration-determinism` — hash-map iteration inside a fn whose
 //!   results can flow into digests, event scheduling, or serialized
 //!   state must go through a sorted adapter.
 //!
 //! Escapes for these rules are *reasoned* markers —
-//! `lint:exempt(rule-id: reason)` (or `lint:digest-exempt(reason)` for
-//! the digest rule) on the flagged line or the line above, with the
-//! reason held to the same ≥ [`MIN_EXPECT_LEN`]-character standard as
-//! `expect` messages. A bare `lint:allow(…)` does not silence them.
+//! `lint:exempt(rule-id: reason)` on the flagged line or the line
+//! above, with the reason held to the same ≥ [`MIN_EXPECT_LEN`]-character
+//! standard as `expect` messages. A bare `lint:allow(…)` does not
+//! silence them.
 
 use crate::items::{self, FileModel, StructDef};
 use crate::lexer::{self, Kind, Lexed, Token};
 use crate::{
-    crate_of, mark_tests, Config, Finding, CHECKPOINT_FIELD_PARITY, DIGEST_FIELD_PARITY,
-    MAP_ITERATION_DETERMINISM, MIN_EXPECT_LEN, SHARD_DOMAIN_FILES, SHARD_ENTRY_TYPES,
-    SHARD_REACHABILITY, SHARED_DOMAIN_TYPES,
+    crate_of, mark_tests, Config, Finding, MAP_ITERATION_DETERMINISM, MIN_EXPECT_LEN,
+    SHARD_DOMAIN_FILES, SHARD_ENTRY_TYPES, SHARD_REACHABILITY, SHARED_DOMAIN_TYPES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -112,18 +106,10 @@ struct Workspace<'s> {
 }
 
 /// Parses reasoned exemption markers from one raw source line:
-/// `lint:exempt(rule-id: reason)`, the trailing-reason form
-/// `lint:exempt(rule-id): reason`, and the digest-rule shorthand
-/// `lint:digest-exempt(reason)`.
+/// `lint:exempt(rule-id: reason)` and the trailing-reason form
+/// `lint:exempt(rule-id): reason`.
 fn parse_exempts(raw: &str) -> Vec<(String, String)> {
     let mut out = Vec::new();
-    let mut rest = raw;
-    while let Some(p) = rest.find("lint:digest-exempt(") {
-        let after = &rest[p + "lint:digest-exempt(".len()..];
-        let Some(close) = after.find(')') else { break };
-        out.push((DIGEST_FIELD_PARITY.to_string(), after[..close].trim().to_string()));
-        rest = &after[close..];
-    }
     let mut rest = raw;
     while let Some(p) = rest.find("lint:exempt(") {
         let after = &rest[p + "lint:exempt(".len()..];
@@ -161,8 +147,6 @@ pub(crate) fn lint(files: &[(String, String)], cfg: &Config, out: &mut Vec<Findi
     }
     let ws = Workspace::build(ctxs);
     ws.shard_reachability(cfg, out);
-    ws.digest_field_parity(cfg, out);
-    ws.checkpoint_field_parity(cfg, out);
     ws.map_iteration_determinism(cfg, out);
 }
 
@@ -746,169 +730,6 @@ impl<'s> Workspace<'s> {
         None
     }
 
-    // -- rule: digest-field-parity -----------------------------------------
-
-    /// Every ident mentioned in the bodies of the given fns. An ident
-    /// that collides with one of the fn's own parameter names only
-    /// counts when it is `self.`-qualified — a `w: &mut Writer` param
-    /// must not read as a touch of a field named `w`.
-    fn body_idents(&self, ids: &[FnId]) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for &(fi, ni) in ids {
-            let ctx = &self.files[fi];
-            let f = &ctx.model.fns[ni];
-            let params: BTreeSet<&str> = f.params.iter().map(|(name, _)| name.as_str()).collect();
-            if let Some((lo, hi)) = f.body {
-                let toks = &ctx.lexed.tokens[lo..hi];
-                for (k, t) in toks.iter().enumerate() {
-                    if t.kind != Kind::Ident {
-                        continue;
-                    }
-                    let tx = t.text(ctx.src);
-                    if params.contains(tx) {
-                        let self_qualified = k >= 2
-                            && toks[k - 1].kind == Kind::Punct
-                            && toks[k - 1].text(ctx.src) == "."
-                            && toks[k - 2].kind == Kind::Ident
-                            && toks[k - 2].text(ctx.src) == "self";
-                        if !self_qualified {
-                            continue;
-                        }
-                    }
-                    out.insert(tx.to_string());
-                }
-            }
-        }
-        out
-    }
-
-    /// Digest fns of a struct, with locality preference (same file,
-    /// then same crate). Cfg-gated twin impls are unioned.
-    fn owned_fns(&self, ty: &str, names: &[&str], from_file: usize) -> Vec<FnId> {
-        let mut sites: Vec<FnId> = Vec::new();
-        for name in names {
-            if let Some(ids) = self.methods.get(&(ty.to_string(), (*name).to_string())) {
-                sites.extend(ids.iter().copied());
-            }
-        }
-        let same_file: Vec<FnId> = sites.iter().copied().filter(|&(fi, _)| fi == from_file).collect();
-        if !same_file.is_empty() {
-            return same_file;
-        }
-        let my_crate = crate_of(self.files[from_file].rel);
-        let in_crate: Vec<FnId> = sites
-            .iter()
-            .copied()
-            .filter(|&(fi, _)| crate_of(self.files[fi].rel) == my_crate)
-            .collect();
-        if !in_crate.is_empty() {
-            return in_crate;
-        }
-        sites
-    }
-
-    fn digest_field_parity(&self, cfg: &Config, out: &mut Vec<Finding>) {
-        for (fi, ctx) in self.files.iter().enumerate() {
-            for s in &ctx.model.structs {
-                if s.is_test || s.fields.is_empty() {
-                    continue;
-                }
-                let digest_fns = self.owned_fns(&s.name, &["digest", "key_digest"], fi);
-                let digest_fns: Vec<FnId> = digest_fns
-                    .into_iter()
-                    .filter(|&(dfi, dni)| self.files[dfi].model.fns[dni].body.is_some())
-                    .collect();
-                if digest_fns.is_empty() {
-                    continue;
-                }
-                let mentioned = self.body_idents(&digest_fns);
-                let method = &self.files[digest_fns[0].0].model.fns[digest_fns[0].1].name;
-                for f in &s.fields {
-                    if !mentioned.contains(&f.name) {
-                        self.emit(
-                            fi,
-                            f.line,
-                            DIGEST_FIELD_PARITY,
-                            format!(
-                                "field `{}` of `{}` is not folded into `{method}()`; fold it \
-                                 or mark it `lint:digest-exempt(<why order/value cannot \
-                                 affect results>)`",
-                                f.name, s.name
-                            ),
-                            cfg,
-                            out,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    // -- rule: checkpoint-field-parity -------------------------------------
-
-    fn checkpoint_field_parity(&self, cfg: &Config, out: &mut Vec<Finding>) {
-        // Group save/load impls by (file, impl target): cfg-gated twins
-        // of the same pair union their touched sets.
-        let mut pairs: BTreeMap<(usize, String), (Vec<FnId>, Vec<FnId>)> = BTreeMap::new();
-        for ((ty, name), ids) in &self.methods {
-            let slot = match name.as_str() {
-                "save_state" => 0,
-                "load_state" => 1,
-                _ => continue,
-            };
-            for &(fi, ni) in ids {
-                if self.files[fi].model.fns[ni].body.is_none() {
-                    continue; // trait declarations have nothing to scan
-                }
-                let entry = pairs.entry((fi, ty.clone())).or_default();
-                if slot == 0 {
-                    entry.0.push((fi, ni));
-                } else {
-                    entry.1.push((fi, ni));
-                }
-            }
-        }
-        for ((fi, ty), (saves, loads)) in &pairs {
-            if saves.is_empty() || loads.is_empty() {
-                continue;
-            }
-            let Some(sdef) = self.struct_def(ty, *fi) else { continue };
-            if sdef.fields.is_empty() {
-                continue;
-            }
-            let save_ids = self.body_idents(saves);
-            let load_ids = self.body_idents(loads);
-            let save_line = self.files[saves[0].0].model.fns[saves[0].1].line;
-            let load_line = self.files[loads[0].0].model.fns[loads[0].1].line;
-            for f in &sdef.fields {
-                let in_save = save_ids.contains(&f.name);
-                let in_load = load_ids.contains(&f.name);
-                if in_save == in_load {
-                    continue;
-                }
-                // Anchor at the fn that *misses* the field.
-                let (line, missing, present) = if in_save {
-                    (load_line, "load_state", "save_state")
-                } else {
-                    (save_line, "save_state", "load_state")
-                };
-                self.emit(
-                    *fi,
-                    line,
-                    CHECKPOINT_FIELD_PARITY,
-                    format!(
-                        "field `{}` of `{ty}` is touched by {present} but not {missing}; a \
-                         save/load round-trip would silently diverge — cover the field or \
-                         mark the fn `lint:exempt({CHECKPOINT_FIELD_PARITY}: <reason>)`",
-                        f.name
-                    ),
-                    cfg,
-                    out,
-                );
-            }
-        }
-    }
-
     // -- rule: map-iteration-determinism -----------------------------------
 
     /// Whether fn `id` is an order-sensitive sink.
@@ -1247,89 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_parity_flags_missing_field() {
-        let src = "//! d\n\
-            pub struct S {\n\
-                pub a: u64,\n\
-                pub b: u64,\n\
-            }\n\
-            impl S {\n\
-                pub fn digest(&self) -> u64 { self.a }\n\
-            }\n";
-        let f = run(&[("crates/sim/src/x.rs", src)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, DIGEST_FIELD_PARITY);
-        assert_eq!(f[0].line, 4);
-        assert!(!f[0].allowed);
-    }
-
-    #[test]
-    fn digest_exempt_marker_downgrades_with_reason() {
-        let src = "//! d\n\
-            pub struct S {\n\
-                pub a: u64,\n\
-                // lint:digest-exempt(probe-fed histogram, excluded from parity by design)\n\
-                pub b: u64,\n\
-            }\n\
-            impl S {\n\
-                pub fn digest(&self) -> u64 { self.a }\n\
-            }\n";
-        let f = run(&[("crates/sim/src/x.rs", src)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert!(f[0].allowed, "reasoned exemption must downgrade: {f:#?}");
-        // A too-short reason does NOT downgrade.
-        let short = src.replace("probe-fed histogram, excluded from parity by design", "meh");
-        let f = run(&[("crates/sim/src/x.rs", &short)]);
-        assert_eq!(f.len(), 1);
-        assert!(!f[0].allowed, "short reason must stay deny: {f:#?}");
-        assert!(f[0].message.contains("too short"));
-    }
-
-    #[test]
-    fn checkpoint_parity_flags_asymmetric_pair() {
-        let src = "//! d\n\
-            pub struct L { pub head: u64, pub tail: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, out: &mut Vec<u64>) { out.push(self.head); out.push(self.tail); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; }\n\
-            }\n";
-        let f = run(&[("crates/sim/src/x.rs", src)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, CHECKPOINT_FIELD_PARITY);
-        assert_eq!(f[0].line, 5, "anchored at the fn missing the field");
-        assert!(f[0].message.contains("`tail`"));
-    }
-
-    #[test]
-    fn checkpoint_parity_ignores_param_shadowed_field_names() {
-        // `w: &mut Writer` must not read as a touch of the field `w`;
-        // a `self.`-qualified mention still counts.
-        let src = "//! d\n\
-            pub struct L { w: u64, pub head: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, w: &mut Vec<u64>) { w.push(self.head); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; }\n\
-            }\n";
-        assert!(run(&[("crates/sim/src/x.rs", src)]).is_empty());
-        // self-qualified: `self.w` in save only → asymmetric again.
-        let src2 = src.replace("{ w.push(self.head); }", "{ w.push(self.head); w.push(self.w); }");
-        let f = run(&[("crates/sim/src/x.rs", &src2)]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert!(f[0].message.contains("`w`"));
-    }
-
-    #[test]
-    fn checkpoint_parity_symmetric_pair_is_clean() {
-        let src = "//! d\n\
-            pub struct L { pub head: u64, pub tail: u64 }\n\
-            impl L {\n\
-                pub fn save_state(&self, out: &mut Vec<u64>) { out.push(self.head); out.push(self.tail); }\n\
-                pub fn load_state(&mut self, v: &[u64]) { self.head = v[0]; self.tail = v[1]; }\n\
-            }\n";
-        assert!(run(&[("crates/sim/src/x.rs", src)]).is_empty());
-    }
-
-    #[test]
     fn shard_reachability_follows_cross_file_calls() {
         let sm = "//! d\n\
             pub fn tick(now: u64) {\n\
@@ -1579,6 +1317,14 @@ mod tests {
         let f = run(&[("crates/sim/src/x.rs", &src2)]);
         assert_eq!(f.len(), 1);
         assert!(!f[0].allowed, "bare allow must not silence semantic rules");
+        // A too-short reason does not silence them either.
+        let short = src.replace(
+            "every entry schedules at the same delta, order cannot reorder events",
+            "meh",
+        );
+        let f = run(&[("crates/sim/src/x.rs", &short)]);
+        assert_eq!(f.len(), 1);
+        assert!(!f[0].allowed && f[0].message.contains("too short"), "{f:#?}");
     }
 
     #[test]

@@ -112,16 +112,6 @@ fn probe_span_balance_golden() {
 }
 
 #[test]
-fn digest_field_parity_golden() {
-    assert_semantic_golden("digest_field_parity", "digest-field-parity", 8);
-}
-
-#[test]
-fn checkpoint_field_parity_golden() {
-    assert_semantic_golden("checkpoint_field_parity", "checkpoint-field-parity", 16);
-}
-
-#[test]
 fn map_iteration_determinism_golden() {
     assert_semantic_golden("map_iteration_determinism", "map-iteration-determinism", 12);
 }

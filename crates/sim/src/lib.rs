@@ -69,7 +69,6 @@
 
 pub mod addr;
 pub mod cache;
-pub mod checkpoint;
 pub mod config;
 pub mod dram;
 pub mod engine;

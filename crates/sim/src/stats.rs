@@ -1,6 +1,14 @@
 //! Simulation statistics: everything the paper's figures report.
+//!
+//! [`Stats`] is declared once, as the `stats_table!` below. Each row is
+//! one counter, tagged `sim` (simulated behaviour, folded into
+//! [`Stats::digest`]) or `host` (probe-fed attribution and
+//! window-structure counters, kept out of the digest). The table also
+//! generates [`Stats::visit`]/[`Stats::visit_mut`], one walk over every
+//! `u64` word of every row in table order; the digest, [`Stats::merge`]
+//! and the result-cache payload ([`Stats::to_words`]/[`Stats::from_words`])
+//! are built on that walk, so no other list of the fields exists.
 
-use crate::checkpoint::{CkptError, Reader, Writer};
 use crate::config::Cycle;
 use crate::invariant::Fnv64;
 use crate::probe::LatencyBreakdown;
@@ -108,28 +116,6 @@ impl Mean {
     pub fn sum(&self) -> u64 {
         self.sum
     }
-
-    /// Folds another accumulator into this one. Exact, because the
-    /// accumulator is an integer sum — merging per-lane means in any
-    /// order yields the same (sum, n) a single sequential accumulator
-    /// would have.
-    pub fn merge(&mut self, other: &Mean) {
-        self.sum += other.sum;
-        self.n += other.n;
-    }
-
-    /// Serializes the accumulator (the `Stats` codec).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.u64(self.sum);
-        w.u64(self.n);
-    }
-
-    /// Restores the accumulator (the `Stats` codec).
-    pub fn load_state(&mut self, r: &mut Reader) -> Result<(), CkptError> {
-        self.sum = r.u64()?;
-        self.n = r.u64()?;
-        Ok(())
-    }
 }
 
 /// A log2-bucketed latency histogram with percentile estimation.
@@ -161,19 +147,6 @@ impl Histogram {
         self.n += other.n;
     }
 
-    /// Serializes the histogram (the `Stats` codec).
-    pub fn save_state(&self, w: &mut Writer) {
-        w.u64_slice(&self.buckets);
-        w.u64(self.n);
-    }
-
-    /// Restores the histogram (the `Stats` codec).
-    pub fn load_state(&mut self, r: &mut Reader) -> Result<(), CkptError> {
-        r.u64_slice_into(&mut self.buckets)?;
-        self.n = r.u64()?;
-        Ok(())
-    }
-
     /// Estimates percentile `p` (0.0–1.0) as the upper edge of the bucket
     /// containing it (conservative; resolution is a factor of two).
     pub fn percentile(&self, p: f64) -> u64 {
@@ -190,202 +163,6 @@ impl Histogram {
         }
         1 << 31
     }
-}
-
-/// All counters for one simulation run.
-#[derive(Debug, Clone, Default)]
-pub struct Stats {
-    /// Total simulated cycles.
-    pub cycles: Cycle,
-    /// Simulation events dispatched by the engine's calendar (a host-side
-    /// throughput denominator: events per wall-second, not a GPU metric).
-    pub events_processed: u64,
-    /// Cycles in which neither engine domain processed an event, counted
-    /// from the domains' merged processed-cycle lists at each barrier.
-    /// The calendars jump over these cycles; they still count in
-    /// `cycles`, so skipping them is invisible to every simulated metric.
-    pub idle_cycles_skipped: u64,
-    /// Warp instructions issued (loads + compute ops).
-    pub instructions: u64,
-    /// Warp load instructions issued.
-    pub loads: u64,
-    /// Warp store instructions issued.
-    pub stores: u64,
-    /// Dirty sectors written back from the L2 to DRAM.
-    pub writebacks: u64,
-    /// Coalesced sector requests issued to the memory system.
-    pub sector_requests: u64,
-    /// Warp memory instructions fully resolved on the inline hit fast
-    /// path (every sector hit the L1 TLB and L1 cache with free ports, so
-    /// no calendar events were scheduled).
-    pub fast_path_hits: u64,
-    /// Sector requests resolved on the inline hit fast path.
-    pub fast_path_sectors: u64,
-    /// Requests still incomplete when the run finished (always 0 in a
-    /// healthy run; counted instead of panicking so checked-mode release
-    /// builds surface lost-event bugs too).
-    pub lost_requests: u64,
-    /// Cycles during which an SM had warps but none ready (summed over SMs).
-    pub stall_cycles: u64,
-
-    /// L1 TLB lookups / hits.
-    pub l1_tlb_lookups: u64,
-    /// L1 TLB hits.
-    pub l1_tlb_hits: u64,
-    /// L2 TLB lookups.
-    pub l2_tlb_lookups: u64,
-    /// L2 TLB hits.
-    pub l2_tlb_hits: u64,
-    /// Completed page walks.
-    pub page_walks: u64,
-    /// Page walks aborted by EAF before completion.
-    pub walks_aborted: u64,
-    /// Walk requests satisfied by merging into a pending walk.
-    pub walk_merges: u64,
-    /// Memory accesses issued by page walkers.
-    pub walk_memory_accesses: u64,
-    /// TLB fills propagated to other SMs by EAF.
-    pub eaf_cross_sm_fills: u64,
-    /// TLB entries installed by EAF.
-    pub eaf_fills: u64,
-    /// Attempts that found the per-SM L1 TLB MSHR file full: the first
-    /// attempt of a request and every retry of it from the overflow
-    /// queue, so one request can count many times.
-    pub l1_tlb_mshr_full: u64,
-    /// Attempts that found the shared L2 TLB MSHR file full: the first
-    /// lookup and every retry of it from the overflow queue, which is
-    /// retried after each walk completion and each early or rapid fill.
-    /// One lookup can count many times (37.6M counts for 94.5k L2 TLB
-    /// lookups on the benchmark's paper-scale SSSP cells).
-    pub l2_tlb_mshr_full: u64,
-    /// Sector fetches that found a cache MSHR file full.
-    pub cache_mshr_full: u64,
-    /// Walk requests that found the page-walk buffer full.
-    pub pw_buffer_full: u64,
-    /// MSHR/PW-buffer entries released early by EAF.
-    pub eaf_releases: u64,
-
-    /// L1 data-cache sector lookups.
-    pub l1d_lookups: u64,
-    /// L1 data-cache sector hits.
-    pub l1d_hits: u64,
-    /// L2 cache sector lookups.
-    pub l2_lookups: u64,
-    /// L2 cache sector hits.
-    pub l2_hits: u64,
-    /// Bytes read from DRAM.
-    pub dram_read_bytes: u64,
-    /// Bytes written to DRAM.
-    pub dram_write_bytes: u64,
-    /// DRAM row-buffer hits.
-    pub dram_row_hits: u64,
-    /// DRAM row-buffer misses (activations).
-    pub dram_row_misses: u64,
-
-    /// Page faults taken (first-touch or refault after eviction).
-    pub page_faults: u64,
-    /// Pages migrated to GPU memory.
-    pub pages_migrated: u64,
-    /// Accesses served remotely from host memory (cold pages below the
-    /// access-counter migration threshold).
-    pub remote_accesses: u64,
-    /// 2MB chunks evicted under oversubscription.
-    pub chunks_evicted: u64,
-    /// TLB shootdowns performed.
-    pub tlb_shootdowns: u64,
-    /// Chunks promoted to 2MB pages.
-    pub promotions: u64,
-    /// Promoted chunks splintered back to 4KB pages.
-    pub splinters: u64,
-    /// Extra page-table references charged for merging (SnakeByte).
-    pub merge_memory_accesses: u64,
-
-    /// Speculations attempted.
-    pub speculations: u64,
-    /// Speculations whose predicted PPN matched the real translation.
-    pub spec_correct: u64,
-    /// Speculations on pages not resident in GPU memory (false speculation).
-    pub spec_false: u64,
-    /// Speculative fetches that reached DRAM.
-    pub spec_fetches: u64,
-    /// Sectors fetched speculatively that were compressed (had page info).
-    pub spec_compressed: u64,
-    /// Mis-speculations detected by CAVA VPN mismatch.
-    pub cava_mismatches: u64,
-    /// Speculations confirmed early by the rapid validation-on-use check
-    /// (Revelator-class policies), releasing walk resources before the
-    /// background translation completes.
-    pub rapid_validations: u64,
-    /// Policy-private table entries installed (MOD/seed/dead-region
-    /// tables), from [`TranslationPolicy::policy_counters`].
-    ///
-    /// [`TranslationPolicy::policy_counters`]: crate::hooks::TranslationPolicy::policy_counters
-    pub policy_installs: u64,
-    /// Policy-private table entries displaced by capacity or conflict.
-    pub policy_evictions: u64,
-    /// Policy-private table lookups that fed a prediction or hint.
-    pub policy_hits: u64,
-    /// Counts per speculation outcome class (correct speculations only).
-    pub outcomes: OutcomeCounts,
-
-    /// TLB-hit coverage histogram (counts per bucket).
-    pub coverage_hits: [u64; 5],
-
-    /// Mean end-to-end latency of warp load instructions.
-    pub load_latency: Mean,
-    /// Mean latency of sector requests (issue to data-usable).
-    pub sector_latency: Mean,
-    /// Log2 histogram of sector-request latencies (for percentiles).
-    pub sector_latency_hist: Histogram,
-    /// Mean page-walk latency.
-    pub walk_latency: Mean,
-
-    /// Sectors considered at migration.
-    pub migrate_sectors: u64,
-    /// Sectors that compressed below the 22B budget at migration.
-    pub migrate_compressed: u64,
-
-    // --- Probe-fed observability fields (DESIGN.md §10) -------------
-    // Filled only when the `probes` cargo feature is on; always present
-    // so consumers need no cfg, and deliberately EXCLUDED from
-    // `digest()` so the feature cannot change the determinism digest.
-    /// Per-phase latency attribution over all completed sector requests
-    /// (`probes` feature; zeroes otherwise). The conservation invariant
-    /// `latency_breakdown.total_cycles() == sector_latency.sum()` is
-    /// test- and fig20-enforced.
-    // lint:digest-exempt(probe-fed attribution, zero unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
-    pub latency_breakdown: LatencyBreakdown,
-    /// Log2 histogram of completed page-walk latencies, enqueue to
-    /// done (`probes` feature; empty otherwise).
-    // lint:digest-exempt(probe-fed histogram, empty unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
-    pub walk_latency_hist: Histogram,
-    /// Log2 histogram of rapid-validation windows: speculative fetch
-    /// registration to CAVA verdict (`probes` feature; empty otherwise).
-    // lint:digest-exempt(probe-fed histogram, empty unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
-    pub validation_latency_hist: Histogram,
-    /// Log2 histogram of queueing waits: TLB/cache port-grant delays
-    /// plus walk-buffer residency before a walker picks the walk up
-    /// (`probes` feature; empty otherwise).
-    // lint:digest-exempt(probe-fed histogram, empty unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
-    pub queue_latency_hist: Histogram,
-    /// Log2 histogram of DRAM service times, arrival to data return
-    /// (`probes` feature; empty otherwise).
-    // lint:digest-exempt(probe-fed histogram, empty unless the probes feature is on; excluded so the feature cannot shift the determinism digest)
-    pub dram_service_hist: Histogram,
-
-    // --- Window-structure counters (DESIGN.md §11) -------------------
-    // Describe how the host advanced the two calendars, not what the
-    // simulated GPU did, so — like the probe-fed fields above — they
-    // are EXCLUDED from `digest()`.
-    /// Horizon barriers taken by the window loop.
-    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
-    pub horizon_barriers: u64,
-    /// Cross-domain events pushed into an outbox.
-    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
-    pub exchange_enqueued: u64,
-    /// Outbox events delivered at horizon barriers.
-    // lint:digest-exempt(host calendar-structure counter; counts window barriers, not simulated behaviour)
-    pub exchange_dequeued: u64,
 }
 
 /// Per-outcome counters for Fig 16.
@@ -426,6 +203,305 @@ impl OutcomeCounts {
             count as f64 / t as f64
         }
     }
+}
+
+/// A row's part in the determinism contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Simulated behaviour: folded into [`Stats::digest`].
+    Sim,
+    /// Host-side attribution or calendar structure: kept out of the
+    /// digest, so the `probes` feature and the window loop cannot
+    /// shift it.
+    Host,
+}
+
+/// A row's value as a fixed sequence of `u64` words, in digest order.
+/// Implemented for the integer row types only, so a float row fails to
+/// compile.
+trait Words {
+    fn words(&self) -> impl Iterator<Item = &u64>;
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64>;
+}
+
+impl Words for u64 {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        std::iter::once(self)
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        std::iter::once(self)
+    }
+}
+
+impl<const N: usize> Words for [u64; N] {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        self.iter()
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.iter_mut()
+    }
+}
+
+impl Words for Mean {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        [&self.sum, &self.n].into_iter()
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        [&mut self.sum, &mut self.n].into_iter()
+    }
+}
+
+impl Words for Histogram {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        self.buckets.iter().chain([&self.n])
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.buckets.iter_mut().chain([&mut self.n])
+    }
+}
+
+impl Words for OutcomeCounts {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        [&self.fast_translation, &self.l1d_hit, &self.l1d_merge, &self.l1d_miss].into_iter()
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        [&mut self.fast_translation, &mut self.l1d_hit, &mut self.l1d_merge, &mut self.l1d_miss]
+            .into_iter()
+    }
+}
+
+impl Words for LatencyBreakdown {
+    fn words(&self) -> impl Iterator<Item = &u64> {
+        self.cycles.iter().chain([&self.sectors])
+    }
+    fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.cycles.iter_mut().chain([&mut self.sectors])
+    }
+}
+
+/// Declares [`Stats`] and its word walk from rows of
+/// `role name: Type,`, each under its doc comment.
+macro_rules! stats_table {
+    (@role sim) => { Role::Sim };
+    (@role host) => { Role::Host };
+    ($($(#[$doc:meta])* $role:ident $name:ident: $ty:ty,)*) => {
+        /// All counters for one simulation run.
+        ///
+        /// To add a counter, add one row to the `stats_table!` in
+        /// `stats.rs`, tagged `sim` if it describes the simulated GPU or
+        /// `host` if it describes how the host ran the simulation. Row
+        /// order is digest order: a new `sim` row changes every digest,
+        /// so the pins in `crates/core/tests/tlb_overflow.rs` and
+        /// `every_word_digest_pin` must then be re-recorded on purpose.
+        #[derive(Debug, Clone, Default)]
+        pub struct Stats {
+            $($(#[$doc])* pub $name: $ty,)*
+        }
+
+        impl Stats {
+            /// Walks every word of every row in table order, passing the
+            /// row's name, its role and the word.
+            pub fn visit(&self, mut f: impl FnMut(&'static str, Role, u64)) {
+                $(for w in self.$name.words() {
+                    f(stringify!($name), stats_table!(@role $role), *w);
+                })*
+            }
+
+            /// [`visit`](Self::visit) with each word mutable.
+            pub fn visit_mut(&mut self, mut f: impl FnMut(&'static str, Role, &mut u64)) {
+                $(for w in self.$name.words_mut() {
+                    f(stringify!($name), stats_table!(@role $role), w);
+                })*
+            }
+        }
+    };
+}
+
+stats_table! {
+    /// Total simulated cycles.
+    sim cycles: Cycle,
+    /// Simulation events dispatched by the engine's calendar (a host-side
+    /// throughput denominator: events per wall-second, not a GPU metric).
+    sim events_processed: u64,
+    /// Cycles in which neither engine domain processed an event, counted
+    /// from the domains' merged processed-cycle lists at each barrier.
+    /// The calendars jump over these cycles; they still count in
+    /// `cycles`, so skipping them is invisible to every simulated metric.
+    sim idle_cycles_skipped: u64,
+    /// Warp instructions issued (loads + compute ops).
+    sim instructions: u64,
+    /// Warp load instructions issued.
+    sim loads: u64,
+    /// Warp store instructions issued.
+    sim stores: u64,
+    /// Dirty sectors written back from the L2 to DRAM.
+    sim writebacks: u64,
+    /// Coalesced sector requests issued to the memory system.
+    sim sector_requests: u64,
+    /// Warp memory instructions fully resolved on the inline hit fast
+    /// path (every sector hit the L1 TLB and L1 cache with free ports, so
+    /// no calendar events were scheduled).
+    sim fast_path_hits: u64,
+    /// Sector requests resolved on the inline hit fast path.
+    sim fast_path_sectors: u64,
+    /// Requests still incomplete when the run finished (always 0 in a
+    /// healthy run; counted instead of panicking so checked-mode release
+    /// builds surface lost-event bugs too).
+    sim lost_requests: u64,
+    /// Cycles during which an SM had warps but none ready (summed over SMs).
+    sim stall_cycles: u64,
+
+    /// L1 TLB lookups / hits.
+    sim l1_tlb_lookups: u64,
+    /// L1 TLB hits.
+    sim l1_tlb_hits: u64,
+    /// L2 TLB lookups.
+    sim l2_tlb_lookups: u64,
+    /// L2 TLB hits.
+    sim l2_tlb_hits: u64,
+    /// Completed page walks.
+    sim page_walks: u64,
+    /// Page walks aborted by EAF before completion.
+    sim walks_aborted: u64,
+    /// Walk requests satisfied by merging into a pending walk.
+    sim walk_merges: u64,
+    /// Memory accesses issued by page walkers.
+    sim walk_memory_accesses: u64,
+    /// TLB fills propagated to other SMs by EAF.
+    sim eaf_cross_sm_fills: u64,
+    /// TLB entries installed by EAF.
+    sim eaf_fills: u64,
+    /// Attempts that found the per-SM L1 TLB MSHR file full: the first
+    /// attempt of a request and every retry of it from the overflow
+    /// queue, so one request can count many times.
+    sim l1_tlb_mshr_full: u64,
+    /// Attempts that found the shared L2 TLB MSHR file full: the first
+    /// lookup and every retry of it from the overflow queue, which is
+    /// retried after each walk completion and each early or rapid fill.
+    /// One lookup can count many times (37.6M counts for 94.5k L2 TLB
+    /// lookups on the benchmark's paper-scale SSSP cells).
+    sim l2_tlb_mshr_full: u64,
+    /// Sector fetches that found a cache MSHR file full.
+    sim cache_mshr_full: u64,
+    /// Walk requests that found the page-walk buffer full.
+    sim pw_buffer_full: u64,
+    /// MSHR/PW-buffer entries released early by EAF.
+    sim eaf_releases: u64,
+
+    /// L1 data-cache sector lookups.
+    sim l1d_lookups: u64,
+    /// L1 data-cache sector hits.
+    sim l1d_hits: u64,
+    /// L2 cache sector lookups.
+    sim l2_lookups: u64,
+    /// L2 cache sector hits.
+    sim l2_hits: u64,
+    /// Bytes read from DRAM.
+    sim dram_read_bytes: u64,
+    /// Bytes written to DRAM.
+    sim dram_write_bytes: u64,
+    /// DRAM row-buffer hits.
+    sim dram_row_hits: u64,
+    /// DRAM row-buffer misses (activations).
+    sim dram_row_misses: u64,
+
+    /// Page faults taken (first-touch or refault after eviction).
+    sim page_faults: u64,
+    /// Pages migrated to GPU memory.
+    sim pages_migrated: u64,
+    /// Accesses served remotely from host memory (cold pages below the
+    /// access-counter migration threshold).
+    sim remote_accesses: u64,
+    /// 2MB chunks evicted under oversubscription.
+    sim chunks_evicted: u64,
+    /// TLB shootdowns performed.
+    sim tlb_shootdowns: u64,
+    /// Chunks promoted to 2MB pages.
+    sim promotions: u64,
+    /// Promoted chunks splintered back to 4KB pages.
+    sim splinters: u64,
+    /// Extra page-table references charged for merging (SnakeByte).
+    sim merge_memory_accesses: u64,
+
+    /// Speculations attempted.
+    sim speculations: u64,
+    /// Speculations whose predicted PPN matched the real translation.
+    sim spec_correct: u64,
+    /// Speculations on pages not resident in GPU memory (false speculation).
+    sim spec_false: u64,
+    /// Speculative fetches that reached DRAM.
+    sim spec_fetches: u64,
+    /// Sectors fetched speculatively that were compressed (had page info).
+    sim spec_compressed: u64,
+    /// Mis-speculations detected by CAVA VPN mismatch.
+    sim cava_mismatches: u64,
+    /// Speculations confirmed early by the rapid validation-on-use check
+    /// (Revelator-class policies), releasing walk resources before the
+    /// background translation completes.
+    sim rapid_validations: u64,
+    /// Policy-private table entries installed (MOD/seed/dead-region
+    /// tables), from [`TranslationPolicy::policy_counters`].
+    ///
+    /// [`TranslationPolicy::policy_counters`]: crate::hooks::TranslationPolicy::policy_counters
+    sim policy_installs: u64,
+    /// Policy-private table entries displaced by capacity or conflict.
+    sim policy_evictions: u64,
+    /// Policy-private table lookups that fed a prediction or hint.
+    sim policy_hits: u64,
+    /// Counts per speculation outcome class (correct speculations only).
+    sim outcomes: OutcomeCounts,
+
+    /// TLB-hit coverage histogram (counts per bucket).
+    sim coverage_hits: [u64; 5],
+
+    /// Mean end-to-end latency of warp load instructions.
+    sim load_latency: Mean,
+    /// Mean latency of sector requests (issue to data-usable).
+    sim sector_latency: Mean,
+    /// Mean page-walk latency.
+    sim walk_latency: Mean,
+    /// Log2 histogram of sector-request latencies (for percentiles).
+    sim sector_latency_hist: Histogram,
+
+    /// Sectors considered at migration.
+    sim migrate_sectors: u64,
+    /// Sectors that compressed below the 22B budget at migration.
+    sim migrate_compressed: u64,
+
+    // --- Probe-fed observability rows (DESIGN.md §10) ----------------
+    // Filled only when the `probes` cargo feature is on; always present
+    // so consumers need no cfg.
+    /// Per-phase latency attribution over all completed sector requests
+    /// (`probes` feature; zeroes otherwise). The conservation invariant
+    /// `latency_breakdown.total_cycles() == sector_latency.sum()` is
+    /// test- and fig20-enforced. Host row: zero unless the probes
+    /// feature is on, so folding it would let the feature shift the
+    /// digest.
+    host latency_breakdown: LatencyBreakdown,
+    /// Log2 histogram of completed page-walk latencies, enqueue to
+    /// done (`probes` feature; empty otherwise). Host row: probe-fed.
+    host walk_latency_hist: Histogram,
+    /// Log2 histogram of rapid-validation windows: speculative fetch
+    /// registration to CAVA verdict (`probes` feature; empty otherwise).
+    /// Host row: probe-fed.
+    host validation_latency_hist: Histogram,
+    /// Log2 histogram of queueing waits: TLB/cache port-grant delays
+    /// plus walk-buffer residency before a walker picks the walk up
+    /// (`probes` feature; empty otherwise). Host row: probe-fed.
+    host queue_latency_hist: Histogram,
+    /// Log2 histogram of DRAM service times, arrival to data return
+    /// (`probes` feature; empty otherwise). Host row: probe-fed.
+    host dram_service_hist: Histogram,
+
+    // --- Window-structure counters (DESIGN.md §11) -------------------
+    // Host rows: they count how the host advanced the two calendars,
+    // not what the simulated GPU did.
+    /// Horizon barriers taken by the window loop.
+    host horizon_barriers: u64,
+    /// Cross-domain events pushed into an outbox.
+    host exchange_enqueued: u64,
+    /// Outbox events delivered at horizon barriers.
+    host exchange_dequeued: u64,
 }
 
 impl Stats {
@@ -482,495 +558,60 @@ impl Stats {
         }
     }
 
-    /// FNV-1a determinism digest over every counter in declaration order.
+    /// FNV-1a determinism digest over every `sim` word, in table order.
     ///
     /// Two runs of the same cell must produce the same digest regardless of
     /// runner thread count or whether the `invariants` feature is on —
-    /// checked mode and the parallel runner both gate on this. Floats are
-    /// folded as raw bit patterns, so any numeric drift (not just a changed
-    /// rounding) flips the digest.
-    ///
-    /// The probe-fed observability fields (`latency_breakdown` and the
-    /// walk/validation/queue/DRAM histograms) are deliberately NOT
-    /// folded: they are empty without the `probes` feature, and the
-    /// probes-on/off differential test pins the digest identical across
-    /// the feature — folding them would make that impossible.
+    /// checked mode and the parallel runner both gate on this. The `host`
+    /// rows are left out: the probe-fed ones are empty without the
+    /// `probes` feature, and the probes-on/off differential test pins the
+    /// digest identical across the feature.
     pub fn digest(&self) -> u64 {
         let mut h = Fnv64::new();
-        let mut w = |v: u64| h.write_u64(v);
-        w(self.cycles);
-        w(self.events_processed);
-        w(self.idle_cycles_skipped);
-        w(self.instructions);
-        w(self.loads);
-        w(self.stores);
-        w(self.writebacks);
-        w(self.sector_requests);
-        w(self.fast_path_hits);
-        w(self.fast_path_sectors);
-        w(self.lost_requests);
-        w(self.stall_cycles);
-        w(self.l1_tlb_lookups);
-        w(self.l1_tlb_hits);
-        w(self.l2_tlb_lookups);
-        w(self.l2_tlb_hits);
-        w(self.page_walks);
-        w(self.walks_aborted);
-        w(self.walk_merges);
-        w(self.walk_memory_accesses);
-        w(self.eaf_cross_sm_fills);
-        w(self.eaf_fills);
-        w(self.l1_tlb_mshr_full);
-        w(self.l2_tlb_mshr_full);
-        w(self.cache_mshr_full);
-        w(self.pw_buffer_full);
-        w(self.eaf_releases);
-        w(self.l1d_lookups);
-        w(self.l1d_hits);
-        w(self.l2_lookups);
-        w(self.l2_hits);
-        w(self.dram_read_bytes);
-        w(self.dram_write_bytes);
-        w(self.dram_row_hits);
-        w(self.dram_row_misses);
-        w(self.page_faults);
-        w(self.pages_migrated);
-        w(self.remote_accesses);
-        w(self.chunks_evicted);
-        w(self.tlb_shootdowns);
-        w(self.promotions);
-        w(self.splinters);
-        w(self.merge_memory_accesses);
-        w(self.speculations);
-        w(self.spec_correct);
-        w(self.spec_false);
-        w(self.spec_fetches);
-        w(self.spec_compressed);
-        w(self.cava_mismatches);
-        w(self.rapid_validations);
-        w(self.policy_installs);
-        w(self.policy_evictions);
-        w(self.policy_hits);
-        w(self.outcomes.fast_translation);
-        w(self.outcomes.l1d_hit);
-        w(self.outcomes.l1d_merge);
-        w(self.outcomes.l1d_miss);
-        for c in self.coverage_hits {
-            w(c);
-        }
-        for m in [&self.load_latency, &self.sector_latency, &self.walk_latency] {
-            w(m.sum);
-            w(m.n);
-        }
-        for b in self.sector_latency_hist.buckets {
-            w(b);
-        }
-        w(self.sector_latency_hist.n);
-        w(self.migrate_sectors);
-        w(self.migrate_compressed);
+        self.visit(|_, role, w| {
+            if role == Role::Sim {
+                h.write_u64(w);
+            }
+        });
         h.finish()
     }
 
-    /// Serializes every field — including the digest-excluded probe-fed
-    /// and window-structure ones — in declaration order. The bench
-    /// result cache rides on this. The exhaustive destructuring is
-    /// deliberate: adding a `Stats` field without serializing it becomes
-    /// a compile error here.
-    pub fn save_state(&self, w: &mut Writer) {
-        let Stats {
-            cycles,
-            events_processed,
-            idle_cycles_skipped,
-            instructions,
-            loads,
-            stores,
-            writebacks,
-            sector_requests,
-            fast_path_hits,
-            fast_path_sectors,
-            lost_requests,
-            stall_cycles,
-            l1_tlb_lookups,
-            l1_tlb_hits,
-            l2_tlb_lookups,
-            l2_tlb_hits,
-            page_walks,
-            walks_aborted,
-            walk_merges,
-            walk_memory_accesses,
-            eaf_cross_sm_fills,
-            eaf_fills,
-            l1_tlb_mshr_full,
-            l2_tlb_mshr_full,
-            cache_mshr_full,
-            pw_buffer_full,
-            eaf_releases,
-            l1d_lookups,
-            l1d_hits,
-            l2_lookups,
-            l2_hits,
-            dram_read_bytes,
-            dram_write_bytes,
-            dram_row_hits,
-            dram_row_misses,
-            page_faults,
-            pages_migrated,
-            remote_accesses,
-            chunks_evicted,
-            tlb_shootdowns,
-            promotions,
-            splinters,
-            merge_memory_accesses,
-            speculations,
-            spec_correct,
-            spec_false,
-            spec_fetches,
-            spec_compressed,
-            cava_mismatches,
-            rapid_validations,
-            policy_installs,
-            policy_evictions,
-            policy_hits,
-            outcomes,
-            coverage_hits,
-            load_latency,
-            sector_latency,
-            sector_latency_hist,
-            walk_latency,
-            migrate_sectors,
-            migrate_compressed,
-            latency_breakdown,
-            walk_latency_hist,
-            validation_latency_hist,
-            queue_latency_hist,
-            dram_service_hist,
-            horizon_barriers,
-            exchange_enqueued,
-            exchange_dequeued,
-        } = self;
-        for v in [
-            cycles,
-            events_processed,
-            idle_cycles_skipped,
-            instructions,
-            loads,
-            stores,
-            writebacks,
-            sector_requests,
-            fast_path_hits,
-            fast_path_sectors,
-            lost_requests,
-            stall_cycles,
-            l1_tlb_lookups,
-            l1_tlb_hits,
-            l2_tlb_lookups,
-            l2_tlb_hits,
-            page_walks,
-            walks_aborted,
-            walk_merges,
-            walk_memory_accesses,
-            eaf_cross_sm_fills,
-            eaf_fills,
-            l1_tlb_mshr_full,
-            l2_tlb_mshr_full,
-            cache_mshr_full,
-            pw_buffer_full,
-            eaf_releases,
-            l1d_lookups,
-            l1d_hits,
-            l2_lookups,
-            l2_hits,
-            dram_read_bytes,
-            dram_write_bytes,
-            dram_row_hits,
-            dram_row_misses,
-            page_faults,
-            pages_migrated,
-            remote_accesses,
-            chunks_evicted,
-            tlb_shootdowns,
-            promotions,
-            splinters,
-            merge_memory_accesses,
-            speculations,
-            spec_correct,
-            spec_false,
-            spec_fetches,
-            spec_compressed,
-            cava_mismatches,
-            rapid_validations,
-            policy_installs,
-            policy_evictions,
-            policy_hits,
-        ] {
-            w.u64(*v);
-        }
-        w.u64(outcomes.fast_translation);
-        w.u64(outcomes.l1d_hit);
-        w.u64(outcomes.l1d_merge);
-        w.u64(outcomes.l1d_miss);
-        w.u64_slice(coverage_hits);
-        load_latency.save_state(w);
-        sector_latency.save_state(w);
-        sector_latency_hist.save_state(w);
-        walk_latency.save_state(w);
-        w.u64(*migrate_sectors);
-        w.u64(*migrate_compressed);
-        w.u64_slice(&latency_breakdown.cycles);
-        w.u64(latency_breakdown.sectors);
-        walk_latency_hist.save_state(w);
-        validation_latency_hist.save_state(w);
-        queue_latency_hist.save_state(w);
-        dram_service_hist.save_state(w);
-        w.u64(*horizon_barriers);
-        w.u64(*exchange_enqueued);
-        w.u64(*exchange_dequeued);
-    }
-
-    /// Folds another `Stats` into this one — the engine keeps one
-    /// `Stats` per domain (the SM lane and the shared lane) and merges
-    /// them at finish. Counters add; means and histograms fold their
-    /// integer accumulators (exact and order-insensitive); `cycles` takes
-    /// the max (each domain records the last cycle it dispatched). The
-    /// exhaustive destructuring makes adding a `Stats` field without
-    /// deciding its merge role a compile error.
+    /// Folds another `Stats` into this one by adding every word — the
+    /// engine keeps one `Stats` per domain (the SM lane and the shared
+    /// lane) and merges them at finish. Means and histograms are integer
+    /// accumulators, so the merge is exact and order-insensitive. Rows
+    /// that describe the whole run (`cycles` among them) are set by
+    /// `Engine::finish` after the merge.
     pub fn merge(&mut self, other: &Stats) {
-        let Stats {
-            cycles,
-            events_processed,
-            idle_cycles_skipped,
-            instructions,
-            loads,
-            stores,
-            writebacks,
-            sector_requests,
-            fast_path_hits,
-            fast_path_sectors,
-            lost_requests,
-            stall_cycles,
-            l1_tlb_lookups,
-            l1_tlb_hits,
-            l2_tlb_lookups,
-            l2_tlb_hits,
-            page_walks,
-            walks_aborted,
-            walk_merges,
-            walk_memory_accesses,
-            eaf_cross_sm_fills,
-            eaf_fills,
-            l1_tlb_mshr_full,
-            l2_tlb_mshr_full,
-            cache_mshr_full,
-            pw_buffer_full,
-            eaf_releases,
-            l1d_lookups,
-            l1d_hits,
-            l2_lookups,
-            l2_hits,
-            dram_read_bytes,
-            dram_write_bytes,
-            dram_row_hits,
-            dram_row_misses,
-            page_faults,
-            pages_migrated,
-            remote_accesses,
-            chunks_evicted,
-            tlb_shootdowns,
-            promotions,
-            splinters,
-            merge_memory_accesses,
-            speculations,
-            spec_correct,
-            spec_false,
-            spec_fetches,
-            spec_compressed,
-            cava_mismatches,
-            rapid_validations,
-            policy_installs,
-            policy_evictions,
-            policy_hits,
-            outcomes,
-            coverage_hits,
-            load_latency,
-            sector_latency,
-            sector_latency_hist,
-            walk_latency,
-            migrate_sectors,
-            migrate_compressed,
-            latency_breakdown,
-            walk_latency_hist,
-            validation_latency_hist,
-            queue_latency_hist,
-            dram_service_hist,
-            horizon_barriers,
-            exchange_enqueued,
-            exchange_dequeued,
-        } = other;
-        self.cycles = self.cycles.max(*cycles);
-        for (dst, src) in [
-            (&mut self.events_processed, events_processed),
-            (&mut self.idle_cycles_skipped, idle_cycles_skipped),
-            (&mut self.instructions, instructions),
-            (&mut self.loads, loads),
-            (&mut self.stores, stores),
-            (&mut self.writebacks, writebacks),
-            (&mut self.sector_requests, sector_requests),
-            (&mut self.fast_path_hits, fast_path_hits),
-            (&mut self.fast_path_sectors, fast_path_sectors),
-            (&mut self.lost_requests, lost_requests),
-            (&mut self.stall_cycles, stall_cycles),
-            (&mut self.l1_tlb_lookups, l1_tlb_lookups),
-            (&mut self.l1_tlb_hits, l1_tlb_hits),
-            (&mut self.l2_tlb_lookups, l2_tlb_lookups),
-            (&mut self.l2_tlb_hits, l2_tlb_hits),
-            (&mut self.page_walks, page_walks),
-            (&mut self.walks_aborted, walks_aborted),
-            (&mut self.walk_merges, walk_merges),
-            (&mut self.walk_memory_accesses, walk_memory_accesses),
-            (&mut self.eaf_cross_sm_fills, eaf_cross_sm_fills),
-            (&mut self.eaf_fills, eaf_fills),
-            (&mut self.l1_tlb_mshr_full, l1_tlb_mshr_full),
-            (&mut self.l2_tlb_mshr_full, l2_tlb_mshr_full),
-            (&mut self.cache_mshr_full, cache_mshr_full),
-            (&mut self.pw_buffer_full, pw_buffer_full),
-            (&mut self.eaf_releases, eaf_releases),
-            (&mut self.l1d_lookups, l1d_lookups),
-            (&mut self.l1d_hits, l1d_hits),
-            (&mut self.l2_lookups, l2_lookups),
-            (&mut self.l2_hits, l2_hits),
-            (&mut self.dram_read_bytes, dram_read_bytes),
-            (&mut self.dram_write_bytes, dram_write_bytes),
-            (&mut self.dram_row_hits, dram_row_hits),
-            (&mut self.dram_row_misses, dram_row_misses),
-            (&mut self.page_faults, page_faults),
-            (&mut self.pages_migrated, pages_migrated),
-            (&mut self.remote_accesses, remote_accesses),
-            (&mut self.chunks_evicted, chunks_evicted),
-            (&mut self.tlb_shootdowns, tlb_shootdowns),
-            (&mut self.promotions, promotions),
-            (&mut self.splinters, splinters),
-            (&mut self.merge_memory_accesses, merge_memory_accesses),
-            (&mut self.speculations, speculations),
-            (&mut self.spec_correct, spec_correct),
-            (&mut self.spec_false, spec_false),
-            (&mut self.spec_fetches, spec_fetches),
-            (&mut self.spec_compressed, spec_compressed),
-            (&mut self.cava_mismatches, cava_mismatches),
-            (&mut self.rapid_validations, rapid_validations),
-            (&mut self.policy_installs, policy_installs),
-            (&mut self.policy_evictions, policy_evictions),
-            (&mut self.policy_hits, policy_hits),
-            (&mut self.horizon_barriers, horizon_barriers),
-            (&mut self.exchange_enqueued, exchange_enqueued),
-            (&mut self.exchange_dequeued, exchange_dequeued),
-        ] {
-            *dst += *src;
-        }
-        self.outcomes.fast_translation += outcomes.fast_translation;
-        self.outcomes.l1d_hit += outcomes.l1d_hit;
-        self.outcomes.l1d_merge += outcomes.l1d_merge;
-        self.outcomes.l1d_miss += outcomes.l1d_miss;
-        for (dst, src) in self.coverage_hits.iter_mut().zip(coverage_hits.iter()) {
-            *dst += *src;
-        }
-        self.load_latency.merge(load_latency);
-        self.sector_latency.merge(sector_latency);
-        self.sector_latency_hist.merge(sector_latency_hist);
-        self.walk_latency.merge(walk_latency);
-        self.migrate_sectors += migrate_sectors;
-        self.migrate_compressed += migrate_compressed;
-        for (dst, src) in
-            self.latency_breakdown.cycles.iter_mut().zip(latency_breakdown.cycles.iter())
-        {
-            *dst += *src;
-        }
-        self.latency_breakdown.sectors += latency_breakdown.sectors;
-        self.walk_latency_hist.merge(walk_latency_hist);
-        self.validation_latency_hist.merge(validation_latency_hist);
-        self.queue_latency_hist.merge(queue_latency_hist);
-        self.dram_service_hist.merge(dram_service_hist);
+        let mut theirs = other.to_words().into_iter();
+        self.visit_mut(|_, _, w| *w += theirs.next().expect("both Stats walk one table"));
     }
 
-    /// Restores every field written by [`save_state`](Self::save_state).
-    pub fn load_state(&mut self, r: &mut Reader) -> Result<(), CkptError> {
-        for v in [
-            &mut self.cycles,
-            &mut self.events_processed,
-            &mut self.idle_cycles_skipped,
-            &mut self.instructions,
-            &mut self.loads,
-            &mut self.stores,
-            &mut self.writebacks,
-            &mut self.sector_requests,
-            &mut self.fast_path_hits,
-            &mut self.fast_path_sectors,
-            &mut self.lost_requests,
-            &mut self.stall_cycles,
-            &mut self.l1_tlb_lookups,
-            &mut self.l1_tlb_hits,
-            &mut self.l2_tlb_lookups,
-            &mut self.l2_tlb_hits,
-            &mut self.page_walks,
-            &mut self.walks_aborted,
-            &mut self.walk_merges,
-            &mut self.walk_memory_accesses,
-            &mut self.eaf_cross_sm_fills,
-            &mut self.eaf_fills,
-            &mut self.l1_tlb_mshr_full,
-            &mut self.l2_tlb_mshr_full,
-            &mut self.cache_mshr_full,
-            &mut self.pw_buffer_full,
-            &mut self.eaf_releases,
-            &mut self.l1d_lookups,
-            &mut self.l1d_hits,
-            &mut self.l2_lookups,
-            &mut self.l2_hits,
-            &mut self.dram_read_bytes,
-            &mut self.dram_write_bytes,
-            &mut self.dram_row_hits,
-            &mut self.dram_row_misses,
-            &mut self.page_faults,
-            &mut self.pages_migrated,
-            &mut self.remote_accesses,
-            &mut self.chunks_evicted,
-            &mut self.tlb_shootdowns,
-            &mut self.promotions,
-            &mut self.splinters,
-            &mut self.merge_memory_accesses,
-            &mut self.speculations,
-            &mut self.spec_correct,
-            &mut self.spec_false,
-            &mut self.spec_fetches,
-            &mut self.spec_compressed,
-            &mut self.cava_mismatches,
-            &mut self.rapid_validations,
-            &mut self.policy_installs,
-            &mut self.policy_evictions,
-            &mut self.policy_hits,
-        ] {
-            *v = r.u64()?;
+    /// Every word of every row, `host` rows included, in table order:
+    /// the result cache's payload.
+    pub fn to_words(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.visit(|_, _, w| out.push(w));
+        out
+    }
+
+    /// Rebuilds the `Stats` that [`to_words`](Self::to_words) produced.
+    /// A payload of the wrong length is an error, never a partial
+    /// restore.
+    pub fn from_words(words: &[u64]) -> Result<Stats, String> {
+        let mut s = Stats::default();
+        let mut n = 0;
+        s.visit_mut(|_, _, w| {
+            if let Some(&v) = words.get(n) {
+                *w = v;
+            }
+            n += 1;
+        });
+        if words.len() == n {
+            Ok(s)
+        } else {
+            Err(format!("payload has {} words, the Stats table has {n}", words.len()))
         }
-        self.outcomes.fast_translation = r.u64()?;
-        self.outcomes.l1d_hit = r.u64()?;
-        self.outcomes.l1d_merge = r.u64()?;
-        self.outcomes.l1d_miss = r.u64()?;
-        r.u64_slice_into(&mut self.coverage_hits)?;
-        self.load_latency.load_state(r)?;
-        self.sector_latency.load_state(r)?;
-        self.sector_latency_hist.load_state(r)?;
-        self.walk_latency.load_state(r)?;
-        self.migrate_sectors = r.u64()?;
-        self.migrate_compressed = r.u64()?;
-        r.u64_slice_into(&mut self.latency_breakdown.cycles)?;
-        self.latency_breakdown.sectors = r.u64()?;
-        self.walk_latency_hist.load_state(r)?;
-        self.validation_latency_hist.load_state(r)?;
-        self.queue_latency_hist.load_state(r)?;
-        self.dram_service_hist.load_state(r)?;
-        self.horizon_barriers = r.u64()?;
-        self.exchange_enqueued = r.u64()?;
-        self.exchange_dequeued = r.u64()?;
-        Ok(())
     }
 }
 
@@ -1089,6 +730,50 @@ mod tests {
         assert_eq!(base, s.digest(), "window-structure counters leaked into the digest");
     }
 
+    /// A `Stats` whose word `j` of row `name` is FNV over the bytes of
+    /// `name`, then `j`: every word distinct and tied to its place.
+    fn every_word_set() -> Stats {
+        let mut s = Stats::default();
+        let (mut row, mut j) = ("", 0);
+        s.visit_mut(|name, _, w| {
+            if name != row {
+                (row, j) = (name, 0);
+            }
+            let mut h = Fnv64::new();
+            for b in name.bytes() {
+                h.write_u64(u64::from(b));
+            }
+            h.write_u64(j);
+            *w = h.finish();
+            j += 1;
+        });
+        s
+    }
+
+    #[test]
+    fn every_word_digest_pin() {
+        // Recorded from the hand-listed digest that preceded the table,
+        // with each field set by name. A dropped, added or reordered
+        // `sim` word, or a `host` row folded in, changes it.
+        assert_eq!(every_word_set().digest(), 0x874b_fceb_23c0_9e7a);
+    }
+
+    #[test]
+    fn words_round_trip_every_field() {
+        let s = every_word_set();
+        let restored = Stats::from_words(&s.to_words()).expect("a full payload decodes");
+        assert_eq!(s.digest(), restored.digest());
+        assert_eq!(format!("{s:?}"), format!("{restored:?}"), "full-field equality");
+    }
+
+    #[test]
+    fn from_words_rejects_a_wrong_word_count() {
+        let words = Stats::default().to_words();
+        assert!(Stats::from_words(&words[1..]).is_err(), "one word short");
+        let long: Vec<u64> = words.iter().copied().chain([0]).collect();
+        assert!(Stats::from_words(&long).is_err(), "one word long");
+    }
+
     #[test]
     fn histogram_merge_adds_buckets() {
         let mut a = Histogram::default();
@@ -1103,33 +788,6 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_every_field() {
-        let mut s = Stats { loads: 3, cycles: 99, spec_correct: 4, ..Stats::default() };
-        s.load_latency.add(10);
-        s.sector_latency_hist.add(100);
-        s.coverage_hits[2] = 7;
-        s.outcomes.record(SpecOutcome::L1dMerge);
-        s.latency_breakdown.add(crate::probe::Phase::Walk, 55);
-        s.walk_latency_hist.add(200);
-        s.horizon_barriers = 2;
-        let mut w = Writer::new();
-        s.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut restored = Stats::default();
-        restored.load_state(&mut Reader::new(&bytes)).expect("stats round-trip decodes");
-        assert_eq!(s.digest(), restored.digest());
-        assert_eq!(format!("{s:?}"), format!("{restored:?}"), "full-field equality");
-        // A flipped byte must change the digest or fail the decode —
-        // never silently restore.
-        let mut tampered = bytes.clone();
-        tampered[0] ^= 0xFF;
-        let mut t = Stats::default();
-        if t.load_state(&mut Reader::new(&tampered)).is_ok() {
-            assert_ne!(s.digest(), t.digest());
-        }
-    }
-
-    #[test]
     fn merge_folds_lane_stats_exactly() {
         let mut a = Stats { cycles: 50, loads: 3, l1_tlb_lookups: 9, ..Stats::default() };
         a.load_latency.add(10);
@@ -1139,7 +797,7 @@ mod tests {
         b.load_latency.add(30);
         b.outcomes.record(SpecOutcome::L1dHit);
         a.merge(&b);
-        assert_eq!(a.cycles, 80, "cycles take the max");
+        assert_eq!(a.cycles, 130, "every word adds");
         assert_eq!(a.loads, 8);
         assert_eq!(a.spec_correct, 2);
         assert_eq!(a.load_latency.count(), 2);

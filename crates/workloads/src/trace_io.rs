@@ -169,6 +169,16 @@ impl FileProgram {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// The geometry the trace spans: one past its highest SM index and
+    /// one past its highest warp index (`(0, 0)` when empty). The engine
+    /// asks only for the SMs and warps of its own geometry, so a smaller
+    /// one would never run the rest of the trace.
+    pub fn extent(&self) -> (usize, usize) {
+        self.ops.keys().fold((0, 0), |(sms, warps), &(sm, warp)| {
+            (sms.max(sm.saturating_add(1)), warps.max(warp.saturating_add(1)))
+        })
+    }
 }
 
 impl WarpProgram for FileProgram {
@@ -188,6 +198,7 @@ impl WarpProgram for FileProgram {
 mod tests {
     use super::*;
     use crate::spec::Workload;
+    use avatar_sim::rng::SimRng;
 
     #[test]
     fn roundtrip_generated_trace() {
@@ -242,6 +253,47 @@ mod tests {
                 "must reject: {bad}"
             );
         }
+    }
+
+    #[test]
+    fn extent_is_one_past_the_highest_sm_and_warp() {
+        let text = format!("{HEADER}\n0 5 C 1\n3 0 C 1\n");
+        let p = FileProgram::from_reader(text.as_bytes()).unwrap();
+        assert_eq!(p.extent(), (4, 6));
+        assert_eq!(FileProgram::default().extent(), (0, 0));
+    }
+
+    #[test]
+    fn malformed_input_is_an_error_never_a_panic() {
+        // Lines built from the fields of a valid load, each field kept,
+        // dropped, or swapped for a hostile token or a random byte.
+        const FIELDS: [&str; 9] = ["3", " ", "1", " ", "L", " ", "1f", " ", "40,80"];
+        const HOSTILE: &[&str] = &[
+            "0", "18446744073709551615", "18446744073709551616", "-1", "+5", "0x10", "S", "C",
+            "X", "zz", ",", ",,", "#", "\t", "  ", "\u{e9}",
+        ];
+        let mut rng = SimRng::seed_from_u64(0x7ace);
+        let (mut parsed, mut rejected) = (0, 0);
+        for _ in 0..4000 {
+            let mut text = format!("{HEADER}\n").into_bytes();
+            for field in FIELDS {
+                match rng.index(10) {
+                    0 => {}
+                    1 => text.extend_from_slice(HOSTILE[rng.index(HOSTILE.len())].as_bytes()),
+                    2 => text.push(rng.next_below(256) as u8),
+                    _ => text.extend_from_slice(field.as_bytes()),
+                }
+            }
+            text.push(b'\n');
+            match FileProgram::from_reader(text.as_slice()) {
+                Ok(p) => {
+                    let _ = p.extent();
+                    parsed += 1;
+                }
+                Err(_) => rejected += 1,
+            }
+        }
+        assert!(parsed > 0 && rejected > 0, "parsed {parsed}, rejected {rejected}");
     }
 
     #[test]

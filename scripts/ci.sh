@@ -2,12 +2,13 @@
 # Tier-1 verification + a quick throughput smoke run with a regression gate.
 #
 # Fails if the build breaks, avatar-lint reports any deny finding (local
-# rules plus the workspace-semantic rules: shard-reachability,
-# digest/checkpoint field parity, map-iteration determinism), clippy
-# reports any warning, any test fails (including the probes-off build and
-# the checked-mode `--features invariants` suite), a host-side variation
-# of a run (chunked stepping, an attached probe sink) changes any
-# simulated statistic in a release build (the equivalence matrix), the
+# rules plus the workspace-semantic rules: shard-reachability and
+# map-iteration determinism), clippy reports any warning, any test fails
+# (including the probes-off build, the checked-mode `--features
+# invariants` suite, and the repository benchmark's own tests built
+# against this workspace), a host-side variation of a run (chunked
+# stepping, an attached probe sink) changes any simulated statistic in
+# a release build (the equivalence matrix), the
 # latency breakdown loses a cycle (observability conservation), the
 # fig15 grid diverges between the default, invariants, or
 # probes-compiled-out builds (build features a runtime matrix cannot
@@ -59,6 +60,12 @@ cargo test -q -p avatar-baselines --features invariants
 # The only suite that sends every registry policy through the L2 TLB
 # overflow drain (a two-entry MSHR file, digests pinned).
 cargo test -q -p avatar-core --features invariants --test tlb_overflow
+
+echo "== repository benchmark builds and tests against the workspace =="
+# benchmark/ reads Stats fields by name and drives the Engine API; a
+# break there would otherwise surface only when the benchmark runs.
+# --locked keeps benchmark/Cargo.lock unchanged.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== equivalence matrix + observability conservation (release) =="
 # Every host-side variation of a run (run_steps chunking, an attached

@@ -189,6 +189,15 @@ fn main() -> ExitCode {
             let mut cfg = GpuConfig::rtx3070();
             cfg.num_sms = flags.opts.sms.unwrap_or(16);
             cfg.warps_per_sm = flags.opts.warps.unwrap_or(32);
+            let (sms, warps) = program.extent();
+            if sms > cfg.num_sms || warps > cfg.warps_per_sm {
+                eprintln!(
+                    "{path} spans {sms} SMs x {warps} warps, but the replay geometry is \
+                     {} SMs x {} warps; pass --sms and --warps at least that large",
+                    cfg.num_sms, cfg.warps_per_sm
+                );
+                return ExitCode::FAILURE;
+            }
             sel.configure(&mut cfg);
             let (l1s, l2) = sel.build_tlbs(&cfg);
             let policy = sel.build_policy(&cfg);
