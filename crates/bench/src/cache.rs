@@ -30,7 +30,7 @@
 //! avatar-lint rule denies `..` rest patterns in those functions).
 //!
 //! **Entry format.** One JSON file per key (`<dir>/<key:016x>.json`),
-//! schema-versioned (`avatar-cache/3`), holding the recorded engine
+//! schema-versioned (`avatar-cache/4`), holding the recorded engine
 //! fingerprint, the cell's `Stats::digest()`, its wall time, and the
 //! `Stats` payload: [`Stats::to_words`], 16 hex digits per word.
 //! Writes go through a temp file + atomic rename so concurrent sweeps
@@ -59,7 +59,7 @@ use std::sync::OnceLock;
 
 /// Entry schema identifier; bump on any layout change. A file with a
 /// different schema is treated as a miss (old format, not corruption).
-pub const SCHEMA: &str = "avatar-cache/3";
+pub const SCHEMA: &str = "avatar-cache/4";
 
 /// Default cache directory when neither `--cache` nor `AVATAR_CACHE`
 /// names one.

@@ -18,7 +18,6 @@ pub mod cache;
 pub mod cli;
 pub mod json;
 pub mod runner;
-pub mod timer;
 
 pub use cli::{default_threads, usage, ExtraFlag, HarnessArgs};
 

@@ -52,8 +52,8 @@ pub const HOT_PATH_PANIC: &str = "hot-path-panic";
 /// Rule id: `.expect("…")` whose message is too short to name the
 /// violated invariant (`"spec"`, `"checked"`, …) in `sim`/`core`.
 pub const WEAK_EXPECT: &str = "weak-expect";
-/// Rule id: wall-clock / OS-entropy sources anywhere outside the bench
-/// crate's sanctioned timer. Simulations must be bit-deterministic.
+/// Rule id: wall-clock / OS-entropy sources anywhere. Simulations must be
+/// bit-deterministic; a host-side timing read carries a `lint:allow`.
 pub const NONDETERMINISM: &str = "nondeterminism";
 /// Rule id: `Vec<Vec<…>>` in `sim`/`core` non-test code — the PR 2
 /// packed-layout rule (per-element heap boxes wreck locality).
@@ -76,18 +76,16 @@ pub const ZERO_DELTA_SCHEDULE: &str = "zero-delta-schedule";
 /// every pair in one function so this is statically checkable.
 pub const PROBE_SPAN_BALANCE: &str = "probe-span-balance";
 /// Rule id (semantic): a call path from a fn defined in a shard-domain
-/// module (`sm.rs`, `cache.rs`, `tlb.rs`) — or from a lane entry point,
-/// an inherent method of a [`SHARD_ENTRY_TYPES`] type such as
-/// `ShardLane`, wherever it is defined — reaching a method of a
-/// shared-domain type (`PageWalkSystem`/`PwCache`/`Dram`/`Uvm`), or (in
-/// shard-domain modules) a direct mention of one. In the windowed
-/// engine, SM-side code runs inside a window and may only reach the
-/// shared domain through scheduled events, which pay the modeled
-/// window latency — a direct access (even through helper fns in other
-/// modules, which the retired file-scoped `shard-shared-state` rule
-/// could not see) would skip that latency and read state from a
-/// different logical time. Sanctioned exceptions (ideal-TLB mode, which
-/// models instant translation) carry
+/// module ([`SHARD_DOMAIN_FILES`]: `sm.rs`, `cache.rs`, `tlb.rs` and the
+/// SM lane, `engine/sm_lane.rs`) reaching a method of a shared-domain
+/// type (`PageWalkSystem`/`PwCache`/`Dram`/`Uvm`), or a direct mention
+/// of one there. In the windowed engine, SM-side code runs inside a
+/// window and may only reach the shared domain through scheduled events,
+/// which pay the modeled window latency — a direct access (even through
+/// helper fns in other modules, which the retired file-scoped
+/// `shard-shared-state` rule could not see) would skip that latency and
+/// read state from a different logical time. Sanctioned exceptions
+/// (ideal-TLB mode, which models instant translation) carry
 /// `lint:exempt(shard-reachability): <reason>` at the call site.
 pub const SHARD_REACHABILITY: &str = "shard-reachability";
 /// Rule id (semantic): iteration over an `FxHashMap`/`FxHashSet` (or a
@@ -110,25 +108,16 @@ pub const CACHE_KEY_COMPLETENESS: &str = "cache-key-completeness";
 /// shorter cannot plausibly name the violated invariant.
 pub const MIN_EXPECT_LEN: usize = 8;
 
-/// The one file allowed to touch wall-clock time directly: everything
-/// else in the bench crate routes timing through it or carries an
-/// explicit `lint:allow`.
-const TIMER_FILE: &str = "crates/bench/src/timer.rs";
-
 /// The shard-domain modules: code here executes inside the SM lane's
 /// window, so it must never reach shared-domain structures, directly or
-/// through helpers (see [`SHARD_REACHABILITY`]).
-pub(crate) const SHARD_DOMAIN_FILES: &[&str] =
-    &["crates/sim/src/sm.rs", "crates/sim/src/cache.rs", "crates/sim/src/tlb.rs"];
-
-/// Lane entry-point types: inherent methods of these types run inside
-/// the SM lane's window, so every one of them is a first-class BFS root
-/// for [`SHARD_REACHABILITY`] regardless of which file defines it (the
-/// engine module also hosts the shared lane, so a file-scoped list
-/// cannot express this). The entry-point
-/// audit is call-graph only — the engine file legitimately *names*
-/// shared-domain types on the shared-lane side.
-pub(crate) const SHARD_ENTRY_TYPES: &[&str] = &["ShardLane"];
+/// through helpers (see [`SHARD_REACHABILITY`]). Every non-test fn here
+/// is a root of the rule's call-graph search.
+pub(crate) const SHARD_DOMAIN_FILES: &[&str] = &[
+    "crates/sim/src/sm.rs",
+    "crates/sim/src/cache.rs",
+    "crates/sim/src/tlb.rs",
+    "crates/sim/src/engine/sm_lane.rs",
+];
 
 /// Shared-domain type names whose methods must be unreachable from
 /// shard-domain code.
@@ -172,7 +161,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: NONDETERMINISM,
-        scope: "all crates except bench::timer",
+        scope: "all crates",
         summary: "no Instant/SystemTime/thread_rng/RandomState: simulations must be bit-deterministic across runs and thread counts",
     },
     RuleInfo {
@@ -202,8 +191,8 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: SHARD_REACHABILITY,
-        scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs) + ShardLane entry points + workspace call graph",
-        summary: "no call path (and no direct reference) from shard-domain code or a ShardLane entry point to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events that pay the window latency (DESIGN.md \u{a7}11, \u{a7}13)",
+        scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs, engine/sm_lane.rs) + workspace call graph",
+        summary: "no call path (and no direct reference) from shard-domain code to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events that pay the window latency (DESIGN.md \u{a7}11, \u{a7}13)",
     },
     RuleInfo {
         id: MAP_ITERATION_DETERMINISM,
@@ -542,16 +531,14 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config, out: &mut Vec<Finding>
             );
         }
 
-        if rel != TIMER_FILE {
-            for tok in ["Instant", "SystemTime", "thread_rng", "RandomState", "from_entropy"] {
-                if find_token(cl, tok).is_some() {
-                    emit(
-                        NONDETERMINISM,
-                        n,
-                        format!("`{tok}` breaks bit-determinism; wall-clock/entropy belongs in bench::timer only"),
-                    );
-                    break;
-                }
+        for tok in ["Instant", "SystemTime", "thread_rng", "RandomState", "from_entropy"] {
+            if find_token(cl, tok).is_some() {
+                emit(
+                    NONDETERMINISM,
+                    n,
+                    format!("`{tok}` breaks bit-determinism; a host-side timing read needs a lint:allow saying why it cannot reach simulated state"),
+                );
+                break;
             }
         }
 
@@ -1142,7 +1129,7 @@ mod tests {
             assert_eq!(f[0].line, 3);
         }
         // ...but nowhere else, even in the same crates.
-        for file in ["crates/sim/src/engine.rs", "crates/core/src/cast.rs", "crates/bench/src/cache.rs"]
+        for file in ["crates/sim/src/engine/mod.rs", "crates/core/src/cast.rs", "crates/bench/src/cache.rs"]
         {
             assert!(findings(file, bad).is_empty(), "false hit in {file}");
         }

@@ -30,7 +30,7 @@ use crate::items::{self, FileModel, StructDef};
 use crate::lexer::{self, Kind, Lexed, Token};
 use crate::{
     crate_of, mark_tests, Config, Finding, MAP_ITERATION_DETERMINISM, MIN_EXPECT_LEN,
-    SHARD_DOMAIN_FILES, SHARD_ENTRY_TYPES, SHARD_REACHABILITY, SHARED_DOMAIN_TYPES,
+    SHARD_DOMAIN_FILES, SHARD_REACHABILITY, SHARED_DOMAIN_TYPES,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -47,12 +47,16 @@ const ORDER_FREE_TERMINALS: &[&str] =
     &["sum", "count", "min", "max", "min_by_key", "max_by_key", "all", "any", "len", "product"];
 
 /// Idents whose presence in a fn body marks it as an order-sensitive
-/// sink (results can flow into digests or the event calendar).
-const SINK_BODY_IDENTS: &[&str] = &["schedule", "schedule_in", "digest", "key_digest"];
+/// sink (results can flow into digests or the event calendar: the
+/// calendar's `schedule`/`schedule_at_seq` and the engine lanes'
+/// `sched`/`send`).
+const SINK_BODY_IDENTS: &[&str] =
+    &["schedule", "schedule_at_seq", "sched", "send", "digest", "key_digest"];
 
-/// Fn names that are sinks by themselves (serialization order is part
-/// of the saved format; digests fold in visit order).
-const SINK_FN_NAMES: &[&str] = &["save_state", "load_state", "digest", "key_digest"];
+/// Fn names that are sinks by themselves (the result-cache payload and
+/// the `Stats` word walk are ordered; digests fold in visit order).
+const SINK_FN_NAMES: &[&str] =
+    &["to_words", "from_words", "visit", "visit_mut", "digest", "key_digest"];
 
 /// Everything the semantic pass needs about one file.
 struct FileCtx<'s> {
@@ -302,7 +306,10 @@ impl<'s> Workspace<'s> {
         Some(head.to_string())
     }
 
-    /// Explicitly-typed `let` locals of a fn body: `let [mut] name: T`.
+    /// Explicitly-typed `let` locals of a fn body, `let [mut] name: T`,
+    /// and `Some(name) = opt` bindings (`if let`, `let … else`) of a typed
+    /// param or local `opt`, optionally through `as_deref`/`as_deref_mut`:
+    /// `name` gets `opt`'s `Option` type, which [`Self::ty_head`] unwraps.
     fn typed_locals(&self, id: FnId) -> BTreeMap<String, String> {
         let ctx = &self.files[id.0];
         let mut out = BTreeMap::new();
@@ -349,9 +356,54 @@ impl<'s> Workspace<'s> {
                     continue;
                 }
             }
+            if let Some((name, ty)) = self.some_binding(id, &toks[i..], &out) {
+                out.insert(name, ty);
+            }
             i += 1;
         }
         out
+    }
+
+    /// Matches `Some ( name ) = opt` at the head of `toks`, where `opt` is
+    /// a param or one of `locals`, followed by `as_deref()` /
+    /// `as_deref_mut()` or by nothing that changes its type. Returns
+    /// `(name, opt's declared type)`.
+    fn some_binding(
+        &self,
+        id: FnId,
+        toks: &[Token],
+        locals: &BTreeMap<String, String>,
+    ) -> Option<(String, String)> {
+        let src = self.files[id.0].src;
+        let is = |k: usize, kind: Kind, text: &str| {
+            toks.get(k).is_some_and(|t| t.kind == kind && t.text(src) == text)
+        };
+        let ident = |k: usize| toks.get(k).filter(|t| t.kind == Kind::Ident).map(|t| t.text(src));
+        if !(is(0, Kind::Ident, "Some")
+            && is(1, Kind::Open, "(")
+            && is(3, Kind::Close, ")")
+            && is(4, Kind::Punct, "="))
+        {
+            return None;
+        }
+        let (name, opt) = (ident(2)?, ident(5)?);
+        let rest = if is(6, Kind::Punct, ".") {
+            if !(matches!(ident(7), Some("as_deref" | "as_deref_mut"))
+                && is(8, Kind::Open, "(")
+                && is(9, Kind::Close, ")"))
+            {
+                return None;
+            }
+            10
+        } else {
+            6
+        };
+        if is(rest, Kind::Open, "(") || is(rest, Kind::Open, "[") || is(rest, Kind::Punct, ":") {
+            return None;
+        }
+        let params = &self.files[id.0].model.fns[id.1].params;
+        let ty = params.iter().find(|(n, _)| n == opt).map(|(_, t)| t).or_else(|| locals.get(opt))?;
+        Some((name.to_string(), ty.clone()))
     }
 
     /// Resolves the declared type head of `root(.field)*` inside fn
@@ -587,13 +639,15 @@ impl<'s> Workspace<'s> {
                 targets.extend(ids.iter().copied());
             }
         }
-        // Lane entry points: every inherent method of a
-        // SHARD_ENTRY_TYPES type is a first-class BFS root, wherever it
-        // is defined.
-        let mut entry_roots: BTreeSet<FnId> = BTreeSet::new();
-        for ((ty, _), ids) in &self.methods {
-            if SHARD_ENTRY_TYPES.contains(&ty.as_str()) {
-                entry_roots.extend(ids.iter().copied());
+        // Roots: every non-test fn defined in a shard-domain file.
+        let mut roots: BTreeSet<FnId> = BTreeSet::new();
+        for (fi, ctx) in self.files.iter().enumerate() {
+            if SHARD_DOMAIN_FILES.contains(&ctx.rel) {
+                for (ni, f) in ctx.model.fns.iter().enumerate() {
+                    if !f.is_test && f.body.is_some() {
+                        roots.insert((fi, ni));
+                    }
+                }
             }
         }
         for (fi, ctx) in self.files.iter().enumerate() {
@@ -624,56 +678,19 @@ impl<'s> Workspace<'s> {
                     );
                 }
             }
-            // Call-graph reachability from every fn defined here.
-            for (ni, f) in ctx.model.fns.iter().enumerate() {
-                if f.is_test || f.body.is_none() {
-                    continue;
-                }
-                let entry = (fi, ni);
-                if let Some((path, first_line)) =
-                    self.reach_shared(entry, &targets, &BTreeSet::new())
-                {
-                    let rendered: Vec<String> =
-                        path.iter().map(|&id| self.fn_label(id)).collect();
-                    self.emit(
-                        fi,
-                        first_line,
-                        SHARD_REACHABILITY,
-                        format!(
-                            "call path from shard-domain fn reaches shared-domain state: {}",
-                            rendered.join(" -> ")
-                        ),
-                        cfg,
-                        out,
-                    );
-                }
-            }
         }
-        // Lane entry points, audited call-graph only (their file also
-        // hosts shared-lane code, so the direct-mention scan would
-        // drown in legitimate references). Paths through *other* entry
-        // points are pruned: the inner root is audited — and, for the
-        // sanctioned ideal-mode calls, exempted — at its own call site.
-        for &entry in &entry_roots {
-            let (fi, ni) = entry;
-            let ctx = &self.files[fi];
-            if SHARD_DOMAIN_FILES.contains(&ctx.rel) {
-                continue; // already covered by the file-scoped pass
-            }
-            let f = &ctx.model.fns[ni];
-            if f.is_test || f.body.is_none() {
-                continue;
-            }
-            if let Some((path, first_line)) =
-                self.reach_shared(entry, &targets, &entry_roots)
-            {
+        // Call-graph reachability from every root. Paths through another
+        // root are pruned: that root is audited — and, for the sanctioned
+        // ideal-mode calls, exempted — at its own call site.
+        for &root in &roots {
+            if let Some((path, first_line)) = self.reach_shared(root, &targets, &roots) {
                 let rendered: Vec<String> = path.iter().map(|&id| self.fn_label(id)).collect();
                 self.emit(
-                    fi,
+                    root.0,
                     first_line,
                     SHARD_REACHABILITY,
                     format!(
-                        "call path from lane entry point reaches shared-domain state: {}",
+                        "call path from shard-domain fn reaches shared-domain state: {}",
                         rendered.join(" -> ")
                     ),
                     cfg,
@@ -737,9 +754,6 @@ impl<'s> Workspace<'s> {
         let ctx = &self.files[id.0];
         let f = &ctx.model.fns[id.1];
         if SINK_FN_NAMES.contains(&f.name.as_str()) {
-            return true;
-        }
-        if f.params.iter().any(|(_, ty)| ty.contains("Writer")) {
             return true;
         }
         let Some((lo, hi)) = f.body else { return false };
@@ -1059,6 +1073,23 @@ impl<'s> Workspace<'s> {
 mod tests {
     use super::*;
 
+    /// The SM lane's path: a shard-domain file.
+    const LANE: &str = "crates/sim/src/engine/sm_lane.rs";
+
+    /// A helper that reaches `Dram`.
+    const POKE_DRAM: &str = "//! d\n\
+        pub fn poke(now: u64) {\n\
+            let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
+            d.service(now);\n\
+        }\n";
+
+    /// A shared-domain type.
+    const DRAM: &str = "//! d\n\
+        pub struct Dram { pub q: u64 }\n\
+        impl Dram {\n\
+            pub fn service(&mut self, now: u64) { self.q = now; }\n\
+        }\n";
+
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
         let owned: Vec<(String, String)> =
             files.iter().map(|(a, b)| ((*a).to_string(), (*b).to_string())).collect();
@@ -1073,20 +1104,10 @@ mod tests {
             pub fn tick(now: u64) {\n\
                 crate::addr::poke(now);\n\
             }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
         let f = run(&[
             ("crates/sim/src/sm.rs", sm),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
+            ("crates/sim/src/addr.rs", POKE_DRAM),
+            ("crates/sim/src/dram.rs", DRAM),
         ]);
         assert_eq!(f.len(), 1, "{f:#?}");
         assert_eq!(f[0].rule, SHARD_REACHABILITY);
@@ -1097,71 +1118,25 @@ mod tests {
     }
 
     #[test]
-    fn shard_reachability_roots_at_worker_entry_types() {
-        // A ShardLane method is a BFS root even though engine.rs is not
-        // in the shard-domain file list.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
-                pub fn drain_window(&mut self, horizon: u64) {\n\
-                    self.now = horizon;\n\
-                    crate::addr::poke(horizon);\n\
-                }\n\
-            }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
-        let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
-        ]);
-        assert_eq!(f.len(), 1, "{f:#?}");
-        assert_eq!(f[0].rule, SHARD_REACHABILITY);
-        assert_eq!(f[0].file, "crates/sim/src/engine.rs");
-        assert_eq!(f[0].line, 6, "anchored at the first hop's call site");
-        assert!(!f[0].allowed);
-        assert!(f[0].message.contains("lane entry point"), "{}", f[0].message);
-        assert!(f[0].message.contains("Dram::service"), "{}", f[0].message);
-    }
-
-    #[test]
     fn shard_reachability_exempt_supports_trailing_reason_and_comment_blocks() {
         // The sanctioned ideal-mode shape: the call site carries a
         // multi-line `lint:exempt(rule): reason` comment whose marker
         // sits at the head of the block.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
-                pub fn drain_window(&mut self, horizon: u64) {\n\
+        let lane = "//! d\n\
+            pub struct SmLane { pub now: u64 }\n\
+            impl SmLane {\n\
+                pub fn drain(&mut self, horizon: u64) {\n\
                     self.now = horizon;\n\
-                    // lint:exempt(shard-reachability): ideal-TLB mode is\n\
-                    // clamped to one lane, one worker; the shared lane\n\
-                    // is handed in synchronously.\n\
+                    // lint:exempt(shard-reachability): ideal-TLB mode models\n\
+                    // instant translation; the shared lane is handed in\n\
+                    // synchronously.\n\
                     crate::addr::poke(horizon);\n\
                 }\n\
             }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
         let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
+            (LANE, lane),
+            ("crates/sim/src/addr.rs", POKE_DRAM),
+            ("crates/sim/src/dram.rs", DRAM),
         ]);
         let shard: Vec<_> = f.iter().filter(|f| f.rule == SHARD_REACHABILITY).collect();
         assert_eq!(shard.len(), 1, "{shard:#?}");
@@ -1176,36 +1151,58 @@ mod tests {
         // lane_a -> lane_b -> Dram: the path is audited (and here
         // exempted) at lane_b's own call site; lane_a is not re-flagged
         // for reaching Dram through another root.
-        let engine = "//! d\n\
-            pub struct ShardLane { pub now: u64 }\n\
-            impl ShardLane {\n\
+        let lane = "//! d\n\
+            pub struct SmLane { pub now: u64 }\n\
+            impl SmLane {\n\
                 pub fn lane_a(&mut self) {\n\
                     self.lane_b();\n\
                 }\n\
                 pub fn lane_b(&mut self) {\n\
-                    // lint:exempt(shard-reachability): ideal-TLB mode is clamped to one lane\n\
+                    // lint:exempt(shard-reachability): ideal-TLB mode models instant translation\n\
                     crate::addr::poke(self.now);\n\
                 }\n\
             }\n";
-        let addr = "//! d\n\
-            pub fn poke(now: u64) {\n\
-                let mut d: crate::dram::Dram = crate::dram::Dram::default();\n\
-                d.service(now);\n\
-            }\n";
-        let dram = "//! d\n\
-            pub struct Dram { pub q: u64 }\n\
-            impl Dram {\n\
-                pub fn service(&mut self, now: u64) { self.q = now; }\n\
-            }\n";
         let f = run(&[
-            ("crates/sim/src/engine.rs", engine),
-            ("crates/sim/src/addr.rs", addr),
-            ("crates/sim/src/dram.rs", dram),
+            (LANE, lane),
+            ("crates/sim/src/addr.rs", POKE_DRAM),
+            ("crates/sim/src/dram.rs", DRAM),
         ]);
         let shard: Vec<_> = f.iter().filter(|f| f.rule == SHARD_REACHABILITY).collect();
         assert_eq!(shard.len(), 1, "only lane_b's own site is audited: {shard:#?}");
         assert_eq!(shard[0].line, 9);
         assert!(shard[0].allowed, "{shard:#?}");
+    }
+
+    #[test]
+    fn shard_reachability_types_option_bindings() {
+        // `if let Some(sh) = ideal` binds `sh` to the param's Option
+        // payload, so a call through it is an edge like any typed call.
+        let lane = "//! d\n\
+            pub struct SmLane { pub now: u64 }\n\
+            impl SmLane {\n\
+                pub fn issue(&mut self, ideal: Option<&mut Shared>) {\n\
+                    if let Some(sh) = ideal {\n\
+                        sh.touch(self.now);\n\
+                    }\n\
+                }\n\
+                pub fn commit(&mut self, mut ideal: Option<&mut Shared>) {\n\
+                    let Some(sh) = ideal.as_deref_mut() else { return };\n\
+                    sh.touch(self.now);\n\
+                }\n\
+            }\n";
+        let shared = "//! d\n\
+            pub struct Shared { pub dram: Dram }\n\
+            impl Shared {\n\
+                pub fn touch(&mut self, now: u64) { self.dram.service(now); }\n\
+            }\n";
+        let f = run(&[
+            (LANE, lane),
+            ("crates/sim/src/engine/shared_lane.rs", shared),
+            ("crates/sim/src/dram.rs", DRAM),
+        ]);
+        let lines: Vec<usize> = f.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [6, 11], "{f:#?}");
+        assert!(f.iter().all(|f| f.rule == SHARD_REACHABILITY && !f.allowed), "{f:#?}");
     }
 
     #[test]
@@ -1262,11 +1259,13 @@ mod tests {
         let src = "//! d\n\
             pub struct T { pub slots: FxHashMap<(u32, u64), Vec<u64>> }\n\
             impl T {\n\
-                pub fn save_state(&self, w: &mut Writer) {\n\
-                    for x in 0..4u32 { w.u32(x); }\n\
+                pub fn to_words(&self) -> Vec<u64> {\n\
+                    let mut w = Vec::new();\n\
+                    for x in 0..4u64 { w.push(x); }\n\
                     let mut ks: Vec<(u32, u64)> = self.slots.keys().copied().collect();\n\
                     ks.sort_unstable();\n\
-                    for k in ks { w.u32(k.0); w.u64(k.1); }\n\
+                    for k in ks { w.push(u64::from(k.0)); w.push(k.1); }\n\
+                    w\n\
                 }\n\
             }\n";
         assert!(run(&[("crates/sim/src/x.rs", src)]).is_empty());
@@ -1289,7 +1288,7 @@ mod tests {
         let src = "//! d\n\
             pub fn flush(pending: &FxHashSet<u64>, q: &mut Q) {\n\
                 for r in pending {\n\
-                    q.schedule_in(1, *r);\n\
+                    q.schedule(1, *r);\n\
                 }\n\
             }\n";
         let f = run(&[("crates/sim/src/x.rs", src)]);
@@ -1298,12 +1297,29 @@ mod tests {
     }
 
     #[test]
+    fn map_iteration_in_a_fn_that_calls_sched_fires() {
+        let src = "//! d\n\
+            pub struct Lane { pub waiters: FxHashMap<u64, u32> }\n\
+            impl Lane {\n\
+                pub fn wake_all(&mut self, now: u64) {\n\
+                    for (&pa, &sm) in self.waiters.iter() {\n\
+                        self.sched(sm, now + 1, pa);\n\
+                    }\n\
+                }\n\
+            }\n";
+        let f = run(&[("crates/sim/src/x.rs", src)]);
+        assert_eq!(f.len(), 1, "{f:#?}");
+        assert_eq!(f[0].rule, MAP_ITERATION_DETERMINISM);
+        assert_eq!(f[0].line, 5);
+    }
+
+    #[test]
     fn exempt_marker_with_reason_downgrades_semantic_rules() {
         let src = "//! d\n\
             pub fn flush(pending: &FxHashSet<u64>, q: &mut Q) {\n\
                 // lint:exempt(map-iteration-determinism: every entry schedules at the same delta, order cannot reorder events)\n\
                 for r in pending {\n\
-                    q.schedule_in(1, *r);\n\
+                    q.schedule(1, *r);\n\
                 }\n\
             }\n";
         let f = run(&[("crates/sim/src/x.rs", src)]);

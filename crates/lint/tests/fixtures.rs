@@ -132,54 +132,26 @@ fn shard_reachability_golden() {
             .collect();
         lint_sources(&files, &Config::default()).findings
     };
-    let found = lint_dir("shard_reachability_violation", "crates/sim/src/sm.rs");
-    assert_eq!(found.len(), 1, "exactly one seeded finding, got: {found:#?}");
-    assert_eq!(found[0].rule, "shard-reachability");
-    assert_eq!(found[0].file, "crates/sim/src/sm.rs");
-    assert_eq!(found[0].line, 6, "anchored at the first hop's call site");
-    assert!(!found[0].allowed);
-    assert!(
-        found[0].message.contains("Dram::service"),
-        "message must name the shared-domain method: {}",
-        found[0].message
-    );
-    let clean = lint_dir("shard_reachability_clean", "crates/sim/src/sm.rs");
-    assert!(clean.is_empty(), "clean twin must scan clean, got: {clean:#?}");
+    // A shard-domain module and the SM lane are constrained alike.
+    for shard in ["crates/sim/src/sm.rs", "crates/sim/src/engine/sm_lane.rs"] {
+        let found = lint_dir("shard_reachability_violation", shard);
+        assert_eq!(found.len(), 1, "exactly one seeded finding, got: {found:#?}");
+        assert_eq!(found[0].rule, "shard-reachability");
+        assert_eq!(found[0].file, shard);
+        assert_eq!(found[0].line, 6, "anchored at the first hop's call site");
+        assert!(!found[0].allowed);
+        assert!(
+            found[0].message.contains("Dram::service"),
+            "message must name the shared-domain method: {}",
+            found[0].message
+        );
+        let clean = lint_dir("shard_reachability_clean", shard);
+        assert!(clean.is_empty(), "clean twin must scan clean, got: {clean:#?}");
+    }
     // The same entry chain outside the shard-domain file list is out of
-    // scope: only sm.rs/cache.rs/tlb.rs entry points are constrained.
+    // scope: only the shard-domain files' fns are constrained.
     let elsewhere = lint_dir("shard_reachability_violation", "crates/sim/src/walker.rs");
     assert!(elsewhere.is_empty(), "rule fired outside shard-domain files: {elsewhere:#?}");
-}
-
-#[test]
-fn shard_worker_reachability_golden() {
-    // ShardLane worker entry points are BFS roots wherever they are
-    // defined: this pair lints as `crates/sim/src/engine.rs`, which is
-    // NOT in the shard-domain file list, and must still fire when the
-    // worker fn transitively reaches Dram.
-    let lint_dir = |dir: &str| -> Vec<Finding> {
-        let files: Vec<(String, String)> = ["engine.rs", "addr.rs", "dram.rs"]
-            .iter()
-            .map(|name| {
-                (format!("crates/sim/src/{name}"), read_fixture(&format!("{dir}/{name}")))
-            })
-            .collect();
-        lint_sources(&files, &Config::default()).findings
-    };
-    let found = lint_dir("shard_worker_reachability_violation");
-    assert_eq!(found.len(), 1, "exactly one seeded finding, got: {found:#?}");
-    assert_eq!(found[0].rule, "shard-reachability");
-    assert_eq!(found[0].file, "crates/sim/src/engine.rs");
-    assert_eq!(found[0].line, 14, "anchored at the first hop out of the worker entry point");
-    assert!(!found[0].allowed);
-    assert!(
-        found[0].message.contains("lane entry point")
-            && found[0].message.contains("Dram::service"),
-        "message must name the root kind and the shared-domain method: {}",
-        found[0].message
-    );
-    let clean = lint_dir("shard_worker_reachability_clean");
-    assert!(clean.is_empty(), "clean twin must scan clean, got: {clean:#?}");
 }
 
 #[test]

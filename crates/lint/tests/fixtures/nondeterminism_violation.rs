@@ -1,4 +1,4 @@
-//! Fixture: a wall-clock read outside bench::timer breaks
+//! Fixture: a wall-clock read in simulation code breaks
 //! bit-determinism across runs and thread counts.
 
 pub fn busy_spin(spins: u64) -> u64 {

@@ -301,14 +301,6 @@ impl GpuConfig {
         Self::default()
     }
 
-    /// A typed, validating builder starting from the Table II defaults.
-    /// Struct-literal / field-mutation construction keeps working; the
-    /// builder adds `validate()` at the end so impossible geometries
-    /// fail loudly at configuration time instead of as simulation bugs.
-    pub fn builder() -> GpuConfigBuilder {
-        GpuConfigBuilder { cfg: GpuConfig::default() }
-    }
-
     /// GPU memory capacity in 4KB frames.
     pub fn gpu_frames(&self) -> u64 {
         if self.uvm.gpu_memory_bytes == u64::MAX {
@@ -436,8 +428,20 @@ impl GpuConfig {
     /// Rejects impossible geometries: zero-sized structures, sector/set
     /// counts that break the power-of-two indexing the caches assume,
     /// more tenants than SMs to partition among them, and out-of-range
-    /// probabilities. Called by [`GpuConfigBuilder::build`]; harnesses
-    /// that mutate fields directly can call it themselves.
+    /// probabilities. Harnesses set fields on a default configuration and
+    /// call it before building an engine, so impossible geometries fail
+    /// loudly at configuration time instead of as simulation bugs:
+    ///
+    /// ```
+    /// use avatar_sim::config::GpuConfig;
+    /// let mut cfg = GpuConfig::default();
+    /// cfg.num_sms = 4;
+    /// cfg.warps_per_sm = 8;
+    /// cfg.uvm.migration_threshold = 8;
+    /// assert!(cfg.validate().is_ok());
+    /// cfg.num_sms = 0;
+    /// assert!(cfg.validate().is_err());
+    /// ```
     pub fn validate(&self) -> Result<(), ConfigError> {
         fn fail(msg: String) -> Result<(), ConfigError> {
             Err(ConfigError(msg))
@@ -564,126 +568,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Typed builder for [`GpuConfig`] (see [`GpuConfig::builder`]).
-///
-/// Scalar knobs get direct setters; structured sections are tweaked
-/// in place through closures so a caller changes only what it means
-/// to change:
-///
-/// ```
-/// use avatar_sim::config::GpuConfig;
-/// let cfg = GpuConfig::builder()
-///     .num_sms(4)
-///     .warps_per_sm(8)
-///     .uvm(|u| u.migration_threshold = 8)
-///     .build()
-///     .expect("valid geometry");
-/// assert_eq!(cfg.uvm.migration_threshold, 8);
-/// assert!(GpuConfig::builder().num_sms(0).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct GpuConfigBuilder {
-    cfg: GpuConfig,
-}
-
-impl GpuConfigBuilder {
-    /// Number of streaming multiprocessors.
-    pub fn num_sms(mut self, n: usize) -> Self {
-        self.cfg.num_sms = n;
-        self
-    }
-
-    /// Maximum resident warps per SM.
-    pub fn warps_per_sm(mut self, n: usize) -> Self {
-        self.cfg.warps_per_sm = n;
-        self
-    }
-
-    /// Spatially shared tenants (must not exceed `num_sms`).
-    pub fn tenants(mut self, n: usize) -> Self {
-        self.cfg.tenants = n;
-        self
-    }
-
-    /// Deterministic seed for allocation randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Ideal-TLB mode (Fig 3 baseline).
-    pub fn ideal_tlb(mut self, on: bool) -> Self {
-        self.cfg.ideal_tlb = on;
-        self
-    }
-
-    /// L1 cache arrangement (VIPT default, PIPT for the §III-D study).
-    pub fn l1_arrangement(mut self, a: CacheArrangement) -> Self {
-        self.cfg.l1_arrangement = a;
-        self
-    }
-
-    /// Base page size (shorthand for `uvm(|u| u.base_page = ...)`).
-    pub fn base_page(mut self, p: BasePage) -> Self {
-        self.cfg.uvm.base_page = p;
-        self
-    }
-
-    /// Tweak the per-SM L1 TLB section.
-    pub fn l1_tlb(mut self, f: impl FnOnce(&mut TlbConfig)) -> Self {
-        f(&mut self.cfg.l1_tlb);
-        self
-    }
-
-    /// Tweak the shared L2 TLB section.
-    pub fn l2_tlb(mut self, f: impl FnOnce(&mut TlbConfig)) -> Self {
-        f(&mut self.cfg.l2_tlb);
-        self
-    }
-
-    /// Tweak the per-SM L1 data-cache section.
-    pub fn l1_cache(mut self, f: impl FnOnce(&mut CacheConfig)) -> Self {
-        f(&mut self.cfg.l1_cache);
-        self
-    }
-
-    /// Tweak the shared L2 cache section.
-    pub fn l2_cache(mut self, f: impl FnOnce(&mut CacheConfig)) -> Self {
-        f(&mut self.cfg.l2_cache);
-        self
-    }
-
-    /// Tweak DRAM timing.
-    pub fn dram(mut self, f: impl FnOnce(&mut DramConfig)) -> Self {
-        f(&mut self.cfg.dram);
-        self
-    }
-
-    /// Tweak the page-walk system.
-    pub fn walker(mut self, f: impl FnOnce(&mut WalkerConfig)) -> Self {
-        f(&mut self.cfg.walker);
-        self
-    }
-
-    /// Tweak UVM behaviour.
-    pub fn uvm(mut self, f: impl FnOnce(&mut UvmConfig)) -> Self {
-        f(&mut self.cfg.uvm);
-        self
-    }
-
-    /// Tweak speculation parameters.
-    pub fn spec(mut self, f: impl FnOnce(&mut SpecConfig)) -> Self {
-        f(&mut self.cfg.spec);
-        self
-    }
-
-    /// Validate and return the configuration.
-    pub fn build(self) -> Result<GpuConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,59 +603,35 @@ mod tests {
     #[test]
     fn defaults_validate_clean() {
         assert_eq!(GpuConfig::default().validate(), Ok(()));
-        let built = GpuConfig::builder().build().expect("Table II defaults are valid");
-        assert_eq!(built, GpuConfig::default());
     }
 
     #[test]
-    fn builder_rejects_impossible_geometries() {
-        let cases: [(&str, GpuConfigBuilder); 9] = [
-            ("zero SMs", GpuConfig::builder().num_sms(0)),
-            ("zero warps", GpuConfig::builder().warps_per_sm(0)),
-            ("tenants over SMs", GpuConfig::builder().num_sms(4).tenants(5)),
+    fn validate_rejects_impossible_geometries() {
+        type Break = fn(&mut GpuConfig);
+        let cases: [(&str, Break); 9] = [
+            ("zero SMs", |c| c.num_sms = 0),
+            ("zero warps", |c| c.warps_per_sm = 0),
+            ("tenants over SMs", |c| (c.num_sms, c.tenants) = (4, 5)),
             // 3 sets below: 384 lines / 4-way = 96 sets, not a power of two.
-            ("non-pow2 sets", GpuConfig::builder().l1_cache(|c| c.bytes = 48 * 1024)),
-            ("walkers over buffer", GpuConfig::builder().walker(|w| w.buffer_entries = 4)),
-            ("probability out of range", GpuConfig::builder().uvm(|u| u.fragmentation = 1.5)),
-            ("zero migration threshold", GpuConfig::builder().uvm(|u| u.migration_threshold = 0)),
+            ("non-pow2 sets", |c| c.l1_cache.bytes = 48 * 1024),
+            ("walkers over buffer", |c| c.walker.buffer_entries = 4),
+            ("probability out of range", |c| c.uvm.fragmentation = 1.5),
+            ("zero migration threshold", |c| c.uvm.migration_threshold = 0),
             // The Revelator seed table is hash-masked: size must be 2^k.
-            ("non-pow2 seed entries", GpuConfig::builder().spec(|s| s.seed_entries = 48)),
-            ("zero rapid latency", GpuConfig::builder().spec(|s| s.rapid_latency = 0)),
+            ("non-pow2 seed entries", |c| c.spec.seed_entries = 48),
+            ("zero rapid latency", |c| c.spec.rapid_latency = 0),
         ];
-        for (what, builder) in cases {
-            assert!(builder.build().is_err(), "validate accepted {what}");
+        for (what, break_it) in cases {
+            let mut cfg = GpuConfig::default();
+            break_it(&mut cfg);
+            assert!(cfg.validate().is_err(), "validate accepted {what}");
         }
     }
 
     #[test]
-    fn builder_sets_scalars_and_sections() {
-        let cfg = GpuConfig::builder()
-            .num_sms(8)
-            .warps_per_sm(16)
-            .tenants(2)
-            .seed(99)
-            .ideal_tlb(true)
-            .l1_arrangement(CacheArrangement::Pipt)
-            .base_page(BasePage::Size64K)
-            .l2_tlb(|t| t.base_entries = 2048)
-            .dram(|d| d.channels = 8)
-            .spec(|s| s.mod_entries = 64)
-            .build()
-            .expect("valid custom geometry");
-        assert_eq!(cfg.num_sms, 8);
-        assert_eq!(cfg.tenants, 2);
-        assert_eq!(cfg.seed, 99);
-        assert!(cfg.ideal_tlb);
-        assert_eq!(cfg.l1_arrangement, CacheArrangement::Pipt);
-        assert_eq!(cfg.uvm.base_page, BasePage::Size64K);
-        assert_eq!(cfg.l2_tlb.base_entries, 2048);
-        assert_eq!(cfg.dram.channels, 8);
-        assert_eq!(cfg.spec.mod_entries, 64);
-    }
-
-    #[test]
     fn config_error_displays_reason() {
-        let err = GpuConfig::builder().num_sms(0).build().expect_err("zero SMs must fail");
+        let cfg = GpuConfig { num_sms: 0, ..GpuConfig::default() };
+        let err = cfg.validate().expect_err("zero SMs must fail");
         let text = format!("{err}");
         assert!(text.contains("num_sms"), "unhelpful error: {text}");
     }

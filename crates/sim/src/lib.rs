@@ -115,14 +115,13 @@ pub fn engine_fingerprint() -> &'static str {
 ///
 /// ```
 /// use avatar_sim::prelude::*;
-/// let cfg = GpuConfig::builder().num_sms(2).build().expect("valid config");
-/// assert_eq!(cfg.num_sms, 2);
+/// let mut cfg = GpuConfig::default();
+/// cfg.num_sms = 2;
+/// cfg.validate().expect("valid config");
 /// ```
 pub mod prelude {
     pub use crate::addr::{PhysAddr, Ppn, VirtAddr, Vpn};
-    pub use crate::config::{
-        BasePage, CacheArrangement, ConfigError, Cycle, GpuConfig, GpuConfigBuilder,
-    };
+    pub use crate::config::{BasePage, CacheArrangement, ConfigError, Cycle, GpuConfig};
     pub use crate::engine::Engine;
     pub use crate::hooks::{
         FetchedSector, NoSpeculation, PageMeta, PolicyCounters, SectorCompression,

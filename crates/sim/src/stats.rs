@@ -498,10 +498,6 @@ stats_table! {
     // not what the simulated GPU did.
     /// Horizon barriers taken by the window loop.
     host horizon_barriers: u64,
-    /// Cross-domain events pushed into an outbox.
-    host exchange_enqueued: u64,
-    /// Outbox events delivered at horizon barriers.
-    host exchange_dequeued: u64,
 }
 
 impl Stats {
@@ -721,12 +717,7 @@ mod tests {
         // The window counters describe how the host advanced the
         // calendars; they must never reach the digest.
         let base = Stats::default().digest();
-        let s = Stats {
-            horizon_barriers: 12,
-            exchange_enqueued: 40,
-            exchange_dequeued: 38,
-            ..Stats::default()
-        };
+        let s = Stats { horizon_barriers: 12, ..Stats::default() };
         assert_eq!(base, s.digest(), "window-structure counters leaked into the digest");
     }
 

@@ -6,13 +6,16 @@
 //!
 //! ```text
 //! # avatar-trace v1
-//! <sm> <warp> L <pc-hex> <addr-hex>[,<addr-hex>...]   # load
-//! <sm> <warp> S <pc-hex> <addr-hex>[,<addr-hex>...]   # store
-//! <sm> <warp> C <cycles>                              # compute delay
+//! <sm> <warp> L <pc-hex> <addr-hex>[,<addr-hex>...]
+//! <sm> <warp> S <pc-hex> <addr-hex>[,<addr-hex>...]
+//! <sm> <warp> C <cycles>
 //! ```
 //!
-//! Lines are grouped per warp in program order; ordering between different
-//! warps is irrelevant (each warp replays its own stream).
+//! `L` is a load, `S` a store and `C` a compute delay. An op line holds
+//! exactly its fields (a trailing token is a parse error); a line starting
+//! with `#` is a comment. Lines are grouped per warp in program order;
+//! ordering between different warps is irrelevant (each warp replays its
+//! own stream).
 
 use avatar_sim::addr::VirtAddr;
 use avatar_sim::fxhash::FxHashMap;
@@ -155,6 +158,9 @@ impl FileProgram {
                 }
                 other => return Err(err(format!("unknown op kind '{other}'")).into()),
             };
+            if let Some(extra) = parts.next() {
+                return Err(err(format!("trailing token '{extra}' after the {kind} op")).into());
+            }
             ops.entry((sm, warp)).or_default().push(op);
         }
         Ok(FileProgram { ops, cursor: FxHashMap::default() })
@@ -252,6 +258,20 @@ mod tests {
                 FileProgram::from_reader(text.as_bytes()).is_err(),
                 "must reject: {bad}"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_trailing_tokens() {
+        for (bad, extra) in [
+            ("0 0 C 5 junk trailing", "junk"),
+            ("0 0 L 100 20,40 7", "7"),
+            ("0 1 S 110 80 #", "#"),
+        ] {
+            let text = format!("{HEADER}\n0 0 C 1\n{bad}\n");
+            let e = FileProgram::from_reader(text.as_bytes()).expect_err(bad);
+            let e = e.into_inner().expect("a parse error").to_string();
+            assert!(e.contains("line 3") && e.contains(&format!("'{extra}'")), "{bad}: {e}");
         }
     }
 

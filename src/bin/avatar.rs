@@ -11,7 +11,14 @@
 //!                           (`avatar list` prints them; default avatar)
 //!        --scale <f> --sms <n> --warps <n> --oversub <f>
 //!        --compress <f>   (replay only: sector compressibility 0..1)
+//!        --out <file>     (trace only)
 //! ```
+//!
+//! Each subcommand accepts only the flags it reads ([`flags_of`]) and its
+//! one positional argument. Anything else — an unknown or unread flag, a
+//! surplus argument, a zero SM or warp count, a compressibility outside
+//! 0..=1 — is a usage error: one line on stderr and exit status 2, as in
+//! the harness binaries.
 
 use avatar_gpu::core::policy::{PolicySelection, AVATAR, BASELINE, FIG15, REGISTRY};
 use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
@@ -21,39 +28,81 @@ use avatar_gpu::sim::hooks::UniformCompression;
 use avatar_gpu::workloads::{FileProgram, Workload};
 use std::process::ExitCode;
 
+/// Exit status of a usage error, shared with the harness binaries.
+const USAGE_ERROR: u8 = 2;
+
 struct Flags {
     config: PolicySelection,
     opts: RunOptions,
     out: Option<String>,
     compress: f64,
-    rest: Vec<String>,
+    /// The subcommand's positional argument (workload or trace file).
+    target: Option<String>,
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// The flags `cmd` reads.
+fn flags_of(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "run" => &["--config", "--scale", "--sms", "--warps", "--oversub"],
+        "compare" => &["--scale", "--sms", "--warps", "--oversub"],
+        "trace" => &["--scale", "--sms", "--warps", "--out"],
+        "replay" => &["--config", "--sms", "--warps", "--compress"],
+        _ => &[],
+    }
+}
+
+fn parse_value<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    v.parse().map_err(|e| format!("{flag} {v}: {e}"))
+}
+
+/// A geometry count (`--sms`, `--warps`): at least 1.
+fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
+    match parse_value(flag, v)? {
+        0 => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
+    }
+}
+
+/// Parses `cmd`'s arguments: the flags it reads and at most one
+/// positional.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
     let mut f = Flags {
         config: AVATAR.into(),
         opts: RunOptions { scale: 0.25, sms: Some(16), warps: Some(32), ..RunOptions::default() },
         out: None,
         compress: 0.675,
-        rest: Vec::new(),
+        target: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut next = |what: &str| {
-            it.next().cloned().ok_or_else(|| format!("{what} needs a value"))
-        };
-        match a.as_str() {
-            "--config" => f.config = PolicySelection::parse(&next("--config")?)?,
-            "--scale" => f.opts.scale = next("--scale")?.parse().map_err(|e| format!("{e}"))?,
-            "--sms" => f.opts.sms = Some(next("--sms")?.parse().map_err(|e| format!("{e}"))?),
-            "--warps" => f.opts.warps = Some(next("--warps")?.parse().map_err(|e| format!("{e}"))?),
-            "--oversub" => {
-                f.opts.oversubscription =
-                    Some(next("--oversub")?.parse().map_err(|e| format!("{e}"))?)
+        if !a.starts_with("--") {
+            if f.target.is_some() || cmd == "list" {
+                return Err(format!("unexpected argument '{a}' for '{cmd}'"));
             }
-            "--out" => f.out = Some(next("--out")?),
-            "--compress" => f.compress = next("--compress")?.parse().map_err(|e| format!("{e}"))?,
-            other => f.rest.push(other.to_string()),
+            f.target = Some(a.clone());
+            continue;
+        }
+        if !flags_of(cmd).contains(&a.as_str()) {
+            return Err(format!("'{cmd}' does not take {a}"));
+        }
+        let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+        match a.as_str() {
+            "--config" => f.config = PolicySelection::parse(v)?,
+            "--scale" => f.opts.scale = parse_value(a, v)?,
+            "--sms" => f.opts.sms = Some(parse_count(a, v)?),
+            "--warps" => f.opts.warps = Some(parse_count(a, v)?),
+            "--oversub" => f.opts.oversubscription = Some(parse_value(a, v)?),
+            "--out" => f.out = Some(v.clone()),
+            // `--compress`: `flags_of` admits no other flag.
+            _ => {
+                f.compress = parse_value(a, v)?;
+                if !(0.0..=1.0).contains(&f.compress) {
+                    return Err(format!("--compress must lie in 0..=1, got {v}"));
+                }
+            }
         }
     }
     Ok(f)
@@ -76,19 +125,20 @@ fn summarize(label: &str, s: &avatar_gpu::sim::Stats) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let cmd = args.first().map_or("", String::as_str);
+    if !matches!(cmd, "list" | "run" | "compare" | "trace" | "replay") {
         eprintln!("usage: avatar <list|run|compare|trace|replay> ...");
-        return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(&args[1..]) {
+        return ExitCode::from(USAGE_ERROR);
+    }
+    let flags = match parse_flags(cmd, &args[1..]) {
         Ok(f) => f,
         Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            eprintln!("avatar: error: {e}");
+            return ExitCode::from(USAGE_ERROR);
         }
     };
 
-    match cmd.as_str() {
+    match cmd {
         "list" => {
             println!("workloads (Table III):");
             for w in Workload::all() {
@@ -113,15 +163,15 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "run" | "compare" | "trace" => {
-            let Some(abbr) = flags.rest.first() else {
+            let Some(abbr) = &flags.target else {
                 eprintln!("usage: avatar {cmd} <ABBR> [flags]");
-                return ExitCode::FAILURE;
+                return ExitCode::from(USAGE_ERROR);
             };
             let Some(w) = Workload::by_abbr(abbr) else {
                 eprintln!("unknown workload '{abbr}' (try `avatar list`)");
-                return ExitCode::FAILURE;
+                return ExitCode::from(USAGE_ERROR);
             };
-            match cmd.as_str() {
+            match cmd {
                 "run" => {
                     let s = run_policy(&w, flags.config, &flags.opts);
                     summarize(&flags.config.label(), &s);
@@ -164,10 +214,10 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "replay" => {
-            let Some(path) = flags.rest.first() else {
+        _ => {
+            let Some(path) = &flags.target else {
                 eprintln!("usage: avatar replay <FILE> [flags]");
-                return ExitCode::FAILURE;
+                return ExitCode::from(USAGE_ERROR);
             };
             let file = match std::fs::File::open(path) {
                 Ok(f) => f,
@@ -212,10 +262,6 @@ fn main() -> ExitCode {
             .run();
             summarize(&sel.label(), &stats);
             ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("unknown command '{other}'");
-            ExitCode::FAILURE
         }
     }
 }

@@ -63,3 +63,41 @@ fn replay_rejects_a_trace_larger_than_its_geometry() {
     assert!(stderr.contains("4 SMs x 4 warps") && stderr.contains("2 SMs x 2 warps"), "{stderr}");
     assert!(larger.contains(" cycles | "), "{larger}");
 }
+
+#[test]
+fn usage_errors_exit_2_with_one_line() {
+    let trace = std::env::temp_dir().join(format!("avatar_cli_usage_{}.trace", std::process::id()));
+    let path = trace.to_str().expect("temp path is UTF-8");
+    avatar(&["trace", "GEMM", "--sms", "2", "--warps", "2", "--scale", "0.02", "--out", path]);
+    // Small geometry on every `run`, so a build that accepts the bad
+    // argument finishes quickly instead of hiding the failure.
+    let run = ["run", "GEMM", "--sms", "2", "--warps", "2", "--scale", "0.01"];
+    let cases: Vec<Vec<&str>> = vec![
+        vec!["replay", path, "--sms", "2", "--warps", "2", "--bogus", "7"],
+        vec!["replay", path, "--sms", "2", "--warps", "2", "--oversub", "1.5"],
+        vec!["replay", path, "--sms", "2", "--warps", "2", "--scale", "1"],
+        vec!["replay", path, "--sms", "2", "--warps", "2", "--compress", "1.5"],
+        vec!["replay", path, "--sms", "2", "--warps", "2", "extra"],
+        [&run[..], &["extra"]].concat(),
+        [&run[..], &["--compress", "0.5"]].concat(),
+        [&run[..], &["--out", "x"]].concat(),
+        vec!["run", "GEMM", "--sms", "0"],
+        vec!["run", "GEMM", "--warps", "0"],
+        vec!["list", "extra"],
+    ];
+    let results: Vec<_> = cases
+        .iter()
+        .map(|args| {
+            let out = Command::new(env!("CARGO_BIN_EXE_avatar"))
+                .args(args)
+                .output()
+                .expect("avatar binary runs");
+            (args, out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+        })
+        .collect();
+    let _ = std::fs::remove_file(&trace);
+    for (args, code, stderr) in results {
+        assert_eq!(code, Some(2), "avatar {args:?} must be a usage error: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "avatar {args:?}: one-line error, got: {stderr}");
+    }
+}
