@@ -2,8 +2,9 @@
 //! cells/sec through the parallel scenario runner.
 //!
 //! Runs a fixed grid of (workload × configuration) cells once per thread
-//! count in `THREAD_COUNTS` (best-of-[`MEASURE_REPEATS`] on the
-//! single-thread measurement pass) and reports:
+//! count in `THREAD_COUNTS` up to the host's CPU count
+//! (best-of-[`MEASURE_REPEATS`] on the single-thread measurement pass)
+//! and reports:
 //!
 //! * **events/sec** — simulation events retired per wall-clock second on
 //!   one thread (the event-calendar / hashing / allocation hot path);
@@ -14,13 +15,10 @@
 //! (override with `--json <path>`). `--quick` keeps it CI-sized.
 //!
 //! Every pass is pinned digest-identical to the serial pass, so a
-//! divergence is a hard `DETERMINISM VIOLATION` failure. Entries carry
-//! `scaling_measured: false` when the host has one CPU (or the pass ran
-//! on one thread) — scaling numbers from a serialized box are noise and
-//! the regression gates must not key on them. On a one-CPU host the
-//! 2/4/8-thread passes are skipped outright: they would re-measure the
-//! serial pass three times for numbers the gate already refuses to key
-//! on.
+//! divergence is a hard `DETERMINISM VIOLATION` failure. The serial pass
+//! carries `scaling_measured: false`. Thread counts above the host's CPU
+//! count are skipped: their threads would share CPUs, and the pass would
+//! time the scheduler rather than the runner.
 //!
 //! The result cache is pinned **off** before argument parsing: every
 //! number this harness reports is a wall-clock measurement, and a replay
@@ -119,17 +117,9 @@ fn main() {
     // never be quoted without the host it ran on.
     let cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
-    // On a one-CPU host every multi-thread pass serializes into a repeat
-    // of the serial measurement; skip them (the scaling gate ignores
-    // them anyway) and keep only the measurement pass.
-    let passes: Vec<usize> =
-        THREAD_COUNTS.iter().copied().filter(|&threads| threads == 1 || cpus > 1).collect();
-    if cpus == 1 {
-        eprintln!(
-            "throughput: one-CPU host; skipping the {} multi-thread passes",
-            THREAD_COUNTS.len() - passes.len()
-        );
-    }
+    // A pass with more threads than CPUs measures nothing; the serial
+    // pass always runs.
+    let passes: Vec<usize> = THREAD_COUNTS.iter().copied().filter(|&t| t <= cpus).collect();
 
     let mut json = Vec::new();
     let mut rows = Vec::new();
@@ -175,10 +165,9 @@ fn main() {
         }
         let cells_per_sec = n_cells as f64 / wall_s;
         let scaling = serial_s / wall_s;
-        // Scaling numbers only mean something when the pass was actually
-        // parallel on actually-parallel hardware; a one-CPU box
-        // serializes every pass and the "scaling" is scheduler noise.
-        let scaling_measured = cpus > 1 && threads > 1;
+        // Every pass runs on at most one thread per CPU, so all but the
+        // serial pass measure scaling.
+        let scaling_measured = threads > 1;
         rows.push(vec![
             threads.to_string(),
             format!("{wall_s:.2}"),
@@ -208,7 +197,7 @@ fn main() {
         "\nThroughput: scenario grid (scale {}, {} SMs x {} warps)",
         opts.scale, opts.sms, opts.warps
     );
-    println!("(* = scaling not measured: fully serial pass or one-CPU host)");
+    println!("(* = scaling not measured: serial pass)");
     print_table(
         &["Threads", "Wall (s)", "Cells/sec", "Scaling", "Events/sec", "FastPath", "Failed"],
         &rows,

@@ -6,16 +6,17 @@
 //! paper-scale sweep because one workload row changed is pure waste, so
 //! the runner consults this cache before spawning cells.
 //!
-//! **Key derivation.** A cell's cache key is an FNV-1a digest over
-//! every input that can influence its result:
+//! **Key derivation.** A cell's cache key is an FNV-1a digest over one
+//! text that names every input that can influence its result:
 //!
-//! * `Workload::key_digest()` — every field of the workload spec;
-//! * `PolicySelection::key_digest()` — which policy stack is assembled
-//!   (registry name + modifiers);
-//! * `RunOptions::key_digest()` — scale, seed, geometry, codec
-//!   (trace destinations are excluded: observers, not inputs);
-//! * the post-tweak `GpuConfig::key_digest()` — the full hardware
-//!   model configuration, after ablation tweaks;
+//! * the derived `Debug` of the `Workload` — every field of the spec;
+//! * the `PolicySelection`'s registry name (`avatar+dead`), which fixes
+//!   everything assembly does;
+//! * the derived `Debug` of the `RunOptions` — scale, seed, geometry,
+//!   codec — with the trace destination cleared (an observer, not an
+//!   input);
+//! * the derived `Debug` of the post-tweak `GpuConfig` — the full
+//!   hardware model configuration, after ablation tweaks;
 //! * the **engine fingerprint** — a build-time FNV digest over the
 //!   source trees of every result-affecting crate (`avatar-sim`,
 //!   `avatar-core`, `avatar-workloads`, `avatar-bpc`,
@@ -24,10 +25,13 @@
 //!   CAST policy, content model, codec, or baseline TLB — invalidates
 //!   every prior entry even if it would happen to keep results stable.
 //!
-//! All three `key_digest` methods use exhaustive destructuring: adding
-//! a field to `Workload`, `RunOptions`, or `GpuConfig` without folding
-//! it into the key is a compile error (and the `cache-key-completeness`
-//! avatar-lint rule denies `..` rest patterns in those functions).
+//! A derived `Debug` prints every field, so a new field joins the key
+//! with no code to update. Every keyed type lives in a fingerprinted
+//! crate, so a change to how one prints changes the fingerprint too: a
+//! gap in the key can cost a spurious miss, never a wrong hit. The
+//! policy is keyed by name because the derived `Debug` of its
+//! `PolicyDef` prints `fn`-pointer addresses, which differ between
+//! processes.
 //!
 //! **Entry format.** One JSON file per key (`<dir>/<key:016x>.json`),
 //! schema-versioned (`avatar-cache/4`), holding the recorded engine
@@ -84,13 +88,10 @@ pub fn cell_key_with_fingerprint(
     cfg: &GpuConfig,
     fingerprint: &str,
 ) -> u64 {
+    let opts = RunOptions { trace_out: None, trace_tag: None, ..opts.clone() };
+    let text = format!("{fingerprint}\n{workload:?}\n{}\n{opts:?}\n{cfg:?}", policy.name());
     let mut h = Fnv64::new();
-    h.write_u64(workload.key_digest());
-    h.write_u64(policy.key_digest());
-    h.write_u64(opts.key_digest());
-    h.write_u64(cfg.key_digest());
-    h.write_u64(fingerprint.len() as u64);
-    for b in fingerprint.bytes() {
+    for b in text.bytes() {
         h.write_u64(u64::from(b));
     }
     h.finish()
@@ -464,53 +465,90 @@ mod tests {
 
     #[test]
     fn cell_key_separates_inputs() {
-        let w = Workload::by_abbr("GEMM").expect("workload table contains GEMM");
-        let w2 = Workload::by_abbr("SSSP").expect("workload table contains SSSP");
+        use avatar_core::policy::{AVATAR, REGISTRY};
+        use avatar_sim::config::{BasePage, CacheArrangement};
+        let gemm = Workload::by_abbr("GEMM").expect("workload table contains GEMM");
+        let avatar = PolicySelection::from(AVATAR);
         let opts = RunOptions::default();
         let cfg = GpuConfig::rtx3070();
-        let avatar = PolicySelection::parse("avatar").expect("registry name");
-        let baseline = PolicySelection::parse("baseline").expect("registry name");
-        let avatar_dead = PolicySelection::parse("avatar+dead").expect("registry name");
-        let base = cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp");
-        // Stable.
-        assert_eq!(
-            base,
-            cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp")
-        );
-        // A named registry row keys identically to its parsed name.
-        assert_eq!(
-            base,
-            cell_key_with_fingerprint(&w, avatar_core::policy::AVATAR.into(), &opts, &cfg, "fp")
-        );
-        // Every key input separates.
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w2, avatar, &opts, &cfg, "fp")
-        );
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w, baseline, &opts, &cfg, "fp")
-        );
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w, avatar_dead, &opts, &cfg, "fp"),
-            "policy modifiers must separate cells"
-        );
-        let mut opts2 = opts.clone();
-        opts2.seed ^= 1;
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w, avatar, &opts2, &cfg, "fp")
-        );
-        let mut cfg2 = cfg.clone();
-        cfg2.num_sms += 1;
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w, avatar, &opts, &cfg2, "fp")
-        );
-        assert_ne!(
-            base,
-            cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp2")
-        );
+        let base = cell_key_with_fingerprint(&gemm, avatar, &opts, &cfg, "fp");
+        assert_eq!(base, cell_key_with_fingerprint(&gemm, avatar, &opts, &cfg, "fp"), "stable");
+        let parsed = PolicySelection::parse("avatar").expect("registry name");
+        assert_eq!(base, cell_key_with_fingerprint(&gemm, parsed, &opts, &cfg, "fp"));
+        // The trace destination is an observer, not an input.
+        let traced = RunOptions {
+            trace_out: Some(PathBuf::from("t.json")),
+            trace_tag: Some("GEMM Avatar".into()),
+            ..opts.clone()
+        };
+        assert_eq!(base, cell_key_with_fingerprint(&gemm, avatar, &traced, &cfg, "fp"));
+
+        // Each row changes one input of the base cell; no two rows may
+        // share a key.
+        let mut rows = vec![("base cell".to_string(), base)];
+        let mut more_rounds = gemm.clone();
+        more_rounds.rounds += 1;
+        let workloads = Workload::all().into_iter().chain(Workload::ml_suite());
+        for w in workloads.filter(|w| w.abbr != gemm.abbr).chain([more_rounds]) {
+            let key = cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp");
+            rows.push((format!("workload {} ({} rounds)", w.abbr, w.rounds), key));
+        }
+        for &def in REGISTRY {
+            for dead in [false, true] {
+                let sel = PolicySelection { def, dead_entry: dead };
+                if (dead && !def.supports_dead_entry) || sel == avatar {
+                    continue;
+                }
+                let key = cell_key_with_fingerprint(&gemm, sel, &opts, &cfg, "fp");
+                rows.push((format!("policy {}", sel.name()), key));
+            }
+        }
+        let edit_cfg = |edit: fn(&mut GpuConfig)| {
+            let mut c = cfg.clone();
+            edit(&mut c);
+            c
+        };
+        let cfgs = [
+            ("num_sms", edit_cfg(|c| c.num_sms += 1)),
+            ("l2_tlb.mshr_entries", edit_cfg(|c| c.l2_tlb.mshr_entries += 1)),
+            ("l1_arrangement", edit_cfg(|c| c.l1_arrangement = CacheArrangement::Pipt)),
+            ("uvm.fragmentation", edit_cfg(|c| c.uvm.fragmentation += 0.25)),
+            ("ideal_tlb", edit_cfg(|c| c.ideal_tlb = !c.ideal_tlb)),
+            ("seed", edit_cfg(|c| c.seed += 1)),
+        ];
+        for (field, c) in &cfgs {
+            let key = cell_key_with_fingerprint(&gemm, avatar, &opts, c, "fp");
+            rows.push((format!("GpuConfig {field}"), key));
+        }
+        let edit_opts = |edit: fn(&mut RunOptions)| {
+            let mut o = opts.clone();
+            edit(&mut o);
+            o
+        };
+        let run_opts = [
+            ("scale", edit_opts(|o| o.scale = 0.5)),
+            ("seed", edit_opts(|o| o.seed += 1)),
+            ("oversubscription", edit_opts(|o| o.oversubscription = Some(1.3))),
+            ("base_page", edit_opts(|o| o.base_page = BasePage::Size64K)),
+            ("tenants", edit_opts(|o| o.tenants = 2)),
+            ("codec", edit_opts(|o| o.codec = avatar_bpc::Codec::Fpc)),
+            ("sms", edit_opts(|o| o.sms = Some(4))),
+            ("warps", edit_opts(|o| o.warps = Some(8))),
+        ];
+        for (field, o) in &run_opts {
+            let key = cell_key_with_fingerprint(&gemm, avatar, o, &cfg, "fp");
+            rows.push((format!("RunOptions {field}"), key));
+        }
+        rows.push((
+            "fingerprint".to_string(),
+            cell_key_with_fingerprint(&gemm, avatar, &opts, &cfg, "fp2"),
+        ));
+
+        let mut seen = std::collections::BTreeMap::new();
+        for (label, key) in &rows {
+            if let Some(prev) = seen.insert(*key, label) {
+                panic!("{label} keys the same as {prev}");
+            }
+        }
     }
 }

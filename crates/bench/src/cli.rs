@@ -196,13 +196,25 @@ impl HarnessArgs {
             let v = next.ok_or_else(|| format!("{flag} needs a value"))?;
             v.parse().map_err(|_| format!("{flag} value '{v}' is not valid"))
         }
+        fn count(flag: &str, next: Option<String>) -> Result<usize, String> {
+            match value(flag, next)? {
+                0 => Err(format!("{flag} must be at least 1")),
+                n => Ok(n),
+            }
+        }
+        fn positive(flag: &str, next: Option<String>) -> Result<f64, String> {
+            match value(flag, next)? {
+                x if f64::is_finite(x) && x > 0.0 => Ok(x),
+                x => Err(format!("{flag} must be a positive number, got {x}")),
+            }
+        }
         let mut opts = Self::default();
         let mut args = args.into_iter();
         'next_arg: while let Some(a) = args.next() {
             match a.as_str() {
-                "--scale" => opts.scale = value("--scale", args.next())?,
-                "--sms" => opts.sms = value("--sms", args.next())?,
-                "--warps" => opts.warps = value("--warps", args.next())?,
+                "--scale" => opts.scale = positive("--scale", args.next())?,
+                "--sms" => opts.sms = count("--sms", args.next())?,
+                "--warps" => opts.warps = count("--warps", args.next())?,
                 "--seed" => opts.seed = value("--seed", args.next())?,
                 "--threads" => opts.threads = value::<usize>("--threads", args.next())?.max(1),
                 "--full" => {
@@ -394,6 +406,21 @@ mod tests {
         assert!(err.contains("--sms") && err.contains("lots"));
         let err = parse(&["--scale"]).expect_err("missing value must error");
         assert!(err.contains("--scale"));
+    }
+
+    #[test]
+    fn out_of_range_values_are_hard_errors() {
+        for (flag, v) in [
+            ("--scale", "-3"),
+            ("--scale", "0"),
+            ("--scale", "nan"),
+            ("--scale", "inf"),
+            ("--sms", "0"),
+            ("--warps", "0"),
+        ] {
+            let err = parse(&["--quick", flag, v]).expect_err("out-of-range value must not run");
+            assert!(err.starts_with(flag) && !err.contains('\n'), "{flag} {v}: {err}");
+        }
     }
 
     #[test]

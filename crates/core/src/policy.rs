@@ -6,7 +6,7 @@
 //! (currently the dead-entry-aware replacement hint, spelled `+dead`).
 //! Harnesses parse selections from strings (`--policy avatar+dead`),
 //! sweep over [`PolicySelection::all_base`], and key result-cache cells
-//! on [`PolicySelection::key_digest`].
+//! on [`PolicySelection::name`].
 //!
 //! Each registry row is also a named constant ([`BASELINE`], [`AVATAR`],
 //! [`REVELATOR`], …) that converts into a [`PolicySelection`], so code
@@ -20,7 +20,6 @@ use crate::revelator::RevelatorPolicy;
 use avatar_baselines::{ColtTlb, SnakeByteTlb};
 use avatar_sim::config::GpuConfig;
 use avatar_sim::hooks::{NoSpeculation, TranslationPolicy};
-use avatar_sim::invariant::Fnv64;
 use avatar_sim::tlb::{BaseTlb, TlbModel};
 
 /// Which TLB-model family a policy's L1/L2 hierarchy is built from.
@@ -351,22 +350,6 @@ impl PolicySelection {
         }
     }
 
-    /// Canonical digest of the selection for result-cache keys. The
-    /// exhaustive destructuring (no `..`) makes adding a modifier field
-    /// without deciding its cache-key role a compile error; the def
-    /// contributes its registry name — the stable identity every
-    /// assembly decision hangs off.
-    pub fn key_digest(&self) -> u64 {
-        let PolicySelection { def, dead_entry } = self;
-        let mut h = Fnv64::new();
-        h.write_u64(def.name.len() as u64);
-        for b in def.name.bytes() {
-            h.write_u64(u64::from(b));
-        }
-        h.write_u64(u64::from(*dead_entry));
-        h.finish()
-    }
-
     /// Sets the [`GpuConfig`] flags this selection assembles with: the
     /// translation oracle, page promotion, and CAVA page-info embedding.
     pub fn configure(&self, cfg: &mut GpuConfig) {
@@ -500,22 +483,6 @@ mod tests {
         assert_eq!(sels[1].name(), "avatar+dead");
         assert_eq!(sels[2].name(), "revelator");
         assert!(PolicySelection::parse_list("avatar,bogus").is_err());
-    }
-
-    #[test]
-    fn key_digest_separates_selections() {
-        let mut seen = std::collections::BTreeMap::new();
-        for &def in REGISTRY {
-            for dead in [false, true] {
-                if dead && !def.supports_dead_entry {
-                    continue;
-                }
-                let sel = PolicySelection { def, dead_entry: dead };
-                if let Some(prev) = seen.insert(sel.key_digest(), sel.name()) {
-                    panic!("digest collision between {prev} and {}", sel.name());
-                }
-            }
-        }
     }
 
     #[test]

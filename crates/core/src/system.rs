@@ -63,45 +63,6 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// Canonical digest over every simulation-affecting field, for
-    /// result-cache keys. `trace_out`/`trace_tag` are excluded — they
-    /// only add observers, never change simulated behaviour (and cached
-    /// replay is bypassed entirely when a trace is requested). The
-    /// exhaustive destructuring (no `..`) makes
-    /// adding a field without deciding its cache-key role a compile
-    /// error.
-    pub fn key_digest(&self) -> u64 {
-        let RunOptions {
-            scale,
-            oversubscription,
-            base_page,
-            seed,
-            sms,
-            warps,
-            tenants,
-            codec,
-            trace_out: _,
-            trace_tag: _,
-        } = self;
-        let mut h = avatar_sim::invariant::Fnv64::new();
-        h.write_u64(scale.to_bits());
-        h.write_u64(u64::from(oversubscription.is_some()));
-        h.write_u64(oversubscription.map_or(0, f64::to_bits));
-        h.write_u64(base_page.pages());
-        h.write_u64(*seed);
-        h.write_u64(u64::from(sms.is_some()));
-        h.write_u64(sms.map_or(0, |s| s as u64));
-        h.write_u64(u64::from(warps.is_some()));
-        h.write_u64(warps.map_or(0, |w| w as u64));
-        h.write_u64(*tenants as u64);
-        h.write_u64(match codec {
-            avatar_bpc::Codec::Bpc => 0,
-            avatar_bpc::Codec::Fpc => 1,
-            avatar_bpc::Codec::Bdi => 2,
-        });
-        h.finish()
-    }
-
     /// The effective trace path: `trace_out` with `trace_tag` (sanitized
     /// to `[a-z0-9_]`) inserted before the extension. `None` when no
     /// trace was requested.

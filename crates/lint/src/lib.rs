@@ -63,11 +63,12 @@ pub const VEC_VEC: &str = "vec-vec";
 pub const FLOAT_STATS: &str = "float-stats";
 /// Rule id: every source file must open with a `//!` module doc.
 pub const MODULE_DOC: &str = "module-doc";
-/// Rule id: `schedule(now, …)` / `schedule_in(0, …)` in `sim`/`core`
-/// non-test code. A zero-delta self-schedule pays a full calendar
-/// round-trip (insert, pop, dispatch) to run code the caller could have
-/// invoked directly in the same cycle — the PR 4 fast-path work removed
-/// every such site from the engine.
+/// Rule id: an event scheduled at `now` (`schedule(now, …)`,
+/// `schedule_at_seq(now, …)`, the lanes' `sched(now, …)` and
+/// `sched(sm, now, …)`) in `sim`/`core` non-test code. A zero-delta
+/// self-schedule pays a full calendar round-trip (insert, pop,
+/// dispatch) to run code the caller could have invoked directly in the
+/// same cycle; the engine has no such site.
 pub const ZERO_DELTA_SCHEDULE: &str = "zero-delta-schedule";
 /// Rule id: unbalanced `.span_enter(` / `.span_exit(` probe calls inside
 /// one function in `sim`/`core` non-test code. A begin with no end (or
@@ -90,19 +91,10 @@ pub const PROBE_SPAN_BALANCE: &str = "probe-span-balance";
 pub const SHARD_REACHABILITY: &str = "shard-reachability";
 /// Rule id (semantic): iteration over an `FxHashMap`/`FxHashSet` (or a
 /// std hash map) inside an order-sensitive fn — one that digests,
-/// schedules events, or serializes state — without a sorted
-/// adapter. Hash iteration order is layout-dependent; leaking it into
+/// schedules events, or serializes state — that is not collected, then
+/// sorted. Hash iteration order is layout-dependent; leaking it into
 /// those sinks breaks bit-determinism across allocator/seed changes.
 pub const MAP_ITERATION_DETERMINISM: &str = "map-iteration-determinism";
-/// Rule id: `..` rest patterns inside `key_digest` functions of the
-/// cache-key owner files. The result cache's content-addressing is only
-/// sound if *every* field of `GpuConfig`/`RunOptions`/`Workload` folds
-/// into the key: the digests destructure exhaustively so that adding a
-/// field without folding it is a compile error, and a `..` would
-/// silently reopen that hole — a new field could then change results
-/// while stale cache entries keep replaying.
-pub const CACHE_KEY_COMPLETENESS: &str = "cache-key-completeness";
-
 /// Minimum length for an `.expect("…")` message in hot crates — and for
 /// the reason string of a semantic-rule exemption marker; anything
 /// shorter cannot plausibly name the violated invariant.
@@ -122,15 +114,6 @@ pub(crate) const SHARD_DOMAIN_FILES: &[&str] = &[
 /// Shared-domain type names whose methods must be unreachable from
 /// shard-domain code.
 pub(crate) const SHARED_DOMAIN_TYPES: &[&str] = &["PageWalkSystem", "PwCache", "Dram", "Uvm"];
-
-/// The files owning a result-cache `key_digest` function; only here does
-/// the [`CACHE_KEY_COMPLETENESS`] rule apply.
-const KEY_OWNER_FILES: &[&str] = &[
-    "crates/sim/src/config.rs",
-    "crates/core/src/policy.rs",
-    "crates/core/src/system.rs",
-    "crates/workloads/src/spec.rs",
-];
 
 /// Static description of one lint rule (for `--list-rules` and JSON).
 pub struct RuleInfo {
@@ -182,7 +165,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: ZERO_DELTA_SCHEDULE,
         scope: "sim, core",
-        summary: "no schedule(now, ..)/schedule_in(0, ..) zero-delta self-schedules; call the handler directly instead of paying a calendar round-trip",
+        summary: "no zero-delta self-schedules (schedule(now, ..), schedule_at_seq(now, ..), sched(now, ..), sched(sm, now, ..)); call the handler directly instead of paying a calendar round-trip",
     },
     RuleInfo {
         id: PROBE_SPAN_BALANCE,
@@ -197,12 +180,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: MAP_ITERATION_DETERMINISM,
         scope: "all crates (order-sensitive fns)",
-        summary: "hash-map iteration feeding digests, event scheduling, or state serialization must go through a sorted adapter (collect+sort or fxhash::sorted_*) (DESIGN.md \u{a7}13)",
-    },
-    RuleInfo {
-        id: CACHE_KEY_COMPLETENESS,
-        scope: "cache-key owner files (config.rs, policy.rs, system.rs, spec.rs)",
-        summary: "no `..` rest patterns inside key_digest functions; destructure exhaustively so a new field that is not folded into the result-cache key is a compile error (DESIGN.md \u{a7}12)",
+        summary: "hash-map iteration feeding digests, event scheduling, or state serialization must collect, then sort (DESIGN.md \u{a7}13)",
     },
 ];
 
@@ -374,6 +352,36 @@ fn json_escape(s: &str) -> String {
 
 fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
+}
+
+/// Whether a whitespace-compacted line schedules an event at `now`:
+/// `schedule(now,` and `schedule_at_seq(now,` (the calendar),
+/// `sched(now,` (the shared lane) or `sched(<sm>,now,` (the SM lane).
+/// Each call name needs an identifier boundary before it, so
+/// `schedule_l1_access(now, ..)` (a direct call that takes the clock) is
+/// not a hit; `sched(now+1,` does not match either, as intended.
+fn schedules_at_now(compact: &str) -> bool {
+    let cb = compact.as_bytes();
+    for call in ["schedule(", "schedule_at_seq(", "sched("] {
+        let mut from = 0usize;
+        while let Some(p) = compact[from..].find(call) {
+            let at = from + p;
+            from = at + call.len();
+            if at > 0 && is_ident_byte(cb[at - 1]) {
+                continue;
+            }
+            let mut args = &compact[from..];
+            // The SM lane's `sched(sm, t, ev)` leads with the SM id.
+            let lead = args.bytes().take_while(|&b| is_ident_byte(b)).count();
+            if call == "sched(" && !args.starts_with("now,") && args[lead..].starts_with(',') {
+                args = &args[lead + 1..];
+            }
+            if args.starts_with("now,") {
+                return true;
+            }
+        }
+    }
+    false
 }
 
 /// Marks lines belonging to `#[cfg(test)]` items (the attribute line
@@ -591,37 +599,14 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config, out: &mut Vec<Finding>
                 );
             }
 
-            // zero-delta-schedule: `schedule(now, ..)` / `schedule_in(0, ..)`
-            // on the whitespace-compacted line, with an identifier boundary
-            // before `schedule` so `schedule_l1_access(now, ..)` (a direct
-            // call that happens to take the clock) is not a hit. Note
-            // `schedule(now + 1, ..)` compacts to `schedule(now+1,` and
-            // misses the pattern, as intended.
-            'zds: for pat in ["schedule(now,", "schedule_in(0,"] {
-                let cb = compact.as_bytes();
-                let mut from = 0usize;
-                while let Some(p) = compact[from..].find(pat) {
-                    let at = from + p;
-                    if at == 0 || !is_ident_byte(cb[at - 1]) {
-                        emit(
-                            ZERO_DELTA_SCHEDULE,
-                            n,
-                            "zero-delta self-schedule; a same-cycle event pays a calendar round-trip for no model effect — call the handler directly"
-                                .to_string(),
-                        );
-                        break 'zds;
-                    }
-                    from = at + pat.len();
-                }
+            if schedules_at_now(&compact) {
+                emit(
+                    ZERO_DELTA_SCHEDULE,
+                    n,
+                    "zero-delta self-schedule; a same-cycle event pays a calendar round-trip for no model effect — call the handler directly"
+                        .to_string(),
+                );
             }
-        }
-    }
-
-    // cache-key-completeness: scoped to the files that own a result-cache
-    // key_digest — rest patterns are fine everywhere else.
-    if KEY_OWNER_FILES.contains(&rel) {
-        for (line, message) in cache_key_findings(&code, &is_test) {
-            emit(CACHE_KEY_COMPLETENESS, line, message);
         }
     }
 
@@ -648,66 +633,6 @@ pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
     Report { findings, files_scanned: files.len(), wall_ms: 0 }
-}
-
-/// `..` rest patterns inside `fn key_digest` bodies (brace-tracked,
-/// non-test lines only). A rest pattern's `..` always immediately
-/// precedes the closing `}` of its struct pattern, so the detector is
-/// `..}` on the whitespace-compacted line — range expressions
-/// (`0..n`, `..=hi`, `&x[..]`) never put `}` directly after the dots.
-fn cache_key_findings(code: &[String], is_test: &[bool]) -> Vec<(usize, String)> {
-    let mut out = Vec::new();
-    let mut depth: i64 = 0;
-    let mut active = false; // inside a key_digest fn
-    let mut entered = false; // its body brace seen
-    let mut depth_at: i64 = 0; // depth where the fn keyword appeared
-    for (idx, line) in code.iter().enumerate() {
-        if is_test[idx] {
-            continue;
-        }
-        if !active {
-            if let Some(p) = find_token(line, "fn") {
-                if line[p + 2..].trim_start().starts_with("key_digest") {
-                    active = true;
-                    entered = false;
-                    depth_at = depth;
-                }
-            }
-        }
-        if active {
-            let compact: String = line.chars().filter(|c| !c.is_whitespace()).collect();
-            if compact.contains("..}") {
-                out.push((
-                    idx + 1,
-                    "rest pattern `..` inside a cache-key digest; destructure every field \
-                     so a new field that is not folded into the key fails to compile"
-                        .to_string(),
-                ));
-            }
-        }
-        for b in line.bytes() {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    if active && !entered && depth == depth_at + 1 {
-                        entered = true;
-                    }
-                }
-                b'}' => {
-                    depth -= 1;
-                    if active && entered && depth <= depth_at {
-                        active = false;
-                    }
-                }
-                b';' if active && !entered && depth == depth_at => {
-                    // Bodyless declaration (trait method): no body to scan.
-                    active = false;
-                }
-                _ => {}
-            }
-        }
-    }
-    out
 }
 
 /// Functions whose `.span_enter(` and `.span_exit(` call counts differ
@@ -1023,23 +948,29 @@ mod tests {
 
     #[test]
     fn zero_delta_schedule_boundaries() {
-        // Zero-delta forms fire, whether or not spaces appear.
-        let bad = "//! Doc.\nfn f(&mut self, now: u64) { self.q.schedule(now, Ev::Tick); }\n";
-        let f = findings("crates/sim/src/x.rs", bad);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, ZERO_DELTA_SCHEDULE);
-        let bad2 = "//! Doc.\nfn f(&mut self) { self.q.schedule_in( 0 , Ev::Tick); }\n";
-        assert_eq!(findings("crates/sim/src/x.rs", bad2).len(), 1);
+        // The calendar's and both lanes' zero-delta forms fire, whether
+        // or not spaces appear.
+        for bad in [
+            "//! Doc.\nfn f(&mut self, now: u64) { self.q.schedule(now, Ev::Tick); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.q.schedule_at_seq( now , seq, ev); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.sched(now, SharedEv::Tick); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.sched(sm, now, LaneEv::Tick); }\n",
+        ] {
+            let f = findings("crates/sim/src/x.rs", bad);
+            assert_eq!(f.len(), 1, "missed: {bad}");
+            assert_eq!(f[0].rule, ZERO_DELTA_SCHEDULE);
+        }
         // Non-zero deltas, direct calls that take the clock, and cold
         // crates are all out of scope.
         for ok in [
             "//! Doc.\nfn f(&mut self, now: u64) { self.q.schedule(now + 1, Ev::Tick); }\n",
-            "//! Doc.\nfn f(&mut self, now: u64) { self.schedule_l1_access(now, 7); }\n",
-            "//! Doc.\nfn f(&mut self) { self.q.schedule_in(1, Ev::Tick); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.sched(sm, now + 1, LaneEv::Tick); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.sched(now + latency, SharedEv::Tick); }\n",
+            "//! Doc.\nfn f(&mut self, now: u64) { self.schedule_l1_access(now, id, 0); }\n",
         ] {
             assert!(findings("crates/sim/src/x.rs", ok).is_empty(), "false hit on: {ok}");
         }
-        let cold = "//! Doc.\nfn f(&mut self, now: u64) { self.q.schedule(now, Ev::Tick); }\n";
+        let cold = "//! Doc.\nfn f(&mut self, now: u64) { self.sched(sm, now, LaneEv::Tick); }\n";
         assert!(findings("crates/bench/src/x.rs", cold).is_empty());
     }
 
@@ -1107,76 +1038,6 @@ mod tests {
         // Cold crates are out of scope.
         let bad = "//! Doc.\nfn f(&mut self) { self.probe.span_enter(p, t, 0); }\n";
         assert!(findings("crates/bench/src/x.rs", bad).is_empty());
-    }
-
-    #[test]
-    fn cache_key_completeness_scopes_and_shapes() {
-        let bad = "//! Doc.\n\
-                   pub fn key_digest(c: &Cfg) -> u64 {\n\
-                       let Cfg { sms, .. } = c;\n\
-                       *sms\n\
-                   }\n";
-        // Fires in every key-owner file...
-        for file in [
-            "crates/sim/src/config.rs",
-            "crates/core/src/policy.rs",
-            "crates/core/src/system.rs",
-            "crates/workloads/src/spec.rs",
-        ] {
-            let f = findings(file, bad);
-            assert_eq!(f.len(), 1, "must fire in {file}: {f:#?}");
-            assert_eq!(f[0].rule, CACHE_KEY_COMPLETENESS);
-            assert_eq!(f[0].line, 3);
-        }
-        // ...but nowhere else, even in the same crates.
-        for file in ["crates/sim/src/engine/mod.rs", "crates/core/src/cast.rs", "crates/bench/src/cache.rs"]
-        {
-            assert!(findings(file, bad).is_empty(), "false hit in {file}");
-        }
-        // Rest patterns outside key_digest in a key-owner file are fine.
-        let other_fn = "//! Doc.\n\
-                        pub fn label(c: &Cfg) -> u64 {\n\
-                            let Cfg { sms, .. } = c;\n\
-                            *sms\n\
-                        }\n";
-        assert!(findings("crates/sim/src/config.rs", other_fn).is_empty());
-        // Range expressions inside key_digest are not rest patterns.
-        let ranges = "//! Doc.\n\
-                      pub fn key_digest(v: &[u64]) -> u64 {\n\
-                          let mut h = 0u64;\n\
-                          for x in v[..v.len()].iter() { h ^= x; }\n\
-                          for i in 0..4 { h = h.rotate_left(i); }\n\
-                          h\n\
-                      }\n";
-        assert!(findings("crates/sim/src/config.rs", ranges).is_empty(), "ranges are clean");
-        // The exhaustive form — every field named — is the sanctioned shape.
-        let clean = "//! Doc.\n\
-                     pub fn key_digest(c: &Cfg) -> u64 {\n\
-                         let Cfg { sms, warps } = c;\n\
-                         sms ^ warps\n\
-                     }\n";
-        assert!(findings("crates/sim/src/config.rs", clean).is_empty());
-        // lint:allow escapes per site, as everywhere.
-        let escaped = "//! Doc.\n\
-                       pub fn key_digest(c: &Cfg) -> u64 {\n\
-                           // lint:allow(cache-key-completeness)\n\
-                           let Cfg { sms, .. } = c;\n\
-                           *sms\n\
-                       }\n";
-        let f = findings("crates/sim/src/config.rs", escaped);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].allowed);
-        // A second fn after key_digest closes is out of scope again.
-        let after = "//! Doc.\n\
-                     pub fn key_digest(c: &Cfg) -> u64 {\n\
-                         let Cfg { sms, warps } = c;\n\
-                         sms ^ warps\n\
-                     }\n\
-                     pub fn unrelated(c: &Cfg) -> u64 {\n\
-                         let Cfg { sms, .. } = c;\n\
-                         *sms\n\
-                     }\n";
-        assert!(findings("crates/sim/src/config.rs", after).is_empty());
     }
 
     #[test]

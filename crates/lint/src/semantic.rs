@@ -18,7 +18,7 @@
 //!   line rule).
 //! * `map-iteration-determinism` — hash-map iteration inside a fn whose
 //!   results can flow into digests, event scheduling, or serialized
-//!   state must go through a sorted adapter.
+//!   state must be collected, then sorted.
 //!
 //! Escapes for these rules are *reasoned* markers —
 //! `lint:exempt(rule-id: reason)` on the flagged line or the line
@@ -50,13 +50,11 @@ const ORDER_FREE_TERMINALS: &[&str] =
 /// sink (results can flow into digests or the event calendar: the
 /// calendar's `schedule`/`schedule_at_seq` and the engine lanes'
 /// `sched`/`send`).
-const SINK_BODY_IDENTS: &[&str] =
-    &["schedule", "schedule_at_seq", "sched", "send", "digest", "key_digest"];
+const SINK_BODY_IDENTS: &[&str] = &["schedule", "schedule_at_seq", "sched", "send", "digest"];
 
 /// Fn names that are sinks by themselves (the result-cache payload and
 /// the `Stats` word walk are ordered; digests fold in visit order).
-const SINK_FN_NAMES: &[&str] =
-    &["to_words", "from_words", "visit", "visit_mut", "digest", "key_digest"];
+const SINK_FN_NAMES: &[&str] = &["to_words", "from_words", "visit", "visit_mut", "digest"];
 
 /// Everything the semantic pass needs about one file.
 struct FileCtx<'s> {
@@ -861,9 +859,9 @@ impl<'s> Workspace<'s> {
                     toks[i + 1].line,
                     MAP_ITERATION_DETERMINISM,
                     format!(
-                        "iteration over hash-map `{}` in an order-sensitive fn; route it \
-                         through a sorted adapter (collect + sort, or fxhash::sorted_*) or \
-                         mark the site `lint:exempt({MAP_ITERATION_DETERMINISM}: <reason>)`",
+                        "iteration over hash-map `{}` in an order-sensitive fn; collect it, \
+                         then sort, or mark the site \
+                         `lint:exempt({MAP_ITERATION_DETERMINISM}: <reason>)`",
                         std::iter::once(root.as_str())
                             .chain(fs.iter().copied())
                             .collect::<Vec<_>>()
@@ -940,8 +938,8 @@ impl<'s> Workspace<'s> {
                 for_line,
                 MAP_ITERATION_DETERMINISM,
                 format!(
-                    "iteration over hash-map `{}` in an order-sensitive fn; route it through \
-                     a sorted adapter (collect + sort, or fxhash::sorted_*) or mark the site \
+                    "iteration over hash-map `{}` in an order-sensitive fn; collect it, then \
+                     sort, or mark the site \
                      `lint:exempt({MAP_ITERATION_DETERMINISM}: <reason>)`",
                     std::iter::once(root).chain(fields.iter().copied()).collect::<Vec<_>>().join(".")
                 ),

@@ -103,7 +103,7 @@ fn module_doc_golden() {
 
 #[test]
 fn zero_delta_schedule_golden() {
-    assert_golden("zero_delta_schedule", "zero-delta-schedule", 5);
+    assert_golden("zero_delta_schedule", "zero-delta-schedule", 6);
 }
 
 #[test]
@@ -152,31 +152,6 @@ fn shard_reachability_golden() {
     // scope: only the shard-domain files' fns are constrained.
     let elsewhere = lint_dir("shard_reachability_violation", "crates/sim/src/walker.rs");
     assert!(elsewhere.is_empty(), "rule fired outside shard-domain files: {elsewhere:#?}");
-}
-
-#[test]
-fn cache_key_completeness_golden() {
-    // This rule is scoped to the cache-key owner file *list*, so the
-    // fixture is linted as if it were `crates/sim/src/config.rs`.
-    let lint_as = |name: &str, rel: &str| -> Vec<Finding> {
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
-        let source = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()));
-        let mut out = Vec::new();
-        lint_source(rel, &source, &Config::default(), &mut out);
-        out
-    };
-    let found = lint_as("cache_key_completeness_violation.rs", "crates/sim/src/config.rs");
-    assert_eq!(found.len(), 1, "exactly one seeded finding, got: {found:#?}");
-    assert_eq!(found[0].rule, "cache-key-completeness");
-    assert_eq!(found[0].line, 12);
-    assert!(!found[0].allowed);
-    let clean = lint_as("cache_key_completeness_clean.rs", "crates/sim/src/config.rs");
-    assert!(clean.is_empty(), "clean twin must scan clean, got: {clean:#?}");
-    // Outside the key-owner file list the violation is out of scope.
-    let elsewhere =
-        lint_as("cache_key_completeness_violation.rs", "crates/sim/src/engine.rs");
-    assert!(elsewhere.is_empty(), "rule fired outside key-owner files: {elsewhere:#?}");
 }
 
 #[test]

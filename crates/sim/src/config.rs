@@ -310,121 +310,6 @@ impl GpuConfig {
         }
     }
 
-    /// FNV-1a digest over every configuration field, in declaration
-    /// order. This is the simulation-identity component of the bench
-    /// result-cache key.
-    ///
-    /// Every struct is folded through an *exhaustive* destructuring
-    /// pattern: adding a field to any configuration section fails
-    /// compilation here until the new field is folded, so the cache key
-    /// cannot silently omit simulation-relevant state (avatar-lint's
-    /// `cache-key-completeness` rule additionally rejects `..` in these
-    /// patterns).
-    pub fn key_digest(&self) -> u64 {
-        let mut h = crate::invariant::Fnv64::new();
-        let GpuConfig {
-            num_sms,
-            warps_per_sm,
-            l1_tlb,
-            l2_tlb,
-            l1_cache,
-            l2_cache,
-            dram,
-            walker,
-            uvm,
-            spec,
-            l1_arrangement,
-            tenants,
-            ideal_tlb,
-            seed,
-        } = self;
-        h.write_u64(*num_sms as u64);
-        h.write_u64(*warps_per_sm as u64);
-        for tlb in [l1_tlb, l2_tlb] {
-            let TlbConfig { base_entries, large_entries, latency, assoc, ports, mshr_entries } =
-                tlb;
-            h.write_u64(*base_entries as u64);
-            h.write_u64(*large_entries as u64);
-            h.write_u64(*latency);
-            h.write_u64(*assoc as u64);
-            h.write_u64(u64::from(*ports));
-            h.write_u64(*mshr_entries as u64);
-        }
-        for cache in [l1_cache, l2_cache] {
-            let CacheConfig { bytes, latency, assoc, mshr_entries, ports } = cache;
-            h.write_u64(*bytes);
-            h.write_u64(*latency);
-            h.write_u64(*assoc as u64);
-            h.write_u64(*mshr_entries as u64);
-            h.write_u64(u64::from(*ports));
-        }
-        let DramConfig {
-            channels,
-            banks_per_channel,
-            row_bytes,
-            t_rcd,
-            t_cl,
-            t_rp,
-            t_wl,
-            t_rtw,
-            burst,
-        } = dram;
-        h.write_u64(*channels as u64);
-        h.write_u64(*banks_per_channel as u64);
-        h.write_u64(*row_bytes);
-        h.write_u64(*t_rcd);
-        h.write_u64(*t_cl);
-        h.write_u64(*t_rp);
-        h.write_u64(*t_wl);
-        h.write_u64(*t_rtw);
-        h.write_u64(*burst);
-        let WalkerConfig { walkers, buffer_entries, pw_cache_entries, pw_cache_ports } = walker;
-        h.write_u64(*walkers as u64);
-        h.write_u64(*buffer_entries as u64);
-        h.write_u64(*pw_cache_entries as u64);
-        h.write_u64(u64::from(*pw_cache_ports));
-        let UvmConfig {
-            gpu_memory_bytes,
-            base_page,
-            tbn_prefetch,
-            promotion,
-            fragmentation,
-            cross_chunk_contiguity,
-            embed_page_info,
-            migration_threshold,
-            remote_latency,
-        } = uvm;
-        h.write_u64(*gpu_memory_bytes);
-        h.write_u64(base_page.pages());
-        h.write_u64(u64::from(*tbn_prefetch));
-        h.write_u64(u64::from(*promotion));
-        h.write_u64(fragmentation.to_bits());
-        h.write_u64(cross_chunk_contiguity.to_bits());
-        h.write_u64(u64::from(*embed_page_info));
-        h.write_u64(u64::from(*migration_threshold));
-        h.write_u64(*remote_latency);
-        let SpecConfig {
-            mod_entries,
-            confidence_threshold,
-            decompression_latency,
-            seed_entries,
-            rapid_latency,
-        } = spec;
-        h.write_u64(*mod_entries as u64);
-        h.write_u64(u64::from(*confidence_threshold));
-        h.write_u64(*decompression_latency);
-        h.write_u64(*seed_entries as u64);
-        h.write_u64(*rapid_latency);
-        h.write_u64(match l1_arrangement {
-            CacheArrangement::Vipt => 0,
-            CacheArrangement::Pipt => 1,
-        });
-        h.write_u64(*tenants as u64);
-        h.write_u64(u64::from(*ideal_tlb));
-        h.write_u64(*seed);
-        h.finish()
-    }
-
     /// Rejects impossible geometries: zero-sized structures, sector/set
     /// counts that break the power-of-two indexing the caches assume,
     /// more tenants than SMs to partition among them, and out-of-range
@@ -634,31 +519,6 @@ mod tests {
         let err = cfg.validate().expect_err("zero SMs must fail");
         let text = format!("{err}");
         assert!(text.contains("num_sms"), "unhelpful error: {text}");
-    }
-
-    #[test]
-    fn key_digest_is_stable_and_field_sensitive() {
-        let base = GpuConfig::default();
-        assert_eq!(base.key_digest(), base.clone().key_digest());
-        // Every class of field flips the digest: scalar, nested-section,
-        // enum, float, and bool knobs.
-        let variants: [GpuConfig; 6] = [
-            GpuConfig { seed: base.seed + 1, ..base.clone() },
-            GpuConfig { num_sms: base.num_sms + 1, ..base.clone() },
-            GpuConfig { l1_arrangement: CacheArrangement::Pipt, ..base.clone() },
-            GpuConfig {
-                uvm: UvmConfig { fragmentation: 0.5, ..base.uvm.clone() },
-                ..base.clone()
-            },
-            GpuConfig { ideal_tlb: !base.ideal_tlb, ..base.clone() },
-            GpuConfig {
-                l2_tlb: TlbConfig { mshr_entries: 64, ..base.l2_tlb.clone() },
-                ..base.clone()
-            },
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(base.key_digest(), v.key_digest(), "variant {i} digest collided");
-        }
     }
 
     #[test]

@@ -1084,11 +1084,14 @@ impl<'a> SmLane<'a> {
         }
     }
 
-    /// Wakes every unguaranteed-sector waiter of an SM (shootdown path).
+    /// Wakes every unguaranteed-sector waiter of an SM (shootdown path),
+    /// in address order: each wake takes a port grant and the SM's next
+    /// sequence number, so hash-map order would leak into the schedule.
     fn wake_all_unguaranteed(&mut self, now: Cycle, sm: u32) {
         let mut keys = std::mem::take(&mut self.scratch_keys);
         keys.clear();
         keys.extend(self.unguaranteed_waiters.keys().filter(|(s, _)| *s == sm).map(|(_, pa)| *pa));
+        keys.sort_unstable();
         for &pa in &keys {
             self.wake_unguaranteed(now, sm, PhysAddr(pa));
         }

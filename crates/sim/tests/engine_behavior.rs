@@ -458,3 +458,34 @@ fn idle_sms_do_not_stall_the_window_loop() {
     assert!(stats.horizon_barriers > 0, "a starved run still opens windows");
     assert_eq!(stats.lost_requests, 0, "every request must complete by the final barrier");
 }
+
+#[test]
+fn cycle_cap_stops_the_run_without_counting_lost_requests() {
+    // A cap far below the run's length stops it with requests still in
+    // flight. `finish` must skip the lost-request check for a timed-out
+    // run (in debug builds that check asserts).
+    let cfg = small_cfg();
+    let full = run_script(cfg.clone(), streaming_script(&cfg, 40), Box::new(NoSpeculation), 0.5);
+    let cap = full.cycles / 4;
+    let (l1s, l2) = tlbs(&cfg);
+    let mut engine = Engine::new(
+        cfg.clone(),
+        l1s,
+        l2,
+        Box::new(NoSpeculation),
+        Box::new(UniformCompression { fraction: 0.5 }),
+        Box::new(streaming_script(&cfg, 40)),
+    );
+    engine.set_max_cycles(cap);
+    engine.start();
+    assert!(!engine.run_steps(u64::MAX), "the cap must end the run");
+    let capped = engine.finish();
+    assert!(capped.cycles <= cap, "ran to cycle {} past the cap {cap}", capped.cycles);
+    assert_eq!(capped.lost_requests, 0, "a timed-out run does not count lost requests");
+    assert!(
+        capped.loads < full.loads,
+        "the cap must stop the run while work is pending ({} of {} loads)",
+        capped.loads,
+        full.loads
+    );
+}

@@ -220,67 +220,6 @@ impl Workload {
     pub fn content(&self) -> ContentModel {
         ContentModel::new(self.clone())
     }
-
-    /// Canonical digest over every field of the spec, for result-cache
-    /// keys. The exhaustive destructuring (no `..`) makes adding a field
-    /// without folding it into the digest a compile error, so a stale
-    /// cache can never alias two workloads that differ in a new knob.
-    pub fn key_digest(&self) -> u64 {
-        let Workload {
-            name,
-            abbr,
-            class,
-            data_type,
-            pattern,
-            working_set,
-            compressibility,
-            loads_per_round,
-            rounds,
-            compute_cycles,
-            divergence,
-            page_revisits,
-            seed,
-        } = self;
-        let mut h = avatar_sim::invariant::Fnv64::new();
-        let fold_str = |h: &mut avatar_sim::invariant::Fnv64, s: &str| {
-            h.write_u64(s.len() as u64);
-            for b in s.bytes() {
-                h.write_u64(u64::from(b));
-            }
-        };
-        fold_str(&mut h, name);
-        fold_str(&mut h, abbr);
-        h.write_u64(match class {
-            Class::L => 0,
-            Class::M => 1,
-            Class::H => 2,
-        });
-        h.write_u64(match data_type {
-            DataType::Int => 0,
-            DataType::Uint => 1,
-            DataType::Float => 2,
-            DataType::Double => 3,
-            DataType::IntFloat => 4,
-            DataType::IntDouble => 5,
-            DataType::Half => 6,
-        });
-        h.write_u64(match pattern {
-            Pattern::DenseTiled => 0,
-            Pattern::Stencil => 1,
-            Pattern::GraphCsr => 2,
-            Pattern::HashRandom => 3,
-            Pattern::Gather => 4,
-        });
-        h.write_u64(*working_set);
-        h.write_u64(compressibility.to_bits());
-        h.write_u64(u64::from(*loads_per_round));
-        h.write_u64(u64::from(*rounds));
-        h.write_u64(u64::from(*compute_cycles));
-        h.write_u64(u64::from(*divergence));
-        h.write_u64(u64::from(*page_revisits));
-        h.write_u64(*seed);
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -340,25 +279,6 @@ mod tests {
         let ws = w.scaled_working_set(0.25);
         assert_eq!(ws % MB, 0);
         assert!(ws >= MB);
-    }
-
-    #[test]
-    fn key_digest_distinguishes_workloads() {
-        let mut digests: Vec<u64> = Workload::all()
-            .into_iter()
-            .chain(Workload::ml_suite())
-            .map(|w| w.key_digest())
-            .collect();
-        let n = digests.len();
-        digests.sort_unstable();
-        digests.dedup();
-        assert_eq!(digests.len(), n, "every workload must have a distinct digest");
-        // Field-sensitive: perturbing one knob flips the digest.
-        let base = Workload::by_abbr("GEMM").unwrap();
-        let mut tweaked = base.clone();
-        tweaked.rounds += 1;
-        assert_ne!(base.key_digest(), tweaked.key_digest());
-        assert_eq!(base.key_digest(), Workload::by_abbr("GEMM").unwrap().key_digest());
     }
 
     #[test]

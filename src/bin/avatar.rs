@@ -16,9 +16,10 @@
 //!
 //! Each subcommand accepts only the flags it reads ([`flags_of`]) and its
 //! one positional argument. Anything else — an unknown or unread flag, a
-//! surplus argument, a zero SM or warp count, a compressibility outside
-//! 0..=1 — is a usage error: one line on stderr and exit status 2, as in
-//! the harness binaries.
+//! surplus argument, a zero SM or warp count, a scale or
+//! oversubscription factor that is not a positive number, a
+//! compressibility outside 0..=1 — is a usage error: one line on stderr
+//! and exit status 2, as in the harness binaries.
 
 use avatar_gpu::core::policy::{PolicySelection, AVATAR, BASELINE, FIG15, REGISTRY};
 use avatar_gpu::core::system::{run_policy, speedup, RunOptions};
@@ -66,6 +67,15 @@ fn parse_count(flag: &str, v: &str) -> Result<usize, String> {
     }
 }
 
+/// A scale or oversubscription factor (`--scale`, `--oversub`): finite
+/// and above zero.
+fn parse_factor(flag: &str, v: &str) -> Result<f64, String> {
+    match parse_value(flag, v)? {
+        x if f64::is_finite(x) && x > 0.0 => Ok(x),
+        _ => Err(format!("{flag} must be a positive number, got {v}")),
+    }
+}
+
 /// Parses `cmd`'s arguments: the flags it reads and at most one
 /// positional.
 fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
@@ -91,10 +101,10 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Flags, String> {
         let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
         match a.as_str() {
             "--config" => f.config = PolicySelection::parse(v)?,
-            "--scale" => f.opts.scale = parse_value(a, v)?,
+            "--scale" => f.opts.scale = parse_factor(a, v)?,
             "--sms" => f.opts.sms = Some(parse_count(a, v)?),
             "--warps" => f.opts.warps = Some(parse_count(a, v)?),
-            "--oversub" => f.opts.oversubscription = Some(parse_value(a, v)?),
+            "--oversub" => f.opts.oversubscription = Some(parse_factor(a, v)?),
             "--out" => f.out = Some(v.clone()),
             // `--compress`: `flags_of` admits no other flag.
             _ => {

@@ -83,6 +83,11 @@ fn usage_errors_exit_2_with_one_line() {
         [&run[..], &["--out", "x"]].concat(),
         vec!["run", "GEMM", "--sms", "0"],
         vec!["run", "GEMM", "--warps", "0"],
+        [&run[..], &["--scale", "-1"]].concat(),
+        [&run[..], &["--scale", "0"]].concat(),
+        [&run[..], &["--scale", "nan"]].concat(),
+        [&run[..], &["--oversub", "0"]].concat(),
+        [&run[..], &["--oversub", "-2"]].concat(),
         vec!["list", "extra"],
     ];
     let results: Vec<_> = cases
