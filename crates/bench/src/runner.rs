@@ -10,7 +10,8 @@
 //!   Each simulation is itself deterministic, so `--threads 1` and
 //!   `--threads 8` produce byte-identical rows (a tested invariant).
 //! * **Panic isolation** — a diverging cell reports as a failed row
-//!   (`Err` with the panic message) instead of killing the whole figure.
+//!   (`Err` with the panic message) instead of killing the whole figure;
+//!   so does a run that lost requests (see [`Scenario::run`]).
 //! * **Wall-time capture** — each cell records its own execution time, so
 //!   the throughput harness can report cells/sec without re-running.
 //!
@@ -171,16 +172,27 @@ impl Scenario {
 
     /// Runs the cell synchronously. When a trace destination is set but
     /// untagged, workload + cell label become the tag, so every cell of
-    /// a grid sharing one `--trace-out` writes its own file.
-    pub fn run(&self) -> Stats {
+    /// a grid sharing one `--trace-out` writes its own file. A run that
+    /// lost requests (the cycle cap stopped it, or an event went
+    /// missing) fails the cell: its statistics describe a partial run.
+    pub fn run(&self) -> Result<Stats, String> {
         let mut opts = self.opts.clone();
         if opts.trace_out.is_some() && opts.trace_tag.is_none() {
             opts.trace_tag = Some(format!("{} {}", self.workload.abbr, self.label));
         }
-        match &self.tweak {
+        complete_run(match &self.tweak {
             Some(t) => run_policy_with(&self.workload, self.policy, &opts, |c| t(c)),
             None => run_policy_with(&self.workload, self.policy, &opts, |_| {}),
-        }
+        })
+    }
+}
+
+/// `stats`, or an error when the run lost requests, so a partial run
+/// prints `ERR` in figure tables instead of reporting fewer loads.
+fn complete_run(stats: Stats) -> Result<Stats, String> {
+    match stats.lost_requests {
+        0 => Ok(stats),
+        n => Err(format!("{n} lost requests (cycle cap reached, or a lost event)")),
     }
 }
 
@@ -287,7 +299,10 @@ pub fn run_scenarios(threads: usize, scenarios: Vec<Scenario>) -> Vec<ScenarioRe
     }
 
     let closures: Vec<_> = jobs.into_iter().map(|s| move || s.run()).collect();
-    let cells = run_cells(threads, closures);
+    let cells: Vec<Cell<Stats>> = run_cells(threads, closures)
+        .into_iter()
+        .map(|c| Cell { index: c.index, outcome: c.outcome.and_then(|run| run), wall: c.wall })
+        .collect();
 
     // Store fresh results back (best-effort: a read-only cache directory
     // degrades to a warning, not a failed sweep).
@@ -362,6 +377,14 @@ mod tests {
         assert_eq!(cells[0].outcome.as_ref().copied().unwrap(), 1);
         assert!(cells[1].outcome.as_ref().unwrap_err().contains("diverged on purpose"));
         assert_eq!(cells[2].outcome.as_ref().copied().unwrap(), 3);
+    }
+
+    #[test]
+    fn runs_that_lost_requests_fail_their_cell() {
+        assert!(complete_run(Stats::default()).is_ok());
+        let partial = Stats { lost_requests: 3, ..Stats::default() };
+        let err = complete_run(partial).expect_err("a run with lost requests must fail its cell");
+        assert!(err.contains("3 lost requests"), "{err}");
     }
 
     #[test]

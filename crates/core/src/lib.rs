@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod cast;
 pub mod dead_entry;

@@ -5,28 +5,25 @@
 //! structure with hand-rolled substitutes (FxHash maps, a slab-backed
 //! event calendar, stride-indexed cache/TLB arrays). Those disciplines
 //! are easy to erode one innocuous-looking patch at a time, so this
-//! crate machine-enforces them. Two layers of analysis run over every
-//! file:
+//! crate machine-enforces them. Every rule is local to one file: it
+//! works on a comment/literal-stripped view of the file (built from the
+//! [`lexer`] token stream, so raw/byte/byte-raw strings and nested block
+//! comments are modeled exactly), with `#[cfg(test)]` items skipped and
+//! identifier-boundary matching (so `FxHashMap` is not a `HashMap` hit).
 //!
-//! * **Local rules** work on a comment/literal-stripped view of each
-//!   file (built from the [`lexer`] token stream, so raw/byte/byte-raw
-//!   strings and nested block comments are modeled exactly), with
-//!   `#[cfg(test)]` items skipped and identifier-boundary matching (so
-//!   `FxHashMap` is not a `HashMap` hit).
-//! * **Semantic rules** parse each file into an item model (structs +
-//!   fields, impls, fns), stitch a workspace item graph and an
-//!   intra-workspace call graph, and check cross-cutting invariants:
-//!   lane→shared-domain reachability and hash-map iteration order at
-//!   order-sensitive sinks.
+//! Two workspace-wide properties are left to tools that see past one
+//! file: rustc's privacy keeps the SM lane off shared-domain state
+//! (`IdealTlb` in `engine/shared_lane.rs` is its one synchronous view),
+//! and hash-map iteration order is banned by clippy's
+//! `disallowed-methods` (root `clippy.toml`) and caught at any call
+//! depth by the salted hasher of checked builds, whose figure output
+//! ci.sh byte-diffs against the default build's.
 //!
 //! Findings print as `file:line: [rule-id] message` and can also be
 //! written as a JSON report for CI. Escapes, most specific first:
 //!
 //! * `// lint:allow(rule-id)` on the offending line or the line above
-//!   suppresses one *local*-rule site (still reported as `allowed`);
-//! * semantic rules demand a reasoned marker instead —
-//!   `// lint:exempt(rule-id: reason)` — whose reason is held to the
-//!   same ≥ [`MIN_EXPECT_LEN`]-char standard as `expect` messages;
+//!   suppresses one site (still reported as `allowed`);
 //! * the `AVATAR_LINT_ALLOW=rule-a,rule-b` environment variable (or the
 //!   `--allow` flag) downgrades whole rules for local iteration;
 //! * a rule's scope (which crates it applies to) is part of the rule
@@ -35,9 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod items;
 pub mod lexer;
-mod semantic;
 
 use std::fs;
 use std::io;
@@ -76,44 +71,9 @@ pub const ZERO_DELTA_SCHEDULE: &str = "zero-delta-schedule";
 /// and usually means an early return skipped the close; the engine keeps
 /// every pair in one function so this is statically checkable.
 pub const PROBE_SPAN_BALANCE: &str = "probe-span-balance";
-/// Rule id (semantic): a call path from a fn defined in a shard-domain
-/// module ([`SHARD_DOMAIN_FILES`]: `sm.rs`, `cache.rs`, `tlb.rs` and the
-/// SM lane, `engine/sm_lane.rs`) reaching a method of a shared-domain
-/// type (`PageWalkSystem`/`PwCache`/`Dram`/`Uvm`), or a direct mention
-/// of one there. In the windowed engine, SM-side code runs inside a
-/// window and may only reach the shared domain through scheduled events,
-/// which pay the modeled window latency — a direct access (even through
-/// helper fns in other modules, which the retired file-scoped
-/// `shard-shared-state` rule could not see) would skip that latency and
-/// read state from a different logical time. Sanctioned exceptions
-/// (ideal-TLB mode, which models instant translation) carry
-/// `lint:exempt(shard-reachability): <reason>` at the call site.
-pub const SHARD_REACHABILITY: &str = "shard-reachability";
-/// Rule id (semantic): iteration over an `FxHashMap`/`FxHashSet` (or a
-/// std hash map) inside an order-sensitive fn — one that digests,
-/// schedules events, or serializes state — that is not collected, then
-/// sorted. Hash iteration order is layout-dependent; leaking it into
-/// those sinks breaks bit-determinism across allocator/seed changes.
-pub const MAP_ITERATION_DETERMINISM: &str = "map-iteration-determinism";
-/// Minimum length for an `.expect("…")` message in hot crates — and for
-/// the reason string of a semantic-rule exemption marker; anything
+/// Minimum length for an `.expect("…")` message in hot crates; anything
 /// shorter cannot plausibly name the violated invariant.
 pub const MIN_EXPECT_LEN: usize = 8;
-
-/// The shard-domain modules: code here executes inside the SM lane's
-/// window, so it must never reach shared-domain structures, directly or
-/// through helpers (see [`SHARD_REACHABILITY`]). Every non-test fn here
-/// is a root of the rule's call-graph search.
-pub(crate) const SHARD_DOMAIN_FILES: &[&str] = &[
-    "crates/sim/src/sm.rs",
-    "crates/sim/src/cache.rs",
-    "crates/sim/src/tlb.rs",
-    "crates/sim/src/engine/sm_lane.rs",
-];
-
-/// Shared-domain type names whose methods must be unreachable from
-/// shard-domain code.
-pub(crate) const SHARED_DOMAIN_TYPES: &[&str] = &["PageWalkSystem", "PwCache", "Dram", "Uvm"];
 
 /// Static description of one lint rule (for `--list-rules` and JSON).
 pub struct RuleInfo {
@@ -172,16 +132,6 @@ pub const RULES: &[RuleInfo] = &[
         scope: "sim, core",
         summary: "every probe .span_enter( must have a matching .span_exit( in the same function (an unclosed span corrupts trace nesting)",
     },
-    RuleInfo {
-        id: SHARD_REACHABILITY,
-        scope: "sim shard-domain modules (sm.rs, cache.rs, tlb.rs, engine/sm_lane.rs) + workspace call graph",
-        summary: "no call path (and no direct reference) from shard-domain code to shared-domain state (PageWalkSystem/PwCache/Dram/Uvm); cross-domain work goes through scheduled events that pay the window latency (DESIGN.md \u{a7}11, \u{a7}13)",
-    },
-    RuleInfo {
-        id: MAP_ITERATION_DETERMINISM,
-        scope: "all crates (order-sensitive fns)",
-        summary: "hash-map iteration feeding digests, event scheduling, or state serialization must collect, then sort (DESIGN.md \u{a7}13)",
-    },
 ];
 
 /// One lint hit, suppressed or not.
@@ -195,9 +145,8 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable explanation.
     pub message: String,
-    /// `true` if suppressed by `lint:allow` / a reasoned exemption
-    /// marker / rule-level config; such findings are reported in JSON
-    /// but do not fail the run.
+    /// `true` if suppressed by `lint:allow` or rule-level config; such
+    /// findings are reported in JSON but do not fail the run.
     pub allowed: bool,
 }
 
@@ -386,7 +335,7 @@ fn schedules_at_now(compact: &str) -> bool {
 
 /// Marks lines belonging to `#[cfg(test)]` items (the attribute line
 /// through the item's closing brace, or its `;` for non-block items).
-pub(crate) fn mark_tests(code: &[String]) -> Vec<bool> {
+fn mark_tests(code: &[String]) -> Vec<bool> {
     let mut is_test = vec![false; code.len()];
     let mut i = 0usize;
     while i < code.len() {
@@ -467,7 +416,7 @@ fn find_token(line: &str, tok: &str) -> Option<usize> {
     None
 }
 
-pub(crate) fn crate_of(rel: &str) -> &str {
+fn crate_of(rel: &str) -> &str {
     if let Some(rest) = rel.strip_prefix("crates/") {
         if let Some(slash) = rest.find('/') {
             return &rest[..slash];
@@ -480,10 +429,8 @@ pub(crate) fn crate_of(rel: &str) -> &str {
 // Rule application.
 // ---------------------------------------------------------------------------
 
-/// Lints a single source file (given as text) into `out`, applying the
-/// *local* rules only — the semantic rules need the whole workspace and
-/// run in [`lint_sources`]. `rel` is the workspace-relative path and
-/// determines which crate-scoped rules fire.
+/// Lints a single source file (given as text) into `out`. `rel` is the
+/// workspace-relative path and determines which crate-scoped rules fire.
 pub fn lint_source(rel: &str, source: &str, cfg: &Config, out: &mut Vec<Finding>) {
     let raw: Vec<&str> = source.lines().collect();
     let lexed = lexer::lex(source);
@@ -620,15 +567,14 @@ pub fn lint_source(rel: &str, source: &str, cfg: &Config, out: &mut Vec<Finding>
     }
 }
 
-/// Lints a set of source files as one workspace: local rules per file,
-/// then the semantic rules (item graph, call graph) across the set.
-/// `files` holds `(workspace-relative path, source text)` pairs.
+/// Lints a set of source files into one report, findings sorted by
+/// (file, line, rule). `files` holds `(workspace-relative path, source
+/// text)` pairs.
 pub fn lint_sources(files: &[(String, String)], cfg: &Config) -> Report {
     let mut findings = Vec::new();
     for (rel, src) in files {
         lint_source(rel, src, cfg, &mut findings);
     }
-    semantic::lint(files, cfg, &mut findings);
     findings.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
     });
@@ -823,8 +769,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints every workspace source file under `root` (local + semantic
-/// rules), as `(workspace-relative path, contents)` pairs sorted by path.
+/// Lints every workspace source file under `root`, as
+/// `(workspace-relative path, contents)` pairs sorted by path.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Report> {
     let files = workspace_files(root)?;
     let mut sources = Vec::with_capacity(files.len());
@@ -1049,31 +995,36 @@ mod tests {
     }
 
     #[test]
-    fn lint_sources_runs_semantic_rules_and_sorts() {
+    fn lint_sources_sorts_findings_across_files() {
+        // Files arrive out of order; the report orders by (file, line,
+        // rule), whichever file a finding came from.
         let files = vec![
+            ("crates/sim/src/y.rs".to_string(), "//! Doc.\nuse std::time::Instant;\n".to_string()),
             (
                 "crates/sim/src/x.rs".to_string(),
                 "//! Doc.\n\
-                 pub struct S { pub slots: FxHashMap<u64, u64> }\n\
-                 impl S {\n\
-                     pub fn digest(&self) -> u64 {\n\
-                         let mut h = 0u64;\n\
-                         for (k, v) in self.slots.iter() { h ^= k ^ v; }\n\
-                         h\n\
-                     }\n\
-                 }\n"
+                 fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
+                 use std::collections::HashMap;\n"
                     .to_string(),
             ),
-            ("crates/sim/src/y.rs".to_string(), "//! Doc.\nuse std::time::Instant;\n".to_string()),
         ];
         let report = lint_sources(&files, &Config::default());
         assert_eq!(report.files_scanned, 2);
-        let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, vec![MAP_ITERATION_DETERMINISM, NONDETERMINISM], "{:#?}", report.findings);
-        let (deny, allowed) = report.rule_counts(MAP_ITERATION_DETERMINISM);
-        assert_eq!((deny, allowed), (1, 0));
+        let at: Vec<(&str, usize, &str)> =
+            report.findings.iter().map(|f| (f.file.as_str(), f.line, f.rule)).collect();
+        assert_eq!(
+            at,
+            vec![
+                ("crates/sim/src/x.rs", 2, HOT_PATH_PANIC),
+                ("crates/sim/src/x.rs", 3, DEFAULT_COLLECTIONS),
+                ("crates/sim/src/y.rs", 2, NONDETERMINISM),
+            ],
+            "{:#?}",
+            report.findings
+        );
+        assert_eq!(report.rule_counts(NONDETERMINISM), (1, 0));
         let json = report.to_json();
         assert!(json.contains("\"schema\": \"avatar-lint/3\""));
-        assert!(json.contains("\"rule\": \"map-iteration-determinism\", \"deny\": 1"));
+        assert!(json.contains("\"rule\": \"nondeterminism\", \"deny\": 1"));
     }
 }

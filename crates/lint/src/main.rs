@@ -18,12 +18,10 @@ fn usage() -> &'static str {
     "usage: avatar-lint [--root <dir>] [--json <path>] [--allow <rule,rule>] [--show-allowed]\n\
      \u{20}                  [--list-rules] [--quiet]\n\
      \n\
-     Scans <root>/src and <root>/crates/*/src with the local rules, then\n\
-     the workspace-semantic rules (item graph + call graph). Exit code 1\n\
-     if any deny finding remains. AVATAR_LINT_ALLOW=<rule,rule> (or `all`)\n\
-     downgrades rules, same as --allow; `// lint:allow(<rule>)` on or above\n\
-     a line suppresses a single local-rule site; semantic rules need a\n\
-     reasoned `// lint:exempt(<rule>: <reason>)` marker instead."
+     Scans <root>/src and <root>/crates/*/src. Exit code 1 if any deny\n\
+     finding remains. AVATAR_LINT_ALLOW=<rule,rule> (or `all`) downgrades\n\
+     rules, same as --allow; `// lint:allow(<rule>)` on or above a line\n\
+     suppresses a single site."
 }
 
 /// Walks upward from the current directory to the first directory that

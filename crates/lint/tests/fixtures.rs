@@ -7,7 +7,7 @@
 //! test lints the real workspace: the tree must be deny-clean so that a
 //! freshly seeded violation is attributable to the patch that added it.
 
-use avatar_lint::{lint_source, lint_sources, lint_workspace, Config, Finding};
+use avatar_lint::{lint_source, lint_workspace, Config, Finding};
 use std::fs;
 use std::path::Path;
 
@@ -17,36 +17,12 @@ fn read_fixture(name: &str) -> String {
         .unwrap_or_else(|e| panic!("fixture {} unreadable: {e}", path.display()))
 }
 
-/// Lints one fixture under the hot-path crate scope (local rules only).
+/// Lints one fixture under the hot-path crate scope.
 fn lint_fixture(name: &str) -> Vec<Finding> {
     let source = read_fixture(name);
     let mut out = Vec::new();
     lint_source(&format!("crates/sim/src/{name}"), &source, &Config::default(), &mut out);
     out
-}
-
-/// Lints one fixture as a one-file workspace under the hot-path crate
-/// scope, so the semantic rules (item graph, call graph) run too.
-fn lint_fixture_semantic(name: &str) -> Vec<Finding> {
-    let files = vec![(format!("crates/sim/src/{name}"), read_fixture(name))];
-    lint_sources(&files, &Config::default()).findings
-}
-
-/// Asserts the semantic fixture produces exactly one deny finding of
-/// `rule` at `line`, and that its clean twin produces nothing at all.
-fn assert_semantic_golden(stem: &str, rule: &str, line: usize) {
-    let found = lint_fixture_semantic(&format!("{stem}_violation.rs"));
-    assert_eq!(
-        found.len(),
-        1,
-        "{stem}_violation.rs must seed exactly one finding, got: {found:#?}"
-    );
-    assert_eq!(found[0].rule, rule, "wrong rule for {stem}");
-    assert_eq!(found[0].line, line, "wrong line for {stem}");
-    assert!(!found[0].allowed, "seeded violation must be deny-level");
-
-    let clean = lint_fixture_semantic(&format!("{stem}_clean.rs"));
-    assert!(clean.is_empty(), "{stem}_clean.rs must scan clean, got: {clean:#?}");
 }
 
 /// Asserts the fixture produces exactly one deny finding of `rule` at
@@ -109,49 +85,6 @@ fn zero_delta_schedule_golden() {
 #[test]
 fn probe_span_balance_golden() {
     assert_golden("probe_span_balance", "probe-span-balance", 3);
-}
-
-#[test]
-fn map_iteration_determinism_golden() {
-    assert_semantic_golden("map_iteration_determinism", "map-iteration-determinism", 12);
-}
-
-#[test]
-fn shard_reachability_golden() {
-    // The rule needs the workspace call graph, so these fixtures are
-    // directories of cooperating files, linted together under their
-    // shard-domain / helper / shared-domain paths.
-    let lint_dir = |dir: &str, sm_as: &str| -> Vec<Finding> {
-        let files: Vec<(String, String)> = ["sm.rs", "addr.rs", "dram.rs"]
-            .iter()
-            .map(|name| {
-                let rel =
-                    if *name == "sm.rs" { sm_as.to_string() } else { format!("crates/sim/src/{name}") };
-                (rel, read_fixture(&format!("{dir}/{name}")))
-            })
-            .collect();
-        lint_sources(&files, &Config::default()).findings
-    };
-    // A shard-domain module and the SM lane are constrained alike.
-    for shard in ["crates/sim/src/sm.rs", "crates/sim/src/engine/sm_lane.rs"] {
-        let found = lint_dir("shard_reachability_violation", shard);
-        assert_eq!(found.len(), 1, "exactly one seeded finding, got: {found:#?}");
-        assert_eq!(found[0].rule, "shard-reachability");
-        assert_eq!(found[0].file, shard);
-        assert_eq!(found[0].line, 6, "anchored at the first hop's call site");
-        assert!(!found[0].allowed);
-        assert!(
-            found[0].message.contains("Dram::service"),
-            "message must name the shared-domain method: {}",
-            found[0].message
-        );
-        let clean = lint_dir("shard_reachability_clean", shard);
-        assert!(clean.is_empty(), "clean twin must scan clean, got: {clean:#?}");
-    }
-    // The same entry chain outside the shard-domain file list is out of
-    // scope: only the shard-domain files' fns are constrained.
-    let elsewhere = lint_dir("shard_reachability_violation", "crates/sim/src/walker.rs");
-    assert!(elsewhere.is_empty(), "rule fired outside shard-domain files: {elsewhere:#?}");
 }
 
 #[test]

@@ -47,7 +47,6 @@ use crate::hooks::{NoSpeculation, SectorCompression, TranslationPolicy};
 use crate::sm::WarpProgram;
 use crate::stats::{CoverageBucket, Stats};
 use crate::tlb::TlbModel;
-use crate::uvm::Uvm;
 use shared_lane::SharedLane;
 use sm_lane::SmLane;
 
@@ -109,8 +108,8 @@ pub struct Engine<'a> {
     /// The initial warp-issue events have been seeded by
     /// [`Engine::start`]; makes repeated calls harmless.
     started: bool,
-    /// The cycle cap tripped; [`Engine::finish`] skips the
-    /// everything-completed accounting.
+    /// The cycle cap tripped; [`Engine::finish`] counts the requests
+    /// still in flight as lost, without the debug-build halt.
     timed_out: bool,
     /// Global idle accounting: the last processed cycle across both
     /// domains, and the accumulated strictly-idle cycles between
@@ -177,6 +176,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Caps the simulated cycle count (safety valve; the default is ample).
+    /// A capped run reports the requests it left in flight in
+    /// [`Stats::lost_requests`].
     pub fn set_max_cycles(&mut self, cycles: Cycle) {
         self.max_cycles = cycles;
     }
@@ -184,11 +185,6 @@ impl<'a> Engine<'a> {
     /// The latest cycle either domain has advanced to.
     fn now(&self) -> Cycle {
         self.shared.now().max(self.lane.now())
-    }
-
-    /// Inspection access to a tenant's UVM manager.
-    pub fn uvm(&self) -> &Uvm {
-        self.shared.uvm()
     }
 
     /// Attaches a probe sink (e.g.
@@ -250,7 +246,7 @@ impl<'a> Engine<'a> {
             // effects only accumulate in its outbox; every lane→shared
             // edge carries ≥1 cycle of latency.
             let mut total = if self.cfg.ideal_tlb {
-                self.lane.drain(horizon, &NOSPEC, Some(&mut self.shared))
+                self.lane.drain(horizon, &NOSPEC, Some(&mut self.shared.ideal_tlb()))
             } else {
                 self.lane.drain(horizon, self.shared.policy(), None)
             };

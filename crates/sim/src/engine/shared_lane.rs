@@ -5,8 +5,8 @@
 //!
 //! It advances in Phase B of each window, after the SM lane, and answers
 //! the SMs only by emitting [`LaneEv`]s into its outbox, each timed at
-//! least one window ahead. The `ideal_*` accessors are the SM lane's one
-//! synchronous way in: ideal-TLB mode models instant translation.
+//! least one window ahead. [`IdealTlb`] is the SM lane's one synchronous
+//! way in: ideal-TLB mode models instant translation.
 
 use super::sm_lane::LaneEv;
 use super::{asid_of, record_coverage, tenant_of_sm, unsalt, Outbox, ASID_SHIFT};
@@ -131,6 +131,42 @@ pub(super) struct SharedLane<'a> {
     log: crate::probe::RecordLog,
 }
 
+/// The SM lane's synchronous view of the page tables in ideal-TLB mode,
+/// which models instant translation. Its field is private to this file,
+/// so [`Self::lookup`] and [`Self::translate`] are all the SM lane can
+/// reach of the shared lane: rustc, not a convention, keeps every other
+/// shared-domain access behind the window latency.
+pub(super) struct IdealTlb<'s, 'a> {
+    lane: &'s mut SharedLane<'a>,
+}
+
+impl IdealTlb<'_, '_> {
+    /// The frame `vpn` maps to if the page is resident and mapped.
+    /// Read-only.
+    pub(super) fn lookup(&self, tenant: usize, vpn: Vpn) -> Option<Ppn> {
+        let uvm = &self.lane.uvms[tenant];
+        if !uvm.is_resident(vpn) {
+            return None;
+        }
+        uvm.page_table.translate(vpn).map(|t| t.ppn)
+    }
+
+    /// Touches `vpn` and returns its frame, or `None` when the access is
+    /// served from host memory (a cold page below the migration
+    /// threshold), which is counted and traced as a remote span tagged
+    /// `arg`.
+    pub(super) fn translate(&mut self, now: Cycle, tenant: usize, vpn: Vpn, arg: u64) -> Option<Ppn> {
+        let lane = &mut *self.lane;
+        if lane.touch_page(now, tenant, vpn) {
+            lane.stats.remote_accesses += 1;
+            let end = now + lane.cfg.uvm.remote_latency;
+            lane.probe_span(SpanPoint::Remote, Track::uvm(tenant as u32), now, end, arg);
+            return None;
+        }
+        Some(lane.uvms[tenant].page_table.translate(vpn).expect("page just touched").ppn)
+    }
+}
+
 impl<'a> SharedLane<'a> {
     pub(super) fn new(
         cfg: &GpuConfig,
@@ -195,11 +231,6 @@ impl<'a> SharedLane<'a> {
         &*self.accel
     }
 
-    /// Tenant 0's UVM manager.
-    pub(super) fn uvm(&self) -> &Uvm {
-        &self.uvms[0]
-    }
-
     /// Drains the shared queue up to (strictly before) `horizon`.
     /// Returns the number of events processed.
     pub(super) fn drain(&mut self, horizon: Cycle) -> u64 {
@@ -258,38 +289,9 @@ impl<'a> SharedLane<'a> {
         std::mem::take(&mut self.stats)
     }
 
-    // ------------------------------------------------------------------
-    // Ideal-TLB accessors: the SM lane's synchronous view of the page
-    // tables in ideal-TLB mode
-    // ------------------------------------------------------------------
-
-    /// The frame `vpn` maps to if the page is resident and mapped.
-    /// Read-only.
-    pub(super) fn ideal_lookup(&self, tenant: usize, vpn: Vpn) -> Option<Ppn> {
-        if !self.uvms[tenant].is_resident(vpn) {
-            return None;
-        }
-        self.uvms[tenant].page_table.translate(vpn).map(|t| t.ppn)
-    }
-
-    /// Touches `vpn` and returns its frame, or `None` when the access is
-    /// served from host memory (a cold page below the migration
-    /// threshold), which is counted and traced as a remote span tagged
-    /// `arg`.
-    pub(super) fn ideal_translate(
-        &mut self,
-        now: Cycle,
-        tenant: usize,
-        vpn: Vpn,
-        arg: u64,
-    ) -> Option<Ppn> {
-        if self.touch_page(now, tenant, vpn) {
-            self.stats.remote_accesses += 1;
-            let end = now + self.cfg.uvm.remote_latency;
-            self.probe_span(SpanPoint::Remote, Track::uvm(tenant as u32), now, end, arg);
-            return None;
-        }
-        Some(self.uvms[tenant].page_table.translate(vpn).expect("page just touched").ppn)
+    /// The ideal-TLB view of this lane, for one SM-lane drain.
+    pub(super) fn ideal_tlb(&mut self) -> IdealTlb<'_, 'a> {
+        IdealTlb { lane: self }
     }
 
     /// Next sequence number on the shared actor's stripe.
@@ -394,8 +396,7 @@ impl<'a> SharedLane<'a> {
     /// Handles [`SharedEv::TlbMiss`]: the shared half of an L1 TLB miss.
     /// Residency (and hence remoteness), the speculation policy, and the
     /// L2 TLB all live here, behind the horizon barrier.
-    // The parameter list mirrors the event's fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the parameter list mirrors the event's fields one-to-one")]
     fn tlb_miss(
         &mut self,
         now: Cycle,
@@ -561,8 +562,7 @@ impl<'a> SharedLane<'a> {
     /// Delivers a resolved translation to one SM: clears its pending
     /// marker and ships the fill across the horizon. The lane installs
     /// it and wakes that SM's waiters.
-    // The parameter list mirrors the event's fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the parameter list mirrors the event's fields one-to-one")]
     fn resolve_one_sm(
         &mut self,
         now: Cycle,
@@ -1100,6 +1100,7 @@ impl<'a> SharedLane<'a> {
     /// walker tracks is known here, walk start-times belong to live walks,
     /// pending resolutions name real SMs, and every queued L2 TLB lookup
     /// would find the MSHR file full again unless its key is dirty.
+    #[allow(clippy::disallowed_methods, reason = "asserts a property of every entry; order-free")]
     pub(super) fn audit_invariants(&self) {
         self.q.audit_invariants();
         self.l2_cache.audit_invariants();

@@ -7,10 +7,10 @@
 //! the shared hierarchy only by emitting [`SharedEv`]s into its outbox,
 //! so every request it sends pays the modeled window latency. Ideal-TLB
 //! mode, which models instant translation, is the one exception: it
-//! translates through [`SharedLane`]'s ideal-TLB accessors. avatar-lint's
-//! `shard-reachability` rule audits every fn in this file (DESIGN.md §13).
+//! translates through an [`IdealTlb`], whose private field lets this file
+//! call nothing else of the shared lane (DESIGN.md §11.3).
 
-use super::shared_lane::{SharedEv, SharedLane};
+use super::shared_lane::{IdealTlb, SharedEv};
 use super::{asid_of, record_coverage, salt, tenant_of_sm, unsalt, Outbox};
 use crate::addr::{translate, PhysAddr, Ppn, VirtAddr, Vpn, SECTOR_BYTES};
 use crate::cache::{Probe, SectorCache, SectorFlags};
@@ -228,7 +228,7 @@ impl<'a> SmLane<'a> {
         &mut self,
         horizon: Cycle,
         accel: &dyn TranslationPolicy,
-        mut ideal: Option<&mut SharedLane<'_>>,
+        mut ideal: Option<&mut IdealTlb<'_, '_>>,
     ) -> u64 {
         let mut n = 0;
         while let Some((now, ev)) = self.q.pop_before(horizon) {
@@ -272,43 +272,42 @@ impl<'a> SmLane<'a> {
     }
 
     /// This lane's statistics at cycle `now`: SM stall accounting, and
-    /// unless the run `timed_out`, the count of requests that never
-    /// completed. With both calendars drained every request should have
-    /// completed and been recycled; anything left is a lost event.
-    /// Counted in all builds (so `--features invariants` release runs
-    /// report it through `Stats::lost_requests` instead of dying); debug
-    /// builds additionally halt so the bug cannot slip through
-    /// development.
+    /// the count of requests that never completed. A run the cycle cap
+    /// stopped (`timed_out`) counts the requests it left in flight. With
+    /// both calendars drained every request should have completed and
+    /// been recycled; anything left is a lost event. Counted in all builds
+    /// (so `--features invariants` release runs report it through
+    /// `Stats::lost_requests` instead of dying); debug builds additionally
+    /// halt on a drained run so the bug cannot slip through development.
     pub(super) fn finish(&mut self, now: Cycle, timed_out: bool) -> Stats {
         for sm in &mut self.sms {
             sm.finish(now);
         }
         self.stats.stall_cycles = self.sms.iter().map(|s| s.stall_cycles).sum();
-        if !timed_out {
-            let mut lost = 0u64;
-            self.reqs.for_each(|id, r| {
-                if !r.completed {
-                    lost += 1;
-                    if cfg!(debug_assertions) {
-                        eprintln!(
-                            "INCOMPLETE req {}: sm={} pc={:#x} va={:#x} tdone={} spec={:?}",
-                            id.slot(),
-                            r.sm,
-                            r.pc,
-                            r.vaddr.0,
-                            r.translation_done,
-                            r.spec
-                        );
-                    }
+        let halt = cfg!(debug_assertions) && !timed_out;
+        let mut lost = 0u64;
+        self.reqs.for_each(|id, r| {
+            if !r.completed {
+                lost += 1;
+                if halt {
+                    eprintln!(
+                        "INCOMPLETE req {}: sm={} pc={:#x} va={:#x} tdone={} spec={:?}",
+                        id.slot(),
+                        r.sm,
+                        r.pc,
+                        r.vaddr.0,
+                        r.translation_done,
+                        r.spec
+                    );
                 }
-            });
-            self.stats.lost_requests = lost;
-            if cfg!(debug_assertions) {
-                assert!(
-                    lost == 0 && self.reqs.is_empty(),
-                    "all sector requests must complete and be freed (lost events?)"
-                );
             }
+        });
+        self.stats.lost_requests = lost;
+        if halt {
+            assert!(
+                lost == 0 && self.reqs.is_empty(),
+                "all sector requests must complete and be freed (lost events?)"
+            );
         }
         std::mem::take(&mut self.stats)
     }
@@ -482,7 +481,7 @@ impl<'a> SmLane<'a> {
         now: Cycle,
         ev: LaneEv,
         accel: &dyn TranslationPolicy,
-        ideal: Option<&mut SharedLane<'_>>,
+        ideal: Option<&mut IdealTlb<'_, '_>>,
     ) {
         match ev {
             LaneEv::WarpIssue { sm, warp } => self.warp_issue(now, sm, warp, ideal),
@@ -520,7 +519,7 @@ impl<'a> SmLane<'a> {
     // Warp issue
     // ------------------------------------------------------------------
 
-    fn warp_issue(&mut self, now: Cycle, sm: u32, warp: u32, mut ideal: Option<&mut SharedLane<'_>>) {
+    fn warp_issue(&mut self, now: Cycle, sm: u32, warp: u32, mut ideal: Option<&mut IdealTlb<'_, '_>>) {
         let li = sm as usize;
         let issue_free = self.sms[li].issue_free_at;
         if issue_free > now {
@@ -616,7 +615,7 @@ impl<'a> SmLane<'a> {
         now: Cycle,
         sm: u32,
         sectors: &[VirtAddr],
-        ideal: Option<&SharedLane<'_>>,
+        ideal: Option<&IdealTlb<'_, '_>>,
     ) -> bool {
         let tenant = self.tenant(sm);
         let li = sm as usize;
@@ -630,11 +629,8 @@ impl<'a> SmLane<'a> {
         }
         for &vaddr in sectors {
             let vpn = vaddr.vpn();
-            let ppn = if let Some(sh) = ideal {
-                // lint:exempt(shard-reachability): ideal-TLB mode models
-                // instant translation; the shared lane is handed in
-                // synchronously.
-                sh.ideal_lookup(tenant, vpn)
+            let ppn = if let Some(tlb) = ideal {
+                tlb.lookup(tenant, vpn)
             } else {
                 match self.l1_tlbs[li].probe(Vpn(salt(tenant, vpn))) {
                     Some(Some(hit)) => Some(hit.ppn),
@@ -666,7 +662,7 @@ impl<'a> SmLane<'a> {
         warp: u32,
         is_store: bool,
         sectors: &[VirtAddr],
-        mut ideal: Option<&mut SharedLane<'_>>,
+        mut ideal: Option<&mut IdealTlb<'_, '_>>,
     ) {
         let tenant = self.tenant(sm);
         let li = sm as usize;
@@ -684,10 +680,8 @@ impl<'a> SmLane<'a> {
         for &vaddr in sectors {
             self.stats.sector_requests += 1;
             let vpn = vaddr.vpn();
-            let (ppn, done) = if let Some(sh) = ideal.as_deref_mut() {
-                // lint:exempt(shard-reachability): ideal-TLB mode models
-                // instant translation.
-                let ppn = sh.ideal_translate(now, tenant, vpn, 0);
+            let (ppn, done) = if let Some(tlb) = ideal.as_deref_mut() {
+                let ppn = tlb.translate(now, tenant, vpn, 0);
                 let ppn = ppn.expect("fast path classified a non-resident page as resident");
                 (ppn, self.l1_cache_ports[li].grant(now))
             } else {
@@ -749,17 +743,16 @@ impl<'a> SmLane<'a> {
         self.sched(sm, t_done + 1, LaneEv::WarpIssue { sm, warp });
     }
 
-    fn start_translation(&mut self, now: Cycle, id: ReqId, ideal: Option<&mut SharedLane<'_>>) {
+    fn start_translation(&mut self, now: Cycle, id: ReqId, ideal: Option<&mut IdealTlb<'_, '_>>) {
         let (vpn, sm) = {
             let r = self.req(id);
             (r.vpn(), r.sm)
         };
         let tenant = self.tenant(sm);
-        if let Some(sh) = ideal {
-            // lint:exempt(shard-reachability): ideal-TLB mode models
-            // instant translation; translations resolve synchronously
+        if let Some(tlb) = ideal {
+            // Ideal-TLB mode: the translation resolves synchronously
             // against the shared page tables.
-            let Some(ppn) = sh.ideal_translate(now, tenant, vpn, id.slot() as u64) else {
+            let Some(ppn) = tlb.translate(now, tenant, vpn, id.slot() as u64) else {
                 // Cold page below the migration threshold: the GMMU
                 // faults and the access is serviced from host memory over
                 // the interconnect. No GPU TLB entry is installed and MOD
@@ -871,8 +864,7 @@ impl<'a> SmLane<'a> {
 
     /// Handles [`LaneEv::ResolveSm`]: fills this SM's L1 TLB with a resolved
     /// translation and wakes its waiting requests.
-    // The parameter list mirrors the event's fields one-to-one.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the parameter list mirrors the event's fields one-to-one")]
     fn resolve_sm(
         &mut self,
         now: Cycle,
@@ -1087,6 +1079,7 @@ impl<'a> SmLane<'a> {
     /// Wakes every unguaranteed-sector waiter of an SM (shootdown path),
     /// in address order: each wake takes a port grant and the SM's next
     /// sequence number, so hash-map order would leak into the schedule.
+    #[allow(clippy::disallowed_methods, reason = "the keys are sorted before any wake")]
     fn wake_all_unguaranteed(&mut self, now: Cycle, sm: u32) {
         let mut keys = std::mem::take(&mut self.scratch_keys);
         keys.clear();
@@ -1450,6 +1443,7 @@ impl<'a> SmLane<'a> {
     /// empty outbox, the per-warp outstanding counters summing to exactly
     /// the incomplete sector requests, and request pin counts matching
     /// their stored copies.
+    #[allow(clippy::disallowed_methods, reason = "counts pins per request; order-free")]
     pub(super) fn audit_invariants(&self) {
         self.q.audit_invariants();
         self.reqs.audit_invariants();

@@ -9,11 +9,26 @@
 //! are small integers or tuples of integers, which this hash handles well.
 //!
 //! No external dependency — the whole hasher is ~40 lines.
+//!
+//! # Iteration order is checked, not trusted
+//!
+//! A map's iteration order follows its hashes. No simulated result may
+//! depend on it, so checked builds (`invariants` feature) XOR [`SALT`]
+//! into every hash: each map then lays out, and iterates, in another
+//! order than in the default build, and the default-vs-checked byte-diffs
+//! of the figure output (`scripts/ci.sh`) fail on an order leak at any
+//! call depth and in any loop form. The method forms (`iter`, `keys`,
+//! `drain`, …) are also banned statically by the root `clippy.toml`.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplicative constant (from the golden ratio, as used by rustc's Fx).
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// XORed into every hash: zero in default builds; all ones in checked
+/// builds, which maps a table's bucket `i` to `mask - i`, so iteration
+/// runs close to the reverse of the default build's order.
+const SALT: u64 = if cfg!(feature = "invariants") { u64::MAX } else { 0 };
 
 /// A fast, non-cryptographic hasher for trusted integer-like keys.
 #[derive(Debug, Default, Clone)]
@@ -75,7 +90,7 @@ impl Hasher for FxHasher {
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ SALT
     }
 }
 
@@ -117,6 +132,20 @@ mod tests {
         assert_eq!(s.len(), 1000);
         assert!(s.contains(&(999 * 4096)));
         assert!(!s.contains(&1));
+    }
+
+    #[test]
+    fn checked_builds_salt_every_hash() {
+        // Zero hashes to zero unsalted; the salt must show in checked
+        // builds and nowhere else, or the default-vs-checked byte-diffs
+        // stop testing iteration order.
+        use std::hash::BuildHasher;
+        let h = FxBuildHasher::default().hash_one(0u64);
+        if cfg!(feature = "invariants") {
+            assert_ne!(h, 0, "checked builds must salt the hasher");
+        } else {
+            assert_eq!(h, 0, "default builds must not salt the hasher");
+        }
     }
 
     #[test]

@@ -66,6 +66,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod addr;
 pub mod cache;

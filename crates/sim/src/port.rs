@@ -122,7 +122,7 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
     }
 
     /// Drops the entry for `key` without waking waiters (EAF release path).
-    #[cfg_attr(not(test), allow(dead_code))] // crate-private; test-exercised API completeness
+    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
     pub fn release(&mut self, key: K) -> Option<Vec<W>> {
         self.complete(key)
     }
@@ -169,7 +169,7 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
     }
 
     /// Whether the file has no live entries.
-    #[cfg_attr(not(test), allow(dead_code))] // crate-private; test-exercised API completeness
+    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -181,7 +181,8 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
 
     /// Total waiters across all live entries (checked-mode conservation
     /// audits compare this against the requests known to be in flight).
-    #[cfg_attr(not(test), allow(dead_code))] // crate-private; test-exercised API completeness
+    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
+    #[allow(clippy::disallowed_methods, reason = "a sum of list lengths is order-free")]
     pub fn waiter_count(&self) -> usize {
         self.entries.values().map(Vec::len).sum()
     }
@@ -189,6 +190,10 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
     /// Visits every waiter of every live entry (checked-mode reference
     /// audits recompute per-request refcounts this way). Read-only;
     /// iteration order is unspecified.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "order is unspecified by contract; the callers are audits that count waiters"
+    )]
     pub fn for_each_waiter(&self, mut f: impl FnMut(&W)) {
         for waiters in self.entries.values() {
             for w in waiters {
@@ -206,6 +211,7 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
     /// # Panics
     ///
     /// Panics on the first violated invariant.
+    #[allow(clippy::disallowed_methods, reason = "asserts a property of every entry; order-free")]
     pub fn audit_invariants(&self) {
         assert!(
             self.entries.len() <= self.capacity,
@@ -365,6 +371,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "checks every count; order-free")]
     fn ports_grants_are_monotonic_and_bounded() {
         for trial in 0..TRIALS {
             let mut rng = SimRng::seed_from_u64(0x1001 ^ trial);
@@ -390,6 +397,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "sums waiter counts; order-free")]
     fn mshr_capacity_is_respected() {
         for trial in 0..TRIALS {
             let mut rng = SimRng::seed_from_u64(0x1002 ^ trial);

@@ -113,7 +113,7 @@ impl<T> ReqSlab<T> {
     }
 
     /// Total slots ever allocated (the resident-memory high-water mark).
-    #[cfg_attr(not(test), allow(dead_code))] // crate-private; test-exercised API completeness
+    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
     pub fn capacity(&self) -> usize {
         self.slots.len()
     }

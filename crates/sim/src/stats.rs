@@ -344,9 +344,10 @@ stats_table! {
     sim fast_path_hits: u64,
     /// Sector requests resolved on the inline hit fast path.
     sim fast_path_sectors: u64,
-    /// Requests still incomplete when the run finished (always 0 in a
-    /// healthy run; counted instead of panicking so checked-mode release
-    /// builds surface lost-event bugs too).
+    /// Requests still incomplete when the run finished: 0 in a healthy
+    /// run; the requests left in flight when the cycle cap stopped it;
+    /// counted instead of panicking so checked-mode release builds
+    /// surface lost-event bugs too.
     sim lost_requests: u64,
     /// Cycles during which an SM had warps but none ready (summed over SMs).
     sim stall_cycles: u64,

@@ -363,6 +363,10 @@ impl Uvm {
         Some(c * PAGES_PER_CHUNK)
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "each touch stamps one chunk with a fresh epoch, so the least-recent chunk is unique"
+    )]
     fn evict_lru_chunk(&mut self, exclude_vchunk: u64) -> Option<EvictedChunk> {
         let victim = self
             .chunks

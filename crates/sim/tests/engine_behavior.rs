@@ -460,10 +460,11 @@ fn idle_sms_do_not_stall_the_window_loop() {
 }
 
 #[test]
-fn cycle_cap_stops_the_run_without_counting_lost_requests() {
+fn cycle_cap_stops_the_run_and_counts_in_flight_requests_as_lost() {
     // A cap far below the run's length stops it with requests still in
-    // flight. `finish` must skip the lost-request check for a timed-out
-    // run (in debug builds that check asserts).
+    // flight. `finish` counts them as lost, so the partial run cannot
+    // pass as a complete one, and does not take the debug-build halt
+    // that a drained run with lost requests takes.
     let cfg = small_cfg();
     let full = run_script(cfg.clone(), streaming_script(&cfg, 40), Box::new(NoSpeculation), 0.5);
     let cap = full.cycles / 4;
@@ -481,7 +482,10 @@ fn cycle_cap_stops_the_run_without_counting_lost_requests() {
     assert!(!engine.run_steps(u64::MAX), "the cap must end the run");
     let capped = engine.finish();
     assert!(capped.cycles <= cap, "ran to cycle {} past the cap {cap}", capped.cycles);
-    assert_eq!(capped.lost_requests, 0, "a timed-out run does not count lost requests");
+    // Every issued sector either completed (and was timed) or is lost.
+    let in_flight = capped.sector_requests - capped.sector_latency.count();
+    assert!(in_flight > 0, "the cap must stop the run with requests in flight");
+    assert_eq!(capped.lost_requests, in_flight, "a capped run counts its in-flight requests as lost");
     assert!(
         capped.loads < full.loads,
         "the cap must stop the run while work is pending ({} of {} loads)",

@@ -466,6 +466,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods, reason = "counts page repeats per PC; order-free")]
     fn loads_revisit_pages_before_moving_on() {
         let w = Workload::by_abbr("XSB").unwrap();
         let mut p = w.program(1, 1, 0.25);

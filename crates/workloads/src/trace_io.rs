@@ -167,6 +167,7 @@ impl FileProgram {
     }
 
     /// Total operations across all warps.
+    #[allow(clippy::disallowed_methods, reason = "a sum of list lengths is order-free")]
     pub fn len(&self) -> usize {
         self.ops.values().map(Vec::len).sum()
     }
@@ -180,6 +181,7 @@ impl FileProgram {
     /// one past its highest warp index (`(0, 0)` when empty). The engine
     /// asks only for the SMs and warps of its own geometry, so a smaller
     /// one would never run the rest of the trace.
+    #[allow(clippy::disallowed_methods, reason = "a max over the keys is order-free")]
     pub fn extent(&self) -> (usize, usize) {
         self.ops.keys().fold((0, 0), |(sms, warps), &(sm, warp)| {
             (sms.max(sm.saturating_add(1)), warps.max(warp.saturating_add(1)))

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # Tier-1 verification + a quick throughput smoke run with a regression gate.
 #
-# Fails if the build breaks, avatar-lint reports any deny finding (local
-# rules plus the workspace-semantic rules: shard-reachability and
-# map-iteration determinism), clippy reports any warning, any test fails
-# (including the probes-off build, the checked-mode `--features
-# invariants` suite, and the repository benchmark's own tests built
-# against this workspace), a host-side variation of a run (chunked
-# stepping, an attached probe sink) changes any simulated statistic in
-# a release build (the equivalence matrix), the
-# latency breakdown loses a cycle (observability conservation), the
-# fig15 grid diverges between the default, invariants, or
-# probes-compiled-out builds (build features a runtime matrix cannot
-# toggle), the policy_sweep harness drops a default-set policy or its
-# GMEAN row, the result cache fails its warm-sweep gate (a repeat fig15
+# Fails if the build breaks, avatar-lint reports any deny finding, clippy
+# reports any warning (the root clippy.toml bans the hash-map iteration
+# methods), any test fails (including the probes-off build, the
+# checked-mode `--features invariants` suite, and the repository
+# benchmark's own tests built against this workspace), a host-side
+# variation of a run (chunked stepping, an attached probe sink) changes
+# any simulated statistic in a release build (the equivalence matrix),
+# the latency breakdown loses a cycle (observability conservation), the
+# fig15 or fig19_oversub grid diverges between the default, invariants,
+# or probes-compiled-out builds (build features a runtime matrix cannot
+# toggle; the invariants build also salts every hash, so this is where a
+# hash-map iteration-order leak shows), the policy_sweep harness drops a
+# default-set policy or its GMEAN row, the result cache fails its
+# warm-sweep gate (a repeat fig15
 # run into a fresh cache directory must replay every cell, match the
 # cold pass byte-for-byte modulo the cache section, and beat the
 # AVATAR_CACHE_SPEEDUP_MIN floor, default 5x),
@@ -34,7 +35,7 @@ cd "$(dirname "$0")/.."
 echo "== build (release) =="
 cargo build --release
 
-echo "== avatar-lint (semantic deny gate) =="
+echo "== avatar-lint (deny gate) =="
 # The JSON report (per-rule counts + wall time) is archived next to the
 # throughput baseline so a CI failure leaves a machine-readable artifact
 # (exit is non-zero on any deny finding; `allowed` sites are still
@@ -77,30 +78,32 @@ echo "== equivalence matrix + observability conservation (release) =="
 # opt-level-dependent divergence.
 cargo test --release -q -p avatar-core --features probes --test equivalence --test observability
 
-echo "== invariants/probes builds must not perturb results (fig15 byte-diff) =="
+echo "== invariants/probes builds must not perturb results (fig15 + fig19 byte-diff) =="
 # The differential gates run with --no-cache: replaying one build's cached
 # results under another build's label would defeat the exact divergence
-# these byte-diffs exist to catch.
-fig_default=$(mktemp /tmp/avatar-fig15-default.XXXXXX.json)
-fig_checked=$(mktemp /tmp/avatar-fig15-checked.XXXXXX.json)
-fig_noprobes=$(mktemp /tmp/avatar-fig15-noprobes.XXXXXX.json)
-fig_cold=$(mktemp /tmp/avatar-fig15-cold.XXXXXX.json)
-fig_warm=$(mktemp /tmp/avatar-fig15-warm.XXXXXX.json)
-sweep_json=$(mktemp /tmp/avatar-policy-sweep.XXXXXX.json)
-cache_dir=$(mktemp -d /tmp/avatar-cache-gate.XXXXXX)
-tp_json=$(mktemp /tmp/avatar-throughput.XXXXXX.json)
-trap 'rm -f "$fig_default" "$fig_checked" "$fig_noprobes" "$fig_cold" "$fig_warm" "$sweep_json" "$tp_json"; rm -rf "$cache_dir"' EXIT
-cargo run --release -q -p avatar-bench --bin fig15_performance -- --quick --no-cache --json "$fig_default"
-cargo run --release -q -p avatar-bench --features invariants --bin fig15_performance -- --quick --no-cache --json "$fig_checked"
-cargo run --release -q -p avatar-bench --no-default-features --bin fig15_performance -- --quick --no-cache --json "$fig_noprobes"
-if ! diff -q "$fig_default" "$fig_checked"; then
-    echo "INVARIANTS DIVERGENCE: fig15 JSON differs between default and --features invariants builds" >&2
-    exit 1
-fi
-if ! diff -q "$fig_default" "$fig_noprobes"; then
-    echo "PROBES DIVERGENCE: fig15 JSON differs between probes-on (default) and probes-compiled-out builds" >&2
-    exit 1
-fi
+# these byte-diffs exist to catch. fig15 --quick never evicts, so fig19
+# --quick carries the differential to chunk eviction and shootdowns,
+# where the UVM and shootdown-waiter hash maps live.
+work=$(mktemp -d /tmp/avatar-ci.XXXXXX)
+trap 'rm -rf "$work"' EXIT
+fig_cold="$work/fig15-cold.json"
+fig_warm="$work/fig15-warm.json"
+sweep_json="$work/policy-sweep.json"
+cache_dir="$work/cache"
+tp_json="$work/throughput.json"
+for fig in fig15_performance fig19_oversub; do
+    cargo run --release -q -p avatar-bench --bin "$fig" -- --quick --no-cache --json "$work/$fig-default.json"
+    cargo run --release -q -p avatar-bench --features invariants --bin "$fig" -- --quick --no-cache --json "$work/$fig-checked.json"
+    cargo run --release -q -p avatar-bench --no-default-features --bin "$fig" -- --quick --no-cache --json "$work/$fig-noprobes.json"
+    if ! diff -q "$work/$fig-default.json" "$work/$fig-checked.json"; then
+        echo "INVARIANTS DIVERGENCE: $fig JSON differs between default and --features invariants builds (checked builds also salt the hasher: a hash-map iteration-order leak shows here)" >&2
+        exit 1
+    fi
+    if ! diff -q "$work/$fig-default.json" "$work/$fig-noprobes.json"; then
+        echo "PROBES DIVERGENCE: $fig JSON differs between probes-on (default) and probes-compiled-out builds" >&2
+        exit 1
+    fi
+done
 
 echo "== policy_sweep smoke (cross-policy comparison, Revelator + dead-entry) =="
 # The cross-policy harness must run its full default set — the paper
