@@ -18,7 +18,6 @@
 //! simulator unchanged.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod colt;
 pub mod snakebyte;

@@ -30,7 +30,7 @@ use avatar_core::policy::{PolicyDef, AVATAR, BASELINE};
 use avatar_workloads::Workload;
 use std::path::PathBuf;
 use std::sync::Arc;
-// Wall-time measurement is this harness's whole job. lint:allow(nondeterminism)
+#[allow(clippy::disallowed_types, reason = "timing is this harness's whole job")]
 use std::time::Instant;
 
 const CONFIGS: [&PolicyDef; 2] = [BASELINE, AVATAR];
@@ -139,7 +139,8 @@ fn main() {
         let mut wall_s = f64::INFINITY;
         let mut results = Vec::new();
         for _ in 0..repeats {
-            let t0 = Instant::now(); // lint:allow(nondeterminism)
+            #[allow(clippy::disallowed_types, reason = "timing is this harness's whole job")]
+            let t0 = Instant::now();
             let pass = run_scenarios(threads, grid(&opts));
             let s = t0.elapsed().as_secs_f64();
             if s < wall_s {

@@ -33,7 +33,7 @@ use avatar_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-// Wall-time capture of harness cells, never simulated state. lint:allow(nondeterminism)
+#[allow(clippy::disallowed_types, reason = "wall time of harness cells, never simulated state")]
 use std::time::{Duration, Instant};
 
 /// Pads shared per-cell state to its own cache-line pair so worker threads
@@ -75,7 +75,8 @@ where
 {
     let threads = threads.max(1).min(jobs.len().max(1));
     let run_one = |index: usize, job: F| {
-        let start = Instant::now(); // lint:allow(nondeterminism)
+        #[allow(clippy::disallowed_types, reason = "wall time of a harness cell")]
+        let start = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(job)).map_err(panic_message);
         Cell { index, outcome, wall: start.elapsed() }
     };

@@ -41,7 +41,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod attache;
 pub mod bdi;

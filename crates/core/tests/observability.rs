@@ -64,7 +64,8 @@ fn latency_breakdown_conserves_every_cycle() {
 
 #[test]
 fn exported_trace_is_loadable_chrome_json() {
-    let w = Workload::by_abbr("GEMM").expect("workload table contains GEMM");
+    // MD takes the inline hit fast path at this geometry; GEMM does not.
+    let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let path = temp_trace("schema");
     let o = RunOptions { trace_out: Some(path.clone()), ..opts(0) };
     let stats = run_policy(&w, avatar_core::policy::AVATAR, &o);
@@ -97,6 +98,18 @@ fn exported_trace_is_loadable_chrome_json() {
     // Every event row carries a numeric ts.
     let events: usize = doc.matches("\"ts\":").count();
     assert!(events > 10, "suspiciously few timestamped events: {events}");
+
+    // Every span is written whole: the fast-path windows are complete
+    // events, and no begin/end pair appears anywhere.
+    let fast_path: Vec<&str> =
+        doc.lines().filter(|l| l.contains("\"name\":\"fast_path\"")).collect();
+    assert!(!fast_path.is_empty(), "traced cell took no fast path");
+    for line in &fast_path {
+        assert!(line.contains("\"ph\":\"X\""), "fast_path is not a complete span: {line}");
+    }
+    for ph in ["\"ph\":\"B\"", "\"ph\":\"E\""] {
+        assert!(!doc.contains(ph), "trace has a begin/end event ({ph})");
+    }
 }
 
 #[test]

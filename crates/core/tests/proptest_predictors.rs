@@ -7,6 +7,8 @@
 //! proptest — the registry is unreachable from the build environment);
 //! trials are seeded deterministically for exact reproduction.
 
+#![allow(clippy::disallowed_types, reason = "an oracle independent of the hasher under test")]
+
 use avatar_core::{AvatarPolicy, ModTable, VpnTable};
 use avatar_sim::addr::{Ppn, Vpn};
 use avatar_sim::hooks::TranslationPolicy;

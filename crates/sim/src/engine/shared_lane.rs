@@ -592,7 +592,7 @@ impl<'a> SharedLane<'a> {
                 self.walk_started.insert(svpn, now);
                 // Dispatch synchronously: a zero-delta event would only
                 // defer this same call behind the rest of the cycle's
-                // queue (and is deny-listed by avatar-lint).
+                // queue.
                 self.walk_dispatch(now);
             }
             None => {
@@ -1120,10 +1120,10 @@ impl<'a> SharedLane<'a> {
             "walk maps disagree on live walk count"
         );
         for (&svpn, &walk) in &self.walk_of_vpn {
+            #[allow(clippy::panic, reason = "audit code: a broken invariant must stop the run")]
             let back = self
                 .vpn_of_walk
                 .get(&walk)
-                // Audit code: panicking is the whole point. lint:allow(hot-path-panic)
                 .unwrap_or_else(|| panic!("walk {} for page {svpn} has no inverse entry", walk.0));
             assert_eq!(back.0, svpn, "walk {} maps back to page {}, not {svpn}", walk.0, back.0);
         }

@@ -127,7 +127,7 @@ pub(super) struct SmLane<'a> {
     l1_tlb_mshrs: Vec<MshrFile<u64, ReqId>>,
     // Per-SM retry queues: the outer Vec is fixed at the SM count
     // and the inner ones are drained every retry, so this never becomes
-    // a per-element hot structure. lint:allow(vec-vec)
+    // a per-element hot structure.
     tlb_overflow: Vec<Vec<ReqId>>,
     l1_mshrs: Vec<MshrFile<u64, ReqId>>,
     l1_mshr_overflow: Vec<VecDeque<ReqId>>,
@@ -670,12 +670,6 @@ impl<'a> SmLane<'a> {
         let cache_lat = self.cfg.l1_cache.latency;
         self.stats.fast_path_hits += 1;
         self.stats.fast_path_sectors += sectors.len() as u64;
-        #[cfg(feature = "probes")]
-        let emit_span = self.log.is_active() && self.log.sampled(warp);
-        #[cfg(feature = "probes")]
-        if emit_span {
-            self.log.span_enter(SpanPoint::FastPath, Track::sm_warp(sm, warp), now);
-        }
         let mut t_done = now;
         for &vaddr in sectors {
             self.stats.sector_requests += 1;
@@ -735,8 +729,9 @@ impl<'a> SmLane<'a> {
         }
         self.stats.load_latency.add(t_done - now);
         #[cfg(feature = "probes")]
-        if emit_span {
-            self.log.span_exit(SpanPoint::FastPath, Track::sm_warp(sm, warp), t_done);
+        if self.log.is_active() && self.log.sampled(warp) {
+            let track = Track::sm_warp(sm, warp);
+            self.log.span(SpanPoint::FastPath, track, now, t_done, sectors.len() as u64);
         }
         // The warp re-issues one cycle after its last sector completes —
         // the same wake point `complete_req` produces.

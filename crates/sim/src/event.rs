@@ -247,6 +247,7 @@ impl<E> EventQueue<E> {
     /// Cycle of the earliest non-empty ring bucket at or after `cursor`,
     /// via the occupancy bitmap: scans at most `OCC_WORDS` words.
     #[inline]
+    #[allow(clippy::unreachable, reason = "ring_len > 0 guarantees a set occupancy bit")]
     fn next_occupied(&self) -> Cycle {
         let start = (self.cursor & (WINDOW - 1)) as usize;
         let mut word = start / 64;
@@ -263,7 +264,7 @@ impl<E> EventQueue<E> {
         }
         // The loop scans every OCC_WORDS word; ring_len > 0 guarantees a
         // set bit, and the debug_assert above fires first if the bitmap
-        // ever desynchronizes. lint:allow(hot-path-panic)
+        // ever desynchronizes.
         unreachable!("ring_len > 0 guarantees an occupied bucket");
     }
 

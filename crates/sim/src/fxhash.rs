@@ -100,12 +100,14 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// Drop-in `HashMap` with the fast hasher.
 ///
 /// The canonical sanctioned mention of the std collection: every other
-/// use in the workspace goes through this alias (enforced by
-/// `avatar-lint`'s `default-collections` rule).
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>; // lint:allow(default-collections)
+/// use in the workspace goes through this alias (the root `clippy.toml`
+/// bans the std type).
+#[allow(clippy::disallowed_types, reason = "the one sanctioned alias; it swaps in the fast hasher")]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// Drop-in `HashSet` with the fast hasher (see [`FxHashMap`]).
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>; // lint:allow(default-collections)
+#[allow(clippy::disallowed_types, reason = "the one sanctioned alias; it swaps in the fast hasher")]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

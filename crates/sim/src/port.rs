@@ -76,7 +76,7 @@ pub struct MshrFile<K, W> {
     entries: crate::fxhash::FxHashMap<K, Vec<W>>,
     /// Retired waiter vectors, kept so steady-state allocate/complete
     /// cycles reuse capacity instead of hitting the allocator every miss.
-    /// A recycling pool, not a hot per-element structure. lint:allow(vec-vec)
+    /// A recycling pool, not a hot per-element structure.
     spare: Vec<Vec<W>>,
 }
 
@@ -231,6 +231,7 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "an oracle independent of the hasher under test")]
 mod tests {
     use super::*;
 

@@ -5,7 +5,9 @@
 //! to exactly one [`Phase`] (issue → coalesce → tlb → walk → fetch →
 //! validate → commit) and, when a sink is attached, emits named spans
 //! at the same transition points so a run can be opened in a timeline
-//! viewer (see [`crate::trace_export`]).
+//! viewer (see [`crate::trace_export`]). Every span is emitted whole,
+//! start and end together, when it closes: the sink has no begin/end
+//! pair, so an unbalanced span cannot be written.
 //!
 //! This module is always compiled (it is cold, plain data), but the
 //! engine only *threads* it through the hot path under the `probes`
@@ -225,15 +227,6 @@ pub trait Probe {
     /// detail slot (request slab index, walk id, byte count, ...).
     fn span(&mut self, point: SpanPoint, track: Track, start: Cycle, end: Cycle, arg: u64);
 
-    /// Open half of a paired span. Every `span_enter` must be matched
-    /// by a [`Probe::span_exit`] on the same track — the engine keeps
-    /// pairs within one function so the `probe-span-balance` lint rule
-    /// can check the invariant statically.
-    fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle);
-
-    /// Close half of a paired span (see [`Probe::span_enter`]).
-    fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle);
-
     /// A zero-duration event.
     fn instant(&mut self, point: SpanPoint, track: Track, at: Cycle, arg: u64);
 
@@ -249,8 +242,6 @@ pub trait Probe {
 #[derive(Debug, Clone, Copy)]
 enum Record {
     Span { point: SpanPoint, track: Track, start: Cycle, end: Cycle, arg: u64 },
-    Enter { point: SpanPoint, track: Track, at: Cycle },
-    Exit { point: SpanPoint, track: Track, at: Cycle },
     Mark { point: SpanPoint, track: Track, at: Cycle, arg: u64 },
     Counter { name: &'static str, track: Track, at: Cycle, value: u64 },
 }
@@ -305,22 +296,6 @@ impl RecordLog {
         }
     }
 
-    /// Buffer a span open (no-op when unarmed).
-    #[inline]
-    pub(crate) fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        if self.active {
-            self.records.push(Record::Enter { point, track, at });
-        }
-    }
-
-    /// Buffer a span close (no-op when unarmed).
-    #[inline]
-    pub(crate) fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        if self.active {
-            self.records.push(Record::Exit { point, track, at });
-        }
-    }
-
     /// Buffer an instant (no-op when unarmed).
     #[inline]
     pub(crate) fn instant(&mut self, point: SpanPoint, track: Track, at: Cycle, arg: u64) {
@@ -345,8 +320,6 @@ impl RecordLog {
                 Record::Span { point, track, start, end, arg } => {
                     sink.span(point, track, start, end, arg)
                 }
-                Record::Enter { point, track, at } => sink.span_enter(point, track, at),
-                Record::Exit { point, track, at } => sink.span_exit(point, track, at),
                 Record::Mark { point, track, at, arg } => sink.instant(point, track, at, arg),
                 Record::Counter { name, track, at, value } => {
                     sink.counter(name, track, at, value)
@@ -382,23 +355,16 @@ mod tests {
         assert_eq!(Phase::ALL.len(), Phase::COUNT);
     }
 
+    /// Records the spans it is fed, in replay order.
     #[cfg(feature = "probes")]
     #[derive(Default)]
-    struct CountingSink {
-        spans: usize,
-        enters: usize,
-        exits: usize,
+    struct RecordingSink {
+        spans: Vec<(SpanPoint, Cycle, Cycle)>,
     }
     #[cfg(feature = "probes")]
-    impl Probe for CountingSink {
-        fn span(&mut self, _: SpanPoint, _: Track, _: Cycle, _: Cycle, _: u64) {
-            self.spans += 1;
-        }
-        fn span_enter(&mut self, _: SpanPoint, _: Track, _: Cycle) {
-            self.enters += 1;
-        }
-        fn span_exit(&mut self, _: SpanPoint, _: Track, _: Cycle) {
-            self.exits += 1;
+    impl Probe for RecordingSink {
+        fn span(&mut self, point: SpanPoint, _: Track, start: Cycle, end: Cycle, _: u64) {
+            self.spans.push((point, start, end));
         }
         fn instant(&mut self, _: SpanPoint, _: Track, _: Cycle, _: u64) {}
         fn counter(&mut self, _: &'static str, _: Track, _: Cycle, _: u64) {}
@@ -411,11 +377,10 @@ mod tests {
         let mut log = RecordLog::default();
         assert!(!log.is_active());
         assert!(log.sampled(0) && log.sampled(17));
-        log.span_enter(SpanPoint::WarpMem, Track::sm_warp(0, 0), 5);
-        log.span_exit(SpanPoint::WarpMem, Track::sm_warp(0, 0), 9);
-        let mut sink = CountingSink::default();
+        log.span(SpanPoint::FastPath, Track::sm_warp(0, 0), 5, 9, 0);
+        let mut sink = RecordingSink::default();
         log.replay_into(&mut sink);
-        assert_eq!((sink.spans, sink.enters, sink.exits), (0, 0, 0), "unarmed log kept records");
+        assert!(sink.spans.is_empty(), "unarmed log kept records");
     }
 
     #[cfg(feature = "probes")]
@@ -426,15 +391,16 @@ mod tests {
         assert!(log.is_active());
         assert!(log.sampled(0) && log.sampled(8));
         assert!(!log.sampled(1) && !log.sampled(7));
-        log.span_enter(SpanPoint::FastPath, Track::sm_warp(0, 4), 5);
         log.span(SpanPoint::Phase(Phase::Fetch), Track::sm_warp(0, 4), 5, 9, 0);
-        log.span_exit(SpanPoint::FastPath, Track::sm_warp(0, 4), 9);
-        let mut sink = CountingSink::default();
+        log.span(SpanPoint::FastPath, Track::sm_warp(0, 4), 5, 12, 2);
+        let mut sink = RecordingSink::default();
         log.replay_into(&mut sink);
-        assert_eq!((sink.spans, sink.enters, sink.exits), (1, 1, 1));
+        // The fast-path window arrives whole: one span, start and end.
+        let fetch = SpanPoint::Phase(Phase::Fetch);
+        assert_eq!(sink.spans, [(fetch, 5, 9), (SpanPoint::FastPath, 5, 12)]);
         // Replay drains the log.
-        let mut again = CountingSink::default();
+        let mut again = RecordingSink::default();
         log.replay_into(&mut again);
-        assert_eq!(again.spans + again.enters + again.exits, 0, "replay left records behind");
+        assert!(again.spans.is_empty(), "replay left records behind");
     }
 }

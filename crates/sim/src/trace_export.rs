@@ -9,10 +9,11 @@
 //! Mapping: each SM becomes a trace *process* (pid = SM + 1) with one
 //! *thread* per warp; the shared page-walk system, DRAM, and the UVM
 //! driver get pseudo-processes (pids 9001-9003) named via `process_name`
-//! metadata events. Request-lifecycle phases are complete (`"X"`)
-//! spans, engine-side windows whose ends are known separately use
-//! begin/end (`"B"`/`"E"`) pairs, faults and verdicts are instants
-//! (`"i"`), and occupancy samples are counter (`"C"`) tracks.
+//! metadata events. Every span — request-lifecycle phases, warp windows
+//! such as `fast_path`, component windows — is a complete (`"X"`) event
+//! written when it closes; there are no begin/end (`"B"`/`"E"`) pairs.
+//! Faults and verdicts are instants (`"i"`), and occupancy samples are
+//! counter (`"C"`) tracks.
 //!
 //! The file is written atomically (unique temp file in the destination
 //! directory, then rename), so a path shared by parallel grid cells
@@ -36,8 +37,6 @@ static TEMP_NONCE: AtomicU64 = AtomicU64::new(0);
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Complete { dur: u64, arg: u64 },
-    Begin,
-    End,
     Mark { arg: u64 },
     Counter { value: u64 },
 }
@@ -93,8 +92,7 @@ impl ChromeTraceProbe {
 
     /// Render the buffered events as a Chrome-trace JSON document.
     fn render(&mut self, end: Cycle) -> String {
-        // Stable sort: events that share a timestamp keep emission
-        // order, which preserves B-before-E for zero-width pairs.
+        // Stable sort: events that share a timestamp keep emission order.
         self.events.sort_by_key(|e| e.ts);
 
         let mut pids: Vec<u32> = self.events.iter().map(|e| e.pid).collect();
@@ -129,8 +127,6 @@ impl ChromeTraceProbe {
             match ev.kind {
                 Kind::Complete { dur, arg } => out
                     .push_str(&format!(",\"ph\":\"X\",\"dur\":{dur},\"args\":{{\"v\":{arg}}}}}")),
-                Kind::Begin => out.push_str(",\"ph\":\"B\"}"),
-                Kind::End => out.push_str(",\"ph\":\"E\"}"),
                 Kind::Mark { arg } => out
                     .push_str(&format!(",\"ph\":\"i\",\"s\":\"t\",\"args\":{{\"v\":{arg}}}}}")),
                 Kind::Counter { value } => {
@@ -181,28 +177,6 @@ impl Probe for ChromeTraceProbe {
         });
     }
 
-    fn span_enter(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        self.push(TraceEvent {
-            name: point.label(),
-            cat: Self::category(point),
-            ts: at,
-            pid: track.pid,
-            tid: track.tid,
-            kind: Kind::Begin,
-        });
-    }
-
-    fn span_exit(&mut self, point: SpanPoint, track: Track, at: Cycle) {
-        self.push(TraceEvent {
-            name: point.label(),
-            cat: Self::category(point),
-            ts: at,
-            pid: track.pid,
-            tid: track.tid,
-            kind: Kind::End,
-        });
-    }
-
     fn instant(&mut self, point: SpanPoint, track: Track, at: Cycle, arg: u64) {
         self.push(TraceEvent {
             name: point.label(),
@@ -248,8 +222,7 @@ mod tests {
         let mut p = ChromeTraceProbe::new("/dev/null");
         p.span(SpanPoint::Phase(Phase::Tlb), Track::sm_warp(0, 3), 10, 14, 7);
         p.span(SpanPoint::Phase(Phase::Walk), Track::sm_warp(0, 3), 14, 200, 7);
-        p.span_enter(SpanPoint::FastPath, Track::sm_warp(1, 0), 5);
-        p.span_exit(SpanPoint::FastPath, Track::sm_warp(1, 0), 9);
+        p.span(SpanPoint::FastPath, Track::sm_warp(1, 0), 5, 9, 2);
         p.instant(SpanPoint::UvmFault, Track::uvm(0), 50, 42);
         p.counter("resident_pages", Track::uvm(0), 50, 128);
         p.span(SpanPoint::WalkService, Track::walker(2), 20, 120, 1);
@@ -282,7 +255,10 @@ mod tests {
             assert!(doc.contains(name), "missing process_name {name}");
         }
         assert!(doc.contains("\"ph\":\"X\""));
-        assert!(doc.contains("\"ph\":\"B\"") && doc.contains("\"ph\":\"E\""));
+        // The fast-path window is one complete span; no begin/end events.
+        let fast_path = "\"fast_path\",\"cat\":\"warp\",\"pid\":2,\"tid\":0,\"ts\":5,\"ph\":\"X\"";
+        assert!(doc.contains(fast_path));
+        assert!(!doc.contains("\"ph\":\"B\"") && !doc.contains("\"ph\":\"E\""));
         assert!(doc.contains("\"ph\":\"C\""));
         assert!(doc.contains("\"ph\":\"i\""));
     }

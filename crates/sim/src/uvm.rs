@@ -451,15 +451,15 @@ impl Uvm {
                     continue;
                 }
                 let vpn = Vpn(vchunk * PAGES_PER_CHUNK + i);
+                #[allow(clippy::panic, reason = "audit code: a broken invariant must stop the run")]
                 let t = self
                     .page_table
                     .translate(vpn)
-                    // Audit code: panicking is the whole point. lint:allow(hot-path-panic)
                     .unwrap_or_else(|| panic!("resident page {} not mapped", vpn.0));
+                #[allow(clippy::panic, reason = "audit code: a broken invariant must stop the run")]
                 let owner = self
                     .frame_owner
                     .get(t.ppn.0)
-                    // Audit code: panicking is the whole point. lint:allow(hot-path-panic)
                     .unwrap_or_else(|| panic!("frame {} of resident page {} unowned", t.ppn.0, vpn.0));
                 assert_eq!(
                     owner.vpn, vpn,
@@ -481,10 +481,10 @@ impl Uvm {
                 let ppn = pchunk * PAGES_PER_CHUNK + slot as u64;
                 let vpn = Vpn(v >> 1);
                 assert!(self.is_resident(vpn), "frame {ppn} owned by non-resident page {}", vpn.0);
+                #[allow(clippy::panic, reason = "audit code: a broken invariant must stop the run")]
                 let t = self
                     .page_table
                     .translate(vpn)
-                    // Audit code: panicking is the whole point. lint:allow(hot-path-panic)
                     .unwrap_or_else(|| panic!("owned frame {ppn}: page {} unmapped", vpn.0));
                 assert_eq!(t.ppn.0, ppn, "frame {ppn} owner maps elsewhere ({})", t.ppn.0);
             }

@@ -6,6 +6,8 @@
 //! proptest); every trial is seeded deterministically, and each assertion
 //! message carries the trial number so a failure reproduces exactly.
 
+#![allow(clippy::disallowed_types, reason = "an oracle independent of the hasher under test")]
+
 use avatar_sim::addr::{PhysAddr, Ppn, Vpn, PAGES_PER_CHUNK};
 use avatar_sim::cache::{Probe, SectorCache, SectorFlags};
 use avatar_sim::config::GpuConfig;

@@ -21,7 +21,6 @@
 //! [`spec::Workload::ml_suite`] the Fig 23 ML models.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub mod content;
 pub mod multi;

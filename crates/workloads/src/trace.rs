@@ -282,7 +282,7 @@ impl TraceProgram {
     /// another (hash-selected) chunk; `local_pct` of probes stay in the
     /// dwelled chunk, the rest jump anywhere in the region. Divergent
     /// probes (`div` > 1) spread across distinct pages of the chunk.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one scalar per knob of the access pattern")]
     fn chunk_dwell(
         &mut self,
         base: u64,
@@ -387,6 +387,7 @@ impl WarpProgram for TraceProgram {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "an oracle independent of the hasher under test")]
 mod tests {
     use super::*;
     use crate::spec::Workload;

@@ -32,7 +32,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
 
 pub use avatar_baselines as baselines;
 pub use avatar_bpc as bpc;
