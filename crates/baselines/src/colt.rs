@@ -114,7 +114,7 @@ impl TlbModel for ColtTlb {
                     .enumerate()
                     .min_by_key(|(_, e)| e.last_use)
                     .map(|(i, _)| i)
-                    .expect("nonempty");
+                    .expect("a full 2MB array holds a victim: capacity is at least 1");
                 self.large.swap_remove(victim);
             }
             self.large.push(Entry {
@@ -154,7 +154,7 @@ impl TlbModel for ColtTlb {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
-                .expect("nonempty");
+                .expect("a full set holds a victim: ways is at least 1");
             set.swap_remove(victim);
         }
         set.push(Entry { vpn, ppn, len, last_use: stamp });

@@ -150,7 +150,7 @@ impl TlbModel for SnakeByteTlb {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
-                .expect("nonempty");
+                .expect("a full table holds a victim: capacity is at least 1");
             self.entries.swap_remove(victim);
         }
         self.entries.push(Entry { vpn, ppn, len, last_use: stamp });

@@ -6,7 +6,7 @@
 //! CAST+Ideal-Valid exceeds Avatar by 5.8%.
 //!
 //! The default columns are `policy::FIG15`; `--policies` swaps them for
-//! any registry selections (e.g. `--policies "avatar,revelator,avatar+dead"`).
+//! any registry selections (e.g. `--policies "avatar,revelator"`).
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};

@@ -3,10 +3,10 @@
 //!
 //! Where `fig15_performance` reproduces the paper's fixed column set,
 //! this harness compares *policies as peers*: the paper baselines
-//! (CoLT, SnakeByte), the full Avatar stack, the post-paper Revelator
-//! rival (hash-seeded speculation with rapid validation-on-use), and
-//! the dead-entry-aware replacement modifier. Speedups are normalized
-//! to the shared Baseline system; the Baseline column itself is 1.000
+//! (CoLT, SnakeByte), the full Avatar stack and the post-paper
+//! Revelator rival (hash-seeded speculation with rapid
+//! validation-on-use). Speedups are normalized to the shared Baseline
+//! system; the Baseline column itself is 1.000
 //! by construction (its cell memoizes the reference run, so it costs
 //! nothing extra).
 //!
@@ -19,10 +19,10 @@ use avatar_bench::{geomean, obj, print_table, HarnessArgs};
 use avatar_core::policy::{PolicySelection, BASELINE};
 use avatar_workloads::Workload;
 
-/// The default comparison set: paper baselines, Avatar, and both
-/// post-paper designs. Parsed from registry names so the sweep exercises
-/// exactly the path `--policies` users take.
-const DEFAULT_SET: &str = "baseline,colt,snakebyte,avatar,revelator,avatar+dead";
+/// The default comparison set: paper baselines, Avatar, and the
+/// post-paper Revelator. Parsed from registry names so the sweep
+/// exercises exactly the path `--policies` users take.
+const DEFAULT_SET: &str = "baseline,colt,snakebyte,avatar,revelator";
 
 fn main() {
     let opts = HarnessArgs::parse();

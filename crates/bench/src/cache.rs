@@ -10,7 +10,7 @@
 //! text that names every input that can influence its result:
 //!
 //! * the derived `Debug` of the `Workload` — every field of the spec;
-//! * the `PolicySelection`'s registry name (`avatar+dead`), which fixes
+//! * the `PolicySelection`'s registry name (`avatar`), which fixes
 //!   everything assembly does;
 //! * the derived `Debug` of the `RunOptions` — scale, seed, geometry,
 //!   codec — with the trace destination cleared (an observer, not an
@@ -465,7 +465,7 @@ mod tests {
 
     #[test]
     fn cell_key_separates_inputs() {
-        use avatar_core::policy::{AVATAR, REGISTRY};
+        use avatar_core::policy::AVATAR;
         use avatar_sim::config::{BasePage, CacheArrangement};
         let gemm = Workload::by_abbr("GEMM").expect("workload table contains GEMM");
         let avatar = PolicySelection::from(AVATAR);
@@ -493,15 +493,9 @@ mod tests {
             let key = cell_key_with_fingerprint(&w, avatar, &opts, &cfg, "fp");
             rows.push((format!("workload {} ({} rounds)", w.abbr, w.rounds), key));
         }
-        for &def in REGISTRY {
-            for dead in [false, true] {
-                let sel = PolicySelection { def, dead_entry: dead };
-                if (dead && !def.supports_dead_entry) || sel == avatar {
-                    continue;
-                }
-                let key = cell_key_with_fingerprint(&gemm, sel, &opts, &cfg, "fp");
-                rows.push((format!("policy {}", sel.name()), key));
-            }
+        for sel in PolicySelection::all_base().filter(|&sel| sel != avatar) {
+            let key = cell_key_with_fingerprint(&gemm, sel, &opts, &cfg, "fp");
+            rows.push((format!("policy {}", sel.name()), key));
         }
         let edit_cfg = |edit: fn(&mut GpuConfig)| {
             let mut c = cfg.clone();

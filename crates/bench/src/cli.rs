@@ -128,7 +128,7 @@ pub fn usage(bin: &str, extras: &[ExtraFlag]) -> String {
          --seed N           extra allocation seed (default 7)\n  \
          --json PATH        dump rows as JSON\n  \
          --policy NAME      restrict to a registry policy (repeatable;\n                     \
-         e.g. avatar, revelator, avatar+dead)\n  \
+         e.g. avatar, revelator)\n  \
          --policies LIST    comma-separated policy names (appends to --policy)\n  \
          --trace-out PATH   write a Chrome/Perfetto trace (probes builds;\n                     \
          env fallback: AVATAR_TRACE_OUT)\n  \
@@ -479,16 +479,19 @@ mod tests {
         assert_eq!(sels[0].label(), "Avatar");
         assert_eq!(sels[1].label(), "Revelator");
         // --policies takes a comma list and appends after --policy.
-        let m = parse(&["--policy", "baseline", "--policies", "colt, avatar+dead"])
+        let m = parse(&["--policy", "baseline", "--policies", "colt, cast-ideal"])
             .expect("valid args");
         let sels = m.policies().expect("three selections");
         assert_eq!(sels.len(), 3);
-        assert_eq!(sels[2].label(), "Avatar+DoA");
+        assert_eq!(sels[2].label(), "CAST+Ideal-Valid");
         // Unknown names are hard errors that list the catalog.
         let err = parse(&["--policy", "warpspeed"]).expect_err("unknown policy");
         assert!(err.contains("warpspeed") && err.contains("avatar"), "{err}");
-        let err = parse(&["--policies", "colt,ideal+dead"]).expect_err("bad modifier combo");
-        assert!(err.contains("ideal"), "{err}");
+        // A list naming no policy is an error, not the default set.
+        for empty in ["", ","] {
+            let err = parse(&["--policies", empty]).expect_err("empty policy list");
+            assert!(err.contains("names no policy") && !err.contains('\n'), "{err}");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   `--threads 8` produce byte-identical rows (a tested invariant).
 //! * **Panic isolation** — a diverging cell reports as a failed row
 //!   (`Err` with the panic message) instead of killing the whole figure;
-//!   so does a run that lost requests (see [`Scenario::run`]).
+//!   so does a run that lost requests (see [`Scenario::run`]). Each
+//!   failed cell also prints one `failed cell:` line on stderr naming
+//!   its workload, label and reason, so a table's `ERR` never hides why.
 //! * **Wall-time capture** — each cell records its own execution time, so
 //!   the throughput harness can report cells/sec without re-running.
 //!
@@ -250,7 +252,9 @@ enum Plan {
 }
 
 /// Fans `scenarios` across `threads` workers; results are in submission
-/// order regardless of thread count or completion order.
+/// order regardless of thread count or completion order. Every failed
+/// cell prints one `failed cell: <workload> <label>: <reason>` line on
+/// stderr.
 ///
 /// Before spawning, the sweep is planned against the result cache:
 /// disk hits and in-sweep duplicates replay instead of running (see the
@@ -262,6 +266,7 @@ pub fn run_scenarios(threads: usize, scenarios: Vec<Scenario>) -> Vec<ScenarioRe
     // panicked cell still reports under its real label instead of an
     // anonymous index.
     let labels: Vec<String> = scenarios.iter().map(|s| s.label.clone()).collect();
+    let abbrs: Vec<&str> = scenarios.iter().map(|s| s.workload.abbr).collect();
     let keys: Vec<Option<u64>> = scenarios.iter().map(|s| s.cache_key()).collect();
     let cache = crate::cache::global();
 
@@ -324,7 +329,7 @@ pub fn run_scenarios(threads: usize, scenarios: Vec<Scenario>) -> Vec<ScenarioRe
     let mut ran: Vec<Option<Cell<Stats>>> = cells.into_iter().map(Some).collect();
     let mut results: Vec<ScenarioResult> = Vec::with_capacity(plans.len());
     let mut source_wall_s: Vec<f64> = Vec::with_capacity(plans.len());
-    for (plan, label) in plans.into_iter().zip(labels) {
+    for ((plan, label), abbr) in plans.into_iter().zip(labels).zip(abbrs) {
         let (stats, wall, src_wall_s) = match plan {
             Plan::Run(j) => {
                 let cell = ran[j].take().expect("each job index is consumed exactly once");
@@ -337,6 +342,9 @@ pub fn run_scenarios(threads: usize, scenarios: Vec<Scenario>) -> Vec<ScenarioRe
                 (results[orig].stats.clone(), Duration::ZERO, source_wall_s[orig])
             }
         };
+        if let Err(e) = &stats {
+            eprintln!("failed cell: {abbr} {label}: {e}");
+        }
         source_wall_s.push(src_wall_s);
         results.push(ScenarioResult { label, stats, wall });
     }

@@ -22,9 +22,9 @@
 //!
 //! Beyond the Avatar family, [`policy`] keeps a name-keyed registry of
 //! every assemblable translation policy — the prior-work baselines
-//! (CoLT, SnakeByte), the first post-paper rival [`revelator`]
+//! (CoLT, SnakeByte) and the first post-paper rival [`revelator`]
 //! (hash-based speculation from SW-guided seed tables with rapid
-//! validation-on-use), and the [`dead_entry`] replacement modifier.
+//! validation-on-use).
 //! [`system`] assembles full systems on the `avatar-sim` substrate;
 //! [`system::run_policy`] executes one workload on a registry row or on
 //! a selection parsed from its name:
@@ -58,7 +58,6 @@
 )]
 
 pub mod cast;
-pub mod dead_entry;
 pub mod mod_table;
 pub mod policy;
 pub mod revelator;
@@ -66,7 +65,6 @@ pub mod system;
 pub mod vpn_table;
 
 pub use cast::{AvatarPolicy, Predictor};
-pub use dead_entry::DeadEntryPolicy;
 pub use mod_table::ModTable;
 pub use policy::{PolicyDef, PolicySelection};
 pub use revelator::RevelatorPolicy;

@@ -85,7 +85,7 @@ impl ModTable {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
-                .expect("nonempty");
+                .expect("a full table holds a victim: capacity is at least 1");
             self.entries.swap_remove(victim);
         }
         self.entries.push(ModEntry { pc, state: 1, offset, last_use: stamp });

@@ -2,11 +2,10 @@
 //!
 //! Every evaluated system is a [`PolicySelection`]: one registry entry
 //! (a [`PolicyDef`] naming the TLB family, memory-manager behaviour, and
-//! speculation policy to assemble) plus optional policy *modifiers*
-//! (currently the dead-entry-aware replacement hint, spelled `+dead`).
-//! Harnesses parse selections from strings (`--policy avatar+dead`),
-//! sweep over [`PolicySelection::all_base`], and key result-cache cells
-//! on [`PolicySelection::name`].
+//! speculation policy to assemble). Harnesses parse selections from
+//! strings (`--policy revelator`), sweep over
+//! [`PolicySelection::all_base`], and key result-cache cells on
+//! [`PolicySelection::name`].
 //!
 //! Each registry row is also a named constant ([`BASELINE`], [`AVATAR`],
 //! [`REVELATOR`], …) that converts into a [`PolicySelection`], so code
@@ -15,7 +14,6 @@
 //! is one [`PolicyDef`] row (plus its policy type).
 
 use crate::cast::AvatarPolicy;
-use crate::dead_entry::DeadEntryPolicy;
 use crate::revelator::RevelatorPolicy;
 use avatar_baselines::{ColtTlb, SnakeByteTlb};
 use avatar_sim::config::GpuConfig;
@@ -51,10 +49,6 @@ pub struct PolicyDef {
     pub ideal_tlb: bool,
     /// TLB-model family for both levels.
     pub tlb: TlbKind,
-    /// Whether the `+dead` replacement modifier may wrap this policy.
-    /// Requires the base TLB family (the prior-work TLB models do not
-    /// implement prioritized fills) and a real TLB path.
-    pub supports_dead_entry: bool,
     build: fn(&GpuConfig) -> Box<dyn TranslationPolicy>,
 }
 
@@ -95,7 +89,6 @@ pub const BASELINE: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_none,
 };
 
@@ -108,7 +101,6 @@ pub const IDEAL: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: true,
     tlb: TlbKind::Base,
-    supports_dead_entry: false,
     build: build_none,
 };
 
@@ -121,7 +113,6 @@ pub const PROMOTION: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_none,
 };
 
@@ -134,7 +125,6 @@ pub const COLT: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Colt,
-    supports_dead_entry: false,
     build: build_none,
 };
 
@@ -147,7 +137,6 @@ pub const SNAKEBYTE: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::SnakeByte,
-    supports_dead_entry: false,
     build: build_none,
 };
 
@@ -160,7 +149,6 @@ pub const CAST: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_cast_only,
 };
 
@@ -173,7 +161,6 @@ pub const AVATAR: &PolicyDef = &PolicyDef {
     embeds_page_info: true,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_avatar,
 };
 
@@ -186,7 +173,6 @@ pub const AVATAR_NOEAF: &PolicyDef = &PolicyDef {
     embeds_page_info: true,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_avatar_no_eaf,
 };
 
@@ -199,7 +185,6 @@ pub const CAST_IDEAL: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_cast_ideal,
 };
 
@@ -212,7 +197,6 @@ pub const AVATAR_VPNT: &PolicyDef = &PolicyDef {
     embeds_page_info: true,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_avatar_vpnt,
 };
 
@@ -226,7 +210,6 @@ pub const REVELATOR: &PolicyDef = &PolicyDef {
     embeds_page_info: false,
     ideal_tlb: false,
     tlb: TlbKind::Base,
-    supports_dead_entry: true,
     build: build_revelator,
 };
 
@@ -261,93 +244,60 @@ pub fn names() -> String {
     REGISTRY.iter().map(|d| d.name).collect::<Vec<_>>().join(", ")
 }
 
-/// A concrete, assemblable policy choice: one registry entry plus
-/// modifiers. Parsed from strings like `avatar` or `revelator+dead`.
+/// A concrete, assemblable policy choice: one registry entry, parsed
+/// from its name (`avatar`, `revelator`).
 #[derive(Debug, Clone, Copy)]
 pub struct PolicySelection {
-    /// The base policy.
+    /// The registry row.
     pub def: &'static PolicyDef,
-    /// Wrap the policy in the dead-entry-aware L1 replacement modifier.
-    pub dead_entry: bool,
 }
 
 impl PartialEq for PolicySelection {
     fn eq(&self, other: &Self) -> bool {
-        self.def.name == other.def.name && self.dead_entry == other.dead_entry
+        self.def.name == other.def.name
     }
 }
 
 impl Eq for PolicySelection {}
 
 impl PolicySelection {
-    /// The unmodified selection of a registry entry.
-    pub fn base(def: &'static PolicyDef) -> Self {
-        Self { def, dead_entry: false }
-    }
-
-    /// Every registry entry as an unmodified selection, in registry order.
+    /// Every registry entry as a selection, in registry order.
     pub fn all_base() -> impl Iterator<Item = PolicySelection> {
-        REGISTRY.iter().map(|&def| Self::base(def))
+        REGISTRY.iter().map(|&def| Self { def })
     }
 
-    /// Parses `name[+modifier…]`. Accepted modifiers: `dead` (the
-    /// dead-entry-aware replacement hint). Unknown names list the
-    /// registry; unsupported combinations (e.g. `colt+dead` — the CoLT
-    /// TLB model has no prioritized-fill path) are rejected here, at the
-    /// API boundary, rather than silently ignored at assembly.
+    /// Parses a registry name, case-insensitively. An unknown name is an
+    /// error that lists the registry.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut parts = text.trim().split('+');
-        let base = parts.next().unwrap_or("").trim().to_ascii_lowercase();
-        let def = find(&base)
-            .ok_or_else(|| format!("unknown policy '{base}' (known: {})", names()))?;
-        let mut sel = Self::base(def);
-        for m in parts {
-            match m.trim().to_ascii_lowercase().as_str() {
-                "dead" => {
-                    if !def.supports_dead_entry {
-                        return Err(format!(
-                            "policy '{}' does not support the +dead modifier \
-                             (needs the base TLB family with prioritized fills)",
-                            def.name
-                        ));
-                    }
-                    sel.dead_entry = true;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown policy modifier '+{other}' (known modifiers: +dead)"
-                    ))
-                }
-            }
-        }
-        Ok(sel)
+        let name = text.trim().to_ascii_lowercase();
+        let def = find(&name)
+            .ok_or_else(|| format!("unknown policy '{name}' (known: {})", names()))?;
+        Ok(Self { def })
     }
 
     /// Parses a comma-separated selection list (`--policies` values).
+    /// Empty items are skipped; a list that names no policy is an error.
     pub fn parse_list(text: &str) -> Result<Vec<Self>, String> {
-        text.split(',')
+        let sels: Vec<Self> = text
+            .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(Self::parse)
-            .collect()
+            .collect::<Result<_, _>>()?;
+        if sels.is_empty() {
+            return Err(format!("policy list '{text}' names no policy (known: {})", names()));
+        }
+        Ok(sels)
     }
 
     /// The canonical spelling (`parse` round-trips it).
     pub fn name(&self) -> String {
-        if self.dead_entry {
-            format!("{}+dead", self.def.name)
-        } else {
-            self.def.name.to_string()
-        }
+        self.def.name.to_string()
     }
 
-    /// Table/figure label; modifiers append to the base label.
+    /// Table/figure label.
     pub fn label(&self) -> String {
-        if self.dead_entry {
-            format!("{}+DoA", self.def.label)
-        } else {
-            self.def.label.to_string()
-        }
+        self.def.label.to_string()
     }
 
     /// Sets the [`GpuConfig`] flags this selection assembles with: the
@@ -399,20 +349,15 @@ impl PolicySelection {
         (l1s, l2)
     }
 
-    /// Builds the translation policy object, applying modifiers.
+    /// Builds the translation policy object.
     pub fn build_policy(&self, cfg: &GpuConfig) -> Box<dyn TranslationPolicy> {
-        let inner = (self.def.build)(cfg);
-        if self.dead_entry {
-            Box::new(DeadEntryPolicy::new(cfg.num_sms, inner))
-        } else {
-            inner
-        }
+        (self.def.build)(cfg)
     }
 }
 
 impl From<&'static PolicyDef> for PolicySelection {
     fn from(def: &'static PolicyDef) -> Self {
-        Self::base(def)
+        Self { def }
     }
 }
 
@@ -431,7 +376,6 @@ mod tests {
         for def in REGISTRY {
             let sel = PolicySelection::parse(def.name).expect("registry name parses");
             assert_eq!(sel.def.name, def.name);
-            assert!(!sel.dead_entry);
             assert_eq!(sel.name(), def.name);
             assert_eq!(sel.label(), def.label);
         }
@@ -449,40 +393,28 @@ mod tests {
     }
 
     #[test]
-    fn dead_modifier_parses_where_supported() {
-        let sel = PolicySelection::parse("avatar+dead").expect("avatar supports +dead");
-        assert!(sel.dead_entry);
-        assert_eq!(sel.name(), "avatar+dead");
-        assert_eq!(sel.label(), "Avatar+DoA");
-        // Round trip through the canonical spelling.
-        assert_eq!(PolicySelection::parse(&sel.name()).expect("round trip"), sel);
-    }
-
-    #[test]
-    fn dead_modifier_rejected_on_unsupported_families() {
-        for name in ["colt+dead", "snakebyte+dead", "ideal+dead"] {
-            let err = PolicySelection::parse(name).expect_err("must reject");
-            assert!(err.contains("+dead"), "error names the modifier: {err}");
+    fn unknown_names_error_with_catalog() {
+        // A `+` suffix is part of the name, so it names no registry row.
+        for name in ["warpdrive", "avatar+warp"] {
+            let err = PolicySelection::parse(name).expect_err("unknown policy");
+            assert!(err.contains(name), "error names the input: {err}");
+            assert!(err.contains(&names()), "error lists the registry: {err}");
         }
     }
 
     #[test]
-    fn unknown_names_and_modifiers_error_with_catalog() {
-        let err = PolicySelection::parse("warpdrive").expect_err("unknown policy");
-        assert!(err.contains("revelator"), "error lists the registry: {err}");
-        let err = PolicySelection::parse("avatar+warp").expect_err("unknown modifier");
-        assert!(err.contains("+warp"), "{err}");
-    }
-
-    #[test]
     fn parse_list_splits_and_trims() {
-        let sels = PolicySelection::parse_list(" baseline, avatar+dead ,revelator ")
+        let sels = PolicySelection::parse_list(" baseline, avatar ,revelator ")
             .expect("list parses");
         assert_eq!(sels.len(), 3);
         assert_eq!(sels[0].name(), "baseline");
-        assert_eq!(sels[1].name(), "avatar+dead");
+        assert_eq!(sels[1].name(), "avatar");
         assert_eq!(sels[2].name(), "revelator");
         assert!(PolicySelection::parse_list("avatar,bogus").is_err());
+        for empty in ["", " ", ",", " , ,"] {
+            let err = PolicySelection::parse_list(empty).expect_err("names no policy");
+            assert!(err.contains("names no policy"), "{err}");
+        }
     }
 
     #[test]
@@ -517,7 +449,7 @@ mod tests {
 
     #[test]
     fn case_insensitive_parse() {
-        let sel = PolicySelection::parse("Avatar+DEAD").expect("case folded");
-        assert_eq!(sel.name(), "avatar+dead");
+        let sel = PolicySelection::parse("Avatar-NoEAF").expect("case folded");
+        assert_eq!(sel.name(), "avatar-noeaf");
     }
 }

@@ -62,7 +62,7 @@ impl VpnTable {
                 .enumerate()
                 .min_by_key(|(_, e)| e.last_use)
                 .map(|(i, _)| i)
-                .expect("nonempty");
+                .expect("a full table holds a victim: capacity is at least 1");
             self.entries.swap_remove(victim);
         }
         self.entries.push(VpnEntry { vchunk, offset, last_use: stamp });

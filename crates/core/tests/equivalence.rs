@@ -4,7 +4,7 @@
 //! the host side — how the engine is stepped, and whether a probe sink
 //! observes it — must not change any simulated statistic. Each row of
 //! [`VARIANTS`] is one such variation. Every row is run for every
-//! registry policy (plus the `+dead` modifier) on MD at two seeds and
+//! registry policy on MD at two seeds and
 //! must equal a plain `run_policy` run of the same cell, both in
 //! `Stats::digest()` and in the full `Debug` rendering, with nothing
 //! normalized out. The sweep also asserts that the inline hit fast path
@@ -37,13 +37,6 @@ const VARIANTS: &[Variant] = &[
     Variant { name: "probe sink", sink: true, chunk: None },
     Variant { name: "probe sink + run_steps(997)", sink: true, chunk: Some(997) },
 ];
-
-/// Every registry policy, plus the dead-entry modifier on Avatar.
-fn all_policies() -> Vec<PolicySelection> {
-    PolicySelection::all_base()
-        .chain([PolicySelection::parse("avatar+dead").expect("registry name")])
-        .collect()
-}
 
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
@@ -79,7 +72,7 @@ fn every_host_side_variant_reproduces_the_reference_run() {
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let mut fast_sectors = 0u64;
     for seed in [0u64, 1] {
-        for policy in all_policies() {
+        for policy in PolicySelection::all_base() {
             let reference = run_policy(&w, policy, &opts(seed));
             fast_sectors += reference.fast_path_sectors;
             for variant in VARIANTS {

@@ -15,13 +15,6 @@ use avatar_core::policy::PolicySelection;
 use avatar_core::system::{run_policy, RunOptions};
 use avatar_workloads::Workload;
 
-/// Every registry policy, plus the dead-entry modifier on Avatar.
-fn all_policies() -> Vec<PolicySelection> {
-    PolicySelection::all_base()
-        .chain([PolicySelection::parse("avatar+dead").expect("registry name")])
-        .collect()
-}
-
 fn opts(seed: u64) -> RunOptions {
     RunOptions { scale: 0.03, sms: Some(4), warps: Some(8), seed, ..RunOptions::default() }
 }
@@ -35,7 +28,7 @@ fn latency_breakdown_conserves_every_cycle() {
     use avatar_sim::probe::Phase;
     let w = Workload::by_abbr("MD").expect("workload table contains MD");
     let mut total_sectors = 0u64;
-    for policy in all_policies() {
+    for policy in PolicySelection::all_base() {
         let stats = run_policy(&w, policy, &opts(0));
         let b = &stats.latency_breakdown;
         assert_eq!(

@@ -66,7 +66,7 @@ const fn row(workload: &'static str, policy: &'static str, setup: Setup, digest:
     Row { workload, policy, setup, digest }
 }
 
-/// Every registry row plus `avatar+dead` on MD at the default options,
+/// Every registry row on MD at the default options,
 /// then one row each for 64 KB base pages, 130% oversubscription (on
 /// SSSP: MD's footprint at this scale fits the two-chunk memory floor)
 /// and two tenants, and two with remote first touches.
@@ -82,7 +82,6 @@ const ROWS: &[Row] = &[
     row("MD", "cast-ideal", Setup::Default, 0xe939_2947_adc1_0fc8),
     row("MD", "avatar-vpnt", Setup::Default, 0xddcc_f177_cd28_19b1),
     row("MD", "revelator", Setup::Default, 0xfc78_4396_76b8_04c2),
-    row("MD", "avatar+dead", Setup::Default, 0x96c6_adec_d17c_6277),
     row("MD", "avatar", Setup::Base64K, 0xd0d1_a51b_b19f_9b8e),
     row("SSSP", "colt", Setup::Oversubscribed, 0xf148_03b1_70f2_e219),
     row("MD", "revelator", Setup::TwoTenants, 0x96a6_f7a1_a2fa_6869),

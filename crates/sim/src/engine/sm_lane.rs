@@ -11,7 +11,7 @@
 //! call nothing else of the shared lane (DESIGN.md §11.3).
 
 use super::shared_lane::{IdealTlb, SharedEv};
-use super::{asid_of, record_coverage, salt, tenant_of_sm, unsalt, Outbox};
+use super::{asid_of, record_coverage, salt, tenant_of_sm, Outbox};
 use crate::addr::{translate, PhysAddr, Ppn, VirtAddr, Vpn, SECTOR_BYTES};
 use crate::cache::{Probe, SectorCache, SectorFlags};
 use crate::config::{Cycle, GpuConfig};
@@ -56,8 +56,8 @@ struct SpecState {
     ppn: Ppn,
     ideal: bool,
     killed: bool,
-    /// The request is registered as a waiter on its speculative fetch's
-    /// L1 MSHR entry.
+    /// The request waits on its speculated sector's L1 MSHR entry: set
+    /// when it joins the entry, cleared when a fill drains the entry.
     fetch_registered: bool,
 }
 
@@ -355,6 +355,11 @@ impl<'a> SmLane<'a> {
         self.reqs.get_mut(id).expect("stale ReqId: request freed while a reference was still live")
     }
 
+    /// The speculation state of `id`, which speculated.
+    fn spec_mut(&mut self, id: ReqId) -> &mut SpecState {
+        self.req_mut(id).spec.as_mut().expect("a speculating request keeps its spec state")
+    }
+
     /// Records that a copy of `id` was stored — in a calendar event, an
     /// MSHR waiter list, or an overflow queue. Every stored copy pins the
     /// slab slot until [`Self::req_unref`] consumes it.
@@ -493,7 +498,7 @@ impl<'a> SmLane<'a> {
                 self.req_unref(req);
             }
             LaneEv::SpecL1Result { req } => {
-                self.spec_l1_result(now, req, accel);
+                self.spec_l1_result(now, req);
                 self.req_unref(req);
             }
             LaneEv::L1Result { req } => {
@@ -507,7 +512,7 @@ impl<'a> SmLane<'a> {
             // Token event: never pinned, the handler tolerates a freed id.
             LaneEv::SpecDispatch { req, ppn, ideal } => self.spec_dispatch(now, req, Ppn(ppn), ideal),
             LaneEv::ResolveSm { sm, svpn, ppn, pages, run, via_eaf } => {
-                self.resolve_sm(now, sm, svpn, Ppn(ppn), pages, run, via_eaf, accel);
+                self.resolve_sm(now, sm, svpn, Ppn(ppn), pages, run, via_eaf);
             }
             LaneEv::Shootdown { sm, first_svpn, pages, frames } => {
                 self.shootdown(now, sm, first_svpn, pages, &frames);
@@ -869,12 +874,9 @@ impl<'a> SmLane<'a> {
         pages: u64,
         run: Option<ContigRun>,
         via_eaf: bool,
-        accel: &dyn TranslationPolicy,
     ) {
         let fill = TlbFill { vpn: Vpn(svpn), ppn, pages, run };
-        let li = sm as usize;
-        let priority = accel.l1_fill_priority(sm as usize, unsalt(svpn));
-        self.l1_tlbs[li].fill_prioritized(&fill, priority);
+        self.l1_tlbs[sm as usize].fill(&fill);
         self.complete_tlb_waiters(now, sm, svpn, ppn, via_eaf);
         self.retry_tlb_overflow(now, sm);
     }
@@ -962,11 +964,7 @@ impl<'a> SmLane<'a> {
                 // merges with it in the cache MSHR.
                 if !spec.fetch_registered && self.l1_mshrs[li].merge(spec_pa.0, id) {
                     self.req_ref(id);
-                    self.req_mut(id)
-                        .spec
-                        .as_mut()
-                        .expect("spec state outlives its in-flight sector fetch")
-                        .fetch_registered = true;
+                    self.spec_mut(id).fetch_registered = true;
                 }
                 self.stats.outcomes.record(if via_eaf {
                     SpecOutcome::FastTranslation
@@ -995,7 +993,7 @@ impl<'a> SmLane<'a> {
             });
             self.schedule_l1_access(now, id, self.cfg.l1_cache.latency);
         } else {
-            self.req_mut(id).spec.as_mut().expect("spec present").killed = true;
+            self.spec_mut(id).killed = true;
             // Drop the wrongly fetched sector if it is resident and not
             // legitimately owned (guaranteed) by some other request.
             if let Some(flags) = self.l1_caches[li].peek(spec_pa) {
@@ -1104,7 +1102,7 @@ impl<'a> SmLane<'a> {
         }
     }
 
-    fn spec_l1_result(&mut self, now: Cycle, id: ReqId, accel: &dyn TranslationPolicy) {
+    fn spec_l1_result(&mut self, now: Cycle, id: ReqId) {
         let req = self.req(id);
         if req.completed || req.translation_done {
             // Translation beat the speculative lookup; the normal path owns
@@ -1125,7 +1123,7 @@ impl<'a> SmLane<'a> {
                     let vpn = self.req(id).vpn();
                     self.stats.outcomes.record(SpecOutcome::FastTranslation);
                     self.complete_req(now, id);
-                    self.eaf_local(now, sm, vpn, spec.ppn, accel);
+                    self.eaf_local(now, sm, vpn, spec.ppn);
                 }
             }
             Probe::HitUnguaranteed => {
@@ -1144,11 +1142,7 @@ impl<'a> SmLane<'a> {
                     MshrGrant::Allocated => {
                         self.req_ref(id);
                         self.stats.spec_fetches += 1;
-                        self.req_mut(id)
-                            .spec
-                            .as_mut()
-                            .expect("spec state outlives its in-flight sector fetch")
-                            .fetch_registered = true;
+                        self.spec_mut(id).fetch_registered = true;
                         self.probe_phase(now, id, Phase::Validate);
                         #[cfg(feature = "probes")]
                         {
@@ -1159,11 +1153,7 @@ impl<'a> SmLane<'a> {
                     MshrGrant::Merged => {
                         self.req_ref(id);
                         self.stats.spec_fetches += 1;
-                        self.req_mut(id)
-                            .spec
-                            .as_mut()
-                            .expect("spec state outlives its in-flight sector fetch")
-                            .fetch_registered = true;
+                        self.spec_mut(id).fetch_registered = true;
                         self.probe_phase(now, id, Phase::Validate);
                         #[cfg(feature = "probes")]
                         {
@@ -1209,6 +1199,12 @@ impl<'a> SmLane<'a> {
         let mut all_killed_specs = true;
         if let Some(mut waiters) = self.l1_mshrs[li].complete(pa.0) {
             for id in waiters.drain(..) {
+                // Off the sector's MSHR entry: completed below or left to
+                // await its translation, whose correct resolution must
+                // then merge into any later fetch of this sector.
+                if let Some(spec) = self.req_mut(id).spec.as_mut() {
+                    spec.fetch_registered = false;
+                }
                 let req = self.req(id);
                 if req.completed {
                     // Already satisfied elsewhere; never a reason to drop
@@ -1258,7 +1254,7 @@ impl<'a> SmLane<'a> {
                         }
                         let vpn = self.req(id).vpn();
                         self.complete_req(now, id);
-                        self.eaf_local(now, sm, vpn, spec.ppn, accel);
+                        self.eaf_local(now, sm, vpn, spec.ppn);
                         self.req_unref(id);
                         continue;
                     }
@@ -1300,7 +1296,7 @@ impl<'a> SmLane<'a> {
                             let vpn = self.req(id).vpn();
                             self.complete_req(now, id);
                             if eaf {
-                                self.eaf_local(now, sm, vpn, spec.ppn, accel);
+                                self.eaf_local(now, sm, vpn, spec.ppn);
                             }
                         }
                         SpecFillAction::Invalidate => {
@@ -1321,11 +1317,7 @@ impl<'a> SmLane<'a> {
                                     0,
                                 );
                             }
-                            self.req_mut(id)
-                                .spec
-                                .as_mut()
-                                .expect("spec state outlives its in-flight sector fetch")
-                                .killed = true;
+                            self.spec_mut(id).killed = true;
                         }
                     }
                 }
@@ -1368,21 +1360,10 @@ impl<'a> SmLane<'a> {
     /// Lane half of Early TLB Fill: installs the validated translation
     /// in this SM's L1 TLB, wakes its local waiters, and hands the
     /// resource release + cross-SM propagation to the shared lane.
-    fn eaf_local(
-        &mut self,
-        now: Cycle,
-        sm: u32,
-        vpn: Vpn,
-        ppn: Ppn,
-        accel: &dyn TranslationPolicy,
-    ) {
+    fn eaf_local(&mut self, now: Cycle, sm: u32, vpn: Vpn, ppn: Ppn) {
         self.stats.eaf_fills += 1;
-        let tenant = self.tenant(sm);
-        let svpn = salt(tenant, vpn);
-        let fill = TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None };
-        let li = sm as usize;
-        let priority = accel.l1_fill_priority(sm as usize, vpn);
-        self.l1_tlbs[li].fill_prioritized(&fill, priority);
+        let svpn = salt(self.tenant(sm), vpn);
+        self.l1_tlbs[sm as usize].fill(&TlbFill { vpn: Vpn(svpn), ppn, pages: 1, run: None });
         self.complete_tlb_waiters(now, sm, svpn, ppn, true);
         self.retry_tlb_overflow(now, sm);
         self.send(sm, now + 1, SharedEv::EafResolve { sm, svpn, ppn: ppn.0 });

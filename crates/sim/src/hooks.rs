@@ -1,11 +1,10 @@
 //! Interfaces between the simulator (hardware plumbing) and the policies
 //! plugged into it: translation speculation (CAST, Revelator), validation
-//! (CAVA, rapid validation-on-use), TLB fill/replacement hints, and the
-//! data-content/compressibility model supplied by workloads.
+//! (CAVA, rapid validation-on-use), and the data-content/compressibility
+//! model supplied by workloads.
 
 use crate::addr::{Ppn, Vpn};
 use crate::config::Cycle;
-use crate::tlb::FillPriority;
 
 /// Page metadata as embedded into sectors (the simulator's view of
 /// `avatar_bpc::PageInfo`).
@@ -89,46 +88,30 @@ pub struct SpecFillContext {
 
 /// Aggregate activity counters a policy reports once per run, folded into
 /// the engine's [`Stats`](crate::stats::Stats) at `finish()`. All three
-/// are policy-defined: a predictor counts predictor-table traffic, a
-/// wrapper (the dead-entry modifier) adds its own table's traffic.
+/// are policy-defined: a predictor counts predictor-table traffic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyCounters {
     /// Entries installed into policy-private tables (MOD table, seed
-    /// tables, dead-region tables).
+    /// tables).
     pub installs: u64,
     /// Entries displaced from policy-private tables by capacity/conflict.
     pub evictions: u64,
-    /// Policy-table lookups that hit (fed a prediction or a hint).
+    /// Policy-table lookups that hit (fed a prediction).
     pub hits: u64,
 }
 
-impl PolicyCounters {
-    /// Component-wise sum (for wrapper policies combining their own
-    /// counters with the inner policy's).
-    #[must_use]
-    pub fn merged(self, other: PolicyCounters) -> PolicyCounters {
-        PolicyCounters {
-            installs: self.installs + other.installs,
-            evictions: self.evictions + other.evictions,
-            hits: self.hits + other.hits,
-        }
-    }
-}
-
 /// The translation policy plugged into the engine: speculation, validation
-/// strategy, TLB fill/replacement hints, and per-policy stats, behind one
-/// object-safe surface.
+/// strategy, and per-policy stats, behind one object-safe surface.
 ///
-/// The baseline uses [`NoSpeculation`]; Avatar's CAST/CAVA/EAF policies,
-/// Revelator, and the dead-entry replacement modifier live in the
-/// `avatar-core` crate, and a name-keyed registry there
-/// (`avatar_core::policy`) assembles full systems from policy names.
+/// The baseline uses [`NoSpeculation`]; Avatar's CAST/CAVA/EAF policies
+/// and Revelator live in the `avatar-core` crate, and a name-keyed
+/// registry there (`avatar_core::policy`) assembles full systems from
+/// policy names.
 ///
 /// The policy is owned by the shared lane but lent (`&dyn`) to the SM
 /// lane for fill-time validation:
-/// [`on_spec_fill`](TranslationPolicy::on_spec_fill) and
-/// [`l1_fill_priority`](TranslationPolicy::l1_fill_priority) take `&self`
-/// and must be pure functions of the policy's current state.
+/// [`on_spec_fill`](TranslationPolicy::on_spec_fill) takes `&self` and
+/// must be a pure function of the policy's current state.
 pub trait TranslationPolicy: std::fmt::Debug {
     /// Called on every L1 TLB miss: may return a speculated frame for the
     /// page, triggering an immediate fetch from the speculated address.
@@ -149,14 +132,6 @@ pub trait TranslationPolicy: std::fmt::Debug {
     /// Whether EAF propagates validated entries to other SMs' L1 TLBs.
     fn propagates_cross_sm(&self) -> bool {
         false
-    }
-
-    /// Replacement-priority hint for an L1 TLB fill of `vpn` on `sm`.
-    /// Takes `&self` (runs in the SM lane at fill time, like
-    /// [`on_spec_fill`](TranslationPolicy::on_spec_fill)); the default
-    /// keeps the baseline MRU insertion for every fill.
-    fn l1_fill_priority(&self, _sm: usize, _vpn: Vpn) -> FillPriority {
-        FillPriority::Normal
     }
 
     /// Snapshot of the policy's aggregate table-activity counters, read

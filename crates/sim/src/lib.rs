@@ -138,6 +138,6 @@ pub mod prelude {
     pub use crate::probe::{LatencyBreakdown, Phase, Probe, SpanPoint, Track};
     pub use crate::sm::{WarpOp, WarpProgram};
     pub use crate::stats::Stats;
-    pub use crate::tlb::{BaseTlb, FillPriority, TlbModel};
+    pub use crate::tlb::{BaseTlb, TlbModel};
     pub use crate::trace_export::ChromeTraceProbe;
 }

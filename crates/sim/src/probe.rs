@@ -138,16 +138,12 @@ impl LatencyBreakdown {
 pub enum SpanPoint {
     /// A lifecycle segment of a sector request (see [`Phase`]).
     Phase(Phase),
-    /// A whole warp memory instruction, issue to last-sector retire.
-    WarpMem,
     /// A warp instruction resolved by the inline hit fast path.
     FastPath,
     /// A remote (host-pinned) access window for a non-resident page.
     Remote,
     /// A page walk occupying a walker, dispatch to completion.
     WalkService,
-    /// One DRAM access, arrival to data return.
-    DramAccess,
     /// Instant: a UVM page fault (first touch of a non-resident page).
     UvmFault,
     /// Instant: a chunk eviction under memory oversubscription.
@@ -161,11 +157,9 @@ impl SpanPoint {
     pub fn label(self) -> &'static str {
         match self {
             SpanPoint::Phase(p) => p.label(),
-            SpanPoint::WarpMem => "warp_mem",
             SpanPoint::FastPath => "fast_path",
             SpanPoint::Remote => "remote",
             SpanPoint::WalkService => "walk_service",
-            SpanPoint::DramAccess => "dram_access",
             SpanPoint::UvmFault => "uvm_fault",
             SpanPoint::Eviction => "eviction",
             SpanPoint::Validation => "validation",
@@ -176,7 +170,7 @@ impl SpanPoint {
 /// Identifies the timeline a span lands on: `pid` is the process row
 /// in a Chrome trace (one per SM, plus pseudo-processes for shared
 /// components), `tid` the thread row within it (the warp, walker, or
-/// channel index).
+/// tenant index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Track {
     /// Chrome-trace process id.
@@ -188,8 +182,6 @@ pub struct Track {
 impl Track {
     /// Pseudo-process id for the shared page-walk system.
     pub const WALKERS_PID: u32 = 9001;
-    /// Pseudo-process id for DRAM.
-    pub const DRAM_PID: u32 = 9002;
     /// Pseudo-process id for the UVM driver.
     pub const UVM_PID: u32 = 9003;
 
@@ -202,11 +194,6 @@ impl Track {
     /// Track for one hardware page walker.
     pub fn walker(index: u32) -> Track {
         Track { pid: Track::WALKERS_PID, tid: index }
-    }
-
-    /// Track for one DRAM channel.
-    pub fn dram(channel: u32) -> Track {
-        Track { pid: Track::DRAM_PID, tid: channel }
     }
 
     /// Track for the UVM driver of one tenant.

@@ -51,20 +51,6 @@ pub struct TlbFill {
     pub run: Option<ContigRun>,
 }
 
-/// Replacement-priority hint a translation policy attaches to an L1 TLB
-/// fill (the dead-entry-aware replacement axis, after "Dead on Arrival").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FillPriority {
-    /// Ordinary most-recently-used insertion.
-    #[default]
-    Normal,
-    /// Predicted dead-on-arrival: install as the set's immediate LRU
-    /// victim. The demanded access completes off the fill itself, so a
-    /// correct prediction leaves the entry untouched until it is evicted;
-    /// a later hit promotes it to MRU, so mispredictions self-correct.
-    Transient,
-}
-
 /// A successful TLB lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbHit {
@@ -124,14 +110,6 @@ pub trait TlbModel: std::fmt::Debug {
     fn fill_reach(&self, fill: &TlbFill) -> Range<u64> {
         let first = fill.vpn.chunk() * PAGES_PER_CHUNK;
         first..first + PAGES_PER_CHUNK
-    }
-
-    /// Installs a translation with a replacement-priority hint. The
-    /// default discards the hint and installs normally — models without
-    /// priority support treat every fill as [`FillPriority::Normal`], so
-    /// the hint is advisory and never changes hit/miss correctness.
-    fn fill_prioritized(&mut self, fill: &TlbFill, _priority: FillPriority) {
-        self.fill(fill);
     }
 
     /// Invalidates any entries overlapping `[vpn, vpn + pages)`; returns
@@ -293,18 +271,7 @@ impl EntryArray {
     }
 
     fn insert(&mut self, vpn: u64, ppn: u64, pages: u64) {
-        self.insert_prio(vpn, ppn, pages, FillPriority::Normal);
-    }
-
-    fn insert_prio(&mut self, vpn: u64, ppn: u64, pages: u64, priority: FillPriority) {
         self.stamp += 1;
-        // A transient install is stamped as the set's oldest entry, so the
-        // next conflict eviction takes it first; any later lookup hit
-        // re-stamps it MRU (misprediction self-corrects).
-        let stamp = match priority {
-            FillPriority::Normal => self.stamp,
-            FillPriority::Transient => 0,
-        };
         let base = self.set_base(vpn);
         // Two batched scans (exact-entry refresh, then first empty way)
         // replace the fused early-exit loop; the empty scan only runs on
@@ -314,7 +281,7 @@ impl EntryArray {
         {
             let w = base + i;
             self.ppns[w] = ppn;
-            self.stamps[w] = stamp;
+            self.stamps[w] = self.stamp;
             return;
         }
         let empty = mask_scan(self.ways, |i| self.vpns[base + i] == VPN_EMPTY).map(|i| base + i);
@@ -330,7 +297,7 @@ impl EntryArray {
         self.vpns[w] = vpn;
         self.ppns[w] = ppn;
         self.spans[w] = pages;
-        self.stamps[w] = stamp;
+        self.stamps[w] = self.stamp;
         // A fill is usually followed by the lookup that wanted it.
         self.hints[w / self.ways] = (w % self.ways) as u32;
     }
@@ -452,19 +419,13 @@ impl TlbModel for BaseTlb {
     }
 
     fn fill(&mut self, fill: &TlbFill) {
-        self.fill_prioritized(fill, FillPriority::Normal);
-    }
-
-    fn fill_prioritized(&mut self, fill: &TlbFill, priority: FillPriority) {
         // The entry spans exactly `fill_reach`, aligned on its boundary.
         let base_vpn = self.fill_reach(fill).start;
         let base_ppn = fill.ppn.0 - (fill.vpn.0 - base_vpn);
         if fill.pages >= PAGES_PER_CHUNK {
-            // Promoted pages aggregate many uses, so the dead-entry hint
-            // only applies to the base array.
             self.large.insert(base_vpn, base_ppn, PAGES_PER_CHUNK);
         } else {
-            self.base.insert_prio(base_vpn, base_ppn, self.base_pages, priority);
+            self.base.insert(base_vpn, base_ppn, self.base_pages);
         }
     }
 
@@ -657,44 +618,6 @@ mod tests {
                 assert_eq!(mask_scan(n, pred), (0..n).find(|&i| pred(i)), "hits {set:?}, n {n}");
             }
         }
-    }
-
-    #[test]
-    fn transient_fill_is_preferred_victim_until_rehit() {
-        let mut t = BaseTlb::new(2, 1, 0, 1);
-        t.fill(&fill4k(1, 11));
-        t.fill_prioritized(&fill4k(2, 22), FillPriority::Transient);
-        // Entry 2 is the victim despite being the most recent fill.
-        t.fill(&fill4k(3, 33));
-        assert!(t.lookup(Vpn(1)).is_some());
-        assert!(t.lookup(Vpn(2)).is_none());
-        assert!(t.lookup(Vpn(3)).is_some());
-        t.audit_invariants();
-        // A hit on a transient entry promotes it: now 4 survives over 5.
-        let mut u = BaseTlb::new(2, 1, 0, 1);
-        u.fill_prioritized(&fill4k(4, 44), FillPriority::Transient);
-        u.fill(&fill4k(5, 55));
-        assert!(u.lookup(Vpn(4)).is_some()); // promote
-        u.fill(&fill4k(6, 66));
-        assert!(u.lookup(Vpn(4)).is_some());
-        assert!(u.lookup(Vpn(5)).is_none());
-        u.audit_invariants();
-    }
-
-    #[test]
-    fn normal_priority_matches_plain_fill() {
-        let mut a = BaseTlb::new(4, 2, 2, 1);
-        let mut b = BaseTlb::new(4, 2, 2, 1);
-        for i in 0..50u64 {
-            a.fill(&fill4k(i % 7, i + 100));
-            b.fill_prioritized(&fill4k(i % 7, i + 100), FillPriority::Normal);
-            if i % 3 == 0 {
-                a.lookup(Vpn(i % 7));
-                b.lookup(Vpn(i % 7));
-            }
-        }
-        // Debug renders every entry, LRU stamp and hit hint.
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

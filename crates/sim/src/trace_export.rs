@@ -76,7 +76,7 @@ impl ChromeTraceProbe {
     fn category(point: SpanPoint) -> &'static str {
         match point {
             SpanPoint::Phase(_) => "phase",
-            SpanPoint::WarpMem | SpanPoint::FastPath => "warp",
+            SpanPoint::FastPath => "warp",
             _ => "component",
         }
     }
@@ -84,7 +84,6 @@ impl ChromeTraceProbe {
     fn pid_name(pid: u32) -> String {
         match pid {
             Track::WALKERS_PID => "Page walkers".to_string(),
-            Track::DRAM_PID => "DRAM".to_string(),
             Track::UVM_PID => "UVM driver".to_string(),
             p => format!("SM {}", p.saturating_sub(1)),
         }

@@ -103,7 +103,7 @@ impl PwCache {
                 .enumerate()
                 .min_by_key(|(_, (_, t))| *t)
                 .map(|(i, _)| i)
-                .expect("nonempty");
+                .expect("a full cache holds a victim: validate() rejects zero capacity");
             self.entries.swap_remove(victim);
         }
         self.entries.push((key, stamp));

@@ -15,8 +15,10 @@
 # fig15 or fig19_oversub grid diverges between the default, invariants,
 # or probes-compiled-out builds (build features a runtime matrix cannot
 # toggle; the invariants build also salts every hash, so this is where a
-# hash-map iteration-order leak shows), the policy_sweep harness drops a
-# default-set policy or its GMEAN row, the result cache fails its
+# hash-map iteration-order leak shows), a fig15, fig19_oversub or
+# policy_sweep cell fails (its table would only print ERR), the
+# policy_sweep harness drops a default-set policy or its GMEAN row,
+# the result cache fails its
 # warm-sweep gate (a repeat fig15
 # run into a fresh cache directory must replay every cell, match the
 # cold pass byte-for-byte modulo the cache section, and beat the
@@ -70,7 +72,7 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 echo "== equivalence matrix + observability conservation (release) =="
 # Every host-side variation of a run (run_steps chunking, an attached
 # probe sink) must reproduce a plain run's statistics for every registry
-# policy plus avatar+dead (crates/core/tests/equivalence.rs), and the
+# policy (crates/core/tests/equivalence.rs), and the
 # per-phase latency breakdown must attribute every sector cycle exactly
 # once (crates/core/tests/observability.rs). Both already ran inside the
 # workspace test pass above; this release re-run guards against
@@ -90,10 +92,22 @@ fig_warm="$work/fig15-warm.json"
 sweep_json="$work/policy-sweep.json"
 cache_dir="$work/cache"
 tp_json="$work/throughput.json"
+# Runs a harness and replays its stderr; fails the step when the runner
+# reported a failed cell ("failed cell: <workload> <label>: <reason>"),
+# which the byte-diffs below would pass if every build failed alike.
+run_cells() {
+    local err="$work/stderr.txt"
+    "$@" 2>"$err" || { cat "$err" >&2; return 1; }
+    cat "$err" >&2
+    if grep -q '^failed cell: ' "$err"; then
+        echo "FAILED CELL: a cell of '$*' failed (reasons above)" >&2
+        return 1
+    fi
+}
 for fig in fig15_performance fig19_oversub; do
-    cargo run --release -q -p avatar-bench --bin "$fig" -- --quick --no-cache --json "$work/$fig-default.json"
-    cargo run --release -q -p avatar-bench --features invariants --bin "$fig" -- --quick --no-cache --json "$work/$fig-checked.json"
-    cargo run --release -q -p avatar-bench --no-default-features --bin "$fig" -- --quick --no-cache --json "$work/$fig-noprobes.json"
+    run_cells cargo run --release -q -p avatar-bench --bin "$fig" -- --quick --no-cache --json "$work/$fig-default.json"
+    run_cells cargo run --release -q -p avatar-bench --features invariants --bin "$fig" -- --quick --no-cache --json "$work/$fig-checked.json"
+    run_cells cargo run --release -q -p avatar-bench --no-default-features --bin "$fig" -- --quick --no-cache --json "$work/$fig-noprobes.json"
     if ! diff -q "$work/$fig-default.json" "$work/$fig-checked.json"; then
         echo "INVARIANTS DIVERGENCE: $fig JSON differs between default and --features invariants builds (checked builds also salt the hasher: a hash-map iteration-order leak shows here)" >&2
         exit 1
@@ -104,14 +118,13 @@ for fig in fig15_performance fig19_oversub; do
     fi
 done
 
-echo "== policy_sweep smoke (cross-policy comparison, Revelator + dead-entry) =="
+echo "== policy_sweep smoke (cross-policy comparison, Revelator) =="
 # The cross-policy harness must run its full default set — the paper
-# baselines plus the post-paper Revelator and dead-entry designs — and
-# emit a row per workload plus the GMEAN row. Exercises the registry's
-# novel-policy builds end to end (no byte-reference: these columns are
-# new in this harness).
-cargo run --release -q -p avatar-bench --bin policy_sweep -- --quick --no-cache --json "$sweep_json"
-for p in baseline colt snakebyte avatar revelator "avatar+dead"; do
+# baselines plus the post-paper Revelator — with no failed cell, and
+# emit a row per workload plus the GMEAN row (no byte-reference: the
+# Revelator column is new in this harness).
+run_cells cargo run --release -q -p avatar-bench --bin policy_sweep -- --quick --no-cache --json "$sweep_json"
+for p in baseline colt snakebyte avatar revelator; do
     if ! grep -q "\"policy\": \"$p\"" "$sweep_json"; then
         echo "POLICY SWEEP GATE: policy '$p' missing from the sweep dump" >&2
         exit 1

@@ -7,8 +7,8 @@
 //! avatar trace <ABBR> [--out FILE]     dump the workload's warp trace
 //! avatar replay <FILE> [flags]         run a trace file through the system
 //!
-//! flags: --config <policy>  registry name, optionally with +dead
-//!                           (`avatar list` prints them; default avatar)
+//! flags: --config <policy>  registry name (`avatar list` prints them;
+//!                           default avatar)
 //!        --scale <f> --sms <n> --warps <n> --oversub <f>
 //!        --compress <f>   (replay only: sector compressibility 0..1)
 //!        --out <file>     (trace only)
@@ -166,7 +166,7 @@ fn main() -> ExitCode {
             for w in Workload::ml_suite() {
                 println!("  {:<6} {}", w.abbr, w.name);
             }
-            println!("policies (--config NAME, optionally NAME+dead):");
+            println!("policies (--config NAME):");
             for def in REGISTRY {
                 println!("  {:<13} {}", def.name, def.summary);
             }
