@@ -10,7 +10,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
+use avatar_bench::{column_geomean, obj, print_table, HarnessArgs};
 use avatar_core::policy::{PolicySelection, BASELINE, FIG15};
 use avatar_workloads::Workload;
 
@@ -38,7 +38,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); selections.len()];
+    let mut per_policy: Vec<Vec<Option<f64>>> = vec![Vec::new(); selections.len()];
 
     for (wi, w) in workloads.iter().enumerate() {
         let base = &results[wi * stride];
@@ -46,9 +46,7 @@ fn main() {
         let mut speedups = Vec::new();
         for (i, label) in labels.iter().enumerate() {
             let x = speedup_cell(base, &results[wi * stride + 1 + i]);
-            if let Some(x) = x {
-                per_policy[i].push(x);
-            }
+            per_policy[i].push(x);
             cells.push(fmt_cell(x, 3));
             speedups.push(obj! { "config": label.clone(), "speedup": x });
         }
@@ -62,7 +60,7 @@ fn main() {
 
     let mut gmean_cells = vec!["GMEAN".to_string(), "-".to_string()];
     for xs in &per_policy {
-        gmean_cells.push(format!("{:.3}", geomean(xs)));
+        gmean_cells.push(fmt_cell(column_geomean(xs), 3));
     }
     rows.push(gmean_cells);
 
@@ -75,9 +73,10 @@ fn main() {
     print_table(&headers, &rows);
 
     if let Some(avatar_idx) = selections.iter().position(|s| s.label() == "Avatar") {
+        let gmean = column_geomean(&per_policy[avatar_idx]);
         println!(
-            "\npaper: Avatar 1.372x (avg) | measured GMEAN Avatar {:.3}x",
-            geomean(&per_policy[avatar_idx])
+            "\npaper: Avatar 1.372x (avg) | measured GMEAN Avatar {}",
+            gmean.map_or_else(|| "ERR".to_string(), |g| format!("{g:.3}x"))
         );
     }
     opts.dump_json(&json_rows);

@@ -9,7 +9,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
+use avatar_bench::{column_geomean, obj, print_table, HarnessArgs};
 use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, COLT, PROMOTION};
 use avatar_core::system::RunOptions;
 use avatar_sim::config::BasePage;
@@ -34,7 +34,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); CONFIGS.len()];
+    let mut per_config: Vec<Vec<Option<f64>>> = vec![Vec::new(); CONFIGS.len()];
 
     for (wi, w) in workloads.iter().enumerate() {
         let base = &results[wi * stride];
@@ -42,9 +42,7 @@ fn main() {
         let mut speedups = Vec::new();
         for (i, cfg) in CONFIGS.iter().enumerate() {
             let x = speedup_cell(base, &results[wi * stride + 1 + i]);
-            if let Some(x) = x {
-                per_config[i].push(x);
-            }
+            per_config[i].push(x);
             cells.push(fmt_cell(x, 3));
             speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
@@ -54,7 +52,7 @@ fn main() {
 
     let mut gmean = vec!["GMEAN".to_string()];
     for xs in &per_config {
-        gmean.push(format!("{:.3}", geomean(xs)));
+        gmean.push(fmt_cell(column_geomean(xs), 3));
     }
     rows.push(gmean);
 

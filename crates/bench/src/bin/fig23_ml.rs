@@ -7,7 +7,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, mean, obj, print_table, HarnessArgs};
+use avatar_bench::{column_geomean, mean, obj, print_table, HarnessArgs};
 use avatar_bpc::embed::PAYLOAD_BITS;
 use avatar_core::policy::{PolicyDef, AVATAR, BASELINE, CAST, COLT, PROMOTION};
 use avatar_workloads::Workload;
@@ -47,7 +47,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); CONFIGS.len()];
+    let mut per_config: Vec<Vec<Option<f64>>> = vec![Vec::new(); CONFIGS.len()];
     let (mut ratios, mut fits) = (Vec::new(), Vec::new());
 
     for (wi, w) in workloads.iter().enumerate() {
@@ -65,9 +65,7 @@ fn main() {
         let mut speedups = Vec::new();
         for (i, cfg) in CONFIGS.iter().enumerate() {
             let x = speedup_cell(base, &results[wi * stride + 1 + i]);
-            if let Some(x) = x {
-                per_config[i].push(x);
-            }
+            per_config[i].push(x);
             cells.push(fmt_cell(x, 3));
             speedups.push(obj! { "config": cfg.label, "speedup": x });
         }
@@ -86,7 +84,7 @@ fn main() {
         format!("{:.1}%", mean(&fits) * 100.0),
     ];
     for xs in &per_config {
-        footer.push(format!("{:.3}", geomean(xs)));
+        footer.push(fmt_cell(column_geomean(xs), 3));
     }
     rows.push(footer);
 

@@ -15,7 +15,7 @@
 
 use avatar_bench::json::Json;
 use avatar_bench::runner::{fmt_cell, run_scenarios, speedup_cell, Scenario};
-use avatar_bench::{geomean, obj, print_table, HarnessArgs};
+use avatar_bench::{column_geomean, obj, print_table, HarnessArgs};
 use avatar_core::policy::{PolicySelection, BASELINE};
 use avatar_workloads::Workload;
 
@@ -49,7 +49,7 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); selections.len()];
+    let mut per_policy: Vec<Vec<Option<f64>>> = vec![Vec::new(); selections.len()];
 
     for (wi, w) in workloads.iter().enumerate() {
         let base = &results[wi * stride];
@@ -58,9 +58,7 @@ fn main() {
         for (i, sel) in selections.iter().enumerate() {
             let cell = &results[wi * stride + 1 + i];
             let x = speedup_cell(base, cell);
-            if let Some(x) = x {
-                per_policy[i].push(x);
-            }
+            per_policy[i].push(x);
             cells.push(fmt_cell(x, 3));
             // Per-policy mechanism counters ride along so a sweep dump
             // shows *why* a column moved, not just that it did.
@@ -87,8 +85,9 @@ fn main() {
     let mut gmean_cells = vec!["GMEAN".to_string(), "-".to_string()];
     let mut gmean_speedups = Vec::new();
     for (sel, xs) in selections.iter().zip(&per_policy) {
-        gmean_cells.push(format!("{:.3}", geomean(xs)));
-        gmean_speedups.push(obj! { "policy": sel.name(), "speedup": geomean(xs) });
+        let gmean = column_geomean(xs);
+        gmean_cells.push(fmt_cell(gmean, 3));
+        gmean_speedups.push(obj! { "policy": sel.name(), "speedup": gmean });
     }
     rows.push(gmean_cells);
     json_rows.push(obj! {

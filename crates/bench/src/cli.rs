@@ -189,11 +189,17 @@ impl HarnessArgs {
         args: impl IntoIterator<Item = String>,
         extras: &[ExtraFlag],
     ) -> Result<Self, String> {
+        // A token that starts with `--` is the next flag, never a value:
+        // `--json --no-cache` must not write to a file named `--no-cache`.
         fn value<T: std::str::FromStr>(
             flag: &str,
             next: Option<String>,
         ) -> Result<T, String> {
-            let v = next.ok_or_else(|| format!("{flag} needs a value"))?;
+            let v = match next {
+                Some(v) if !v.starts_with("--") => v,
+                Some(v) => return Err(format!("{flag} needs a value, got the flag '{v}'")),
+                None => return Err(format!("{flag} needs a value")),
+            };
             v.parse().map_err(|_| format!("{flag} value '{v}' is not valid"))
         }
         fn count(flag: &str, next: Option<String>) -> Result<usize, String> {
@@ -504,6 +510,21 @@ mod tests {
         let n = parse(&["--no-cache"]).expect("valid args");
         assert!(n.no_cache);
         assert!(parse(&["--cache"]).is_err(), "--cache requires a directory");
+    }
+
+    #[test]
+    fn path_flags_do_not_swallow_the_next_flag() {
+        for list in [
+            ["--json", "--no-cache"],
+            ["--trace-out", "--quick"],
+            ["--cache", "--no-cache"],
+        ] {
+            let err = parse(&list).expect_err("a flag is not a path");
+            assert!(
+                err.starts_with(list[0]) && err.contains(list[1]) && !err.contains('\n'),
+                "{list:?}: {err}"
+            );
+        }
     }
 
     #[test]

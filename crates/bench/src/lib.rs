@@ -29,6 +29,15 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
 }
 
+/// Geometric mean of one table column of per-workload cells, or `None`
+/// when any cell failed: a gmean over fewer workloads than its neighbours
+/// is not comparable with them. Tables print `None` as `ERR` (see
+/// [`runner::fmt_cell`]) and JSON writes it as `null`.
+pub fn column_geomean(cells: &[Option<f64>]) -> Option<f64> {
+    let xs: Option<Vec<f64>> = cells.iter().copied().collect();
+    xs.map(|xs| geomean(&xs))
+}
+
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -79,6 +88,14 @@ mod tests {
     #[test]
     fn geomean_empty_is_zero() {
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn column_geomean_fails_with_any_cell() {
+        assert_eq!(column_geomean(&[Some(2.0), Some(8.0)]), Some(geomean(&[2.0, 8.0])));
+        assert_eq!(column_geomean(&[Some(2.0), None, Some(8.0)]), None);
+        assert_eq!(column_geomean(&[None]), None);
+        assert_eq!(column_geomean(&[]), Some(0.0));
     }
 
     #[test]

@@ -102,7 +102,9 @@ pub struct SectorCache {
     /// unique within a set, so checking the hinted way first can only save
     /// (never change) the match — a stale hint costs one wasted compare.
     hints: Vec<u32>,
-    nsets: usize,
+    /// `nsets - 1`: the set count is a power of two, so a line's set is
+    /// its low address bits.
+    set_mask: u64,
     assoc: usize,
     stamp: u64,
     resident: usize,
@@ -129,22 +131,47 @@ fn match_way(tags: &[u64], tag: u64) -> Option<usize> {
     None
 }
 
+/// [`match_way`] for `tag` and for [`TAG_EMPTY`] in one pass over the
+/// set: the first way holding `tag`, else the first empty way, each as
+/// `(way, matched)`. `None` means the set is full and lacks `tag`.
+#[inline]
+fn match_or_empty_way(tags: &[u64], tag: u64) -> Option<(usize, bool)> {
+    let mut empty = None;
+    for (chunk, ways) in tags.chunks(64).enumerate() {
+        let (mut hit, mut free) = (0u64, 0u64);
+        for (i, &t) in ways.iter().enumerate() {
+            hit |= u64::from(t == tag) << i;
+            free |= u64::from(t == TAG_EMPTY) << i;
+        }
+        if hit != 0 {
+            return Some((chunk * 64 + hit.trailing_zeros() as usize, true));
+        }
+        if empty.is_none() && free != 0 {
+            empty = Some((chunk * 64 + free.trailing_zeros() as usize, false));
+        }
+    }
+    empty
+}
+
 impl SectorCache {
     /// Creates a cache with `lines` total 128B lines and `assoc` ways.
     ///
     /// # Panics
     ///
-    /// Panics if geometry is degenerate (zero lines or associativity).
+    /// Panics if geometry is degenerate (zero lines or associativity) or
+    /// the set count is not a power of two (`GpuConfig::validate` rejects
+    /// such a cache too).
     pub fn new(lines: u64, assoc: usize) -> Self {
         assert!(lines > 0 && assoc > 0, "cache must have lines and ways");
         let nsets = (lines / assoc as u64).max(1) as usize;
+        assert!(nsets.is_power_of_two(), "{nsets} sets is not a power of two");
         let cap = nsets * assoc;
         Self {
             tags: vec![TAG_EMPTY; cap],
             stamps: vec![0; cap],
             meta: vec![0; cap],
             hints: vec![0; nsets],
-            nsets,
+            set_mask: nsets as u64 - 1,
             assoc,
             stamp: 0,
             resident: 0,
@@ -152,28 +179,29 @@ impl SectorCache {
     }
 
     #[inline]
-    fn set_base(&self, line_addr: u64) -> usize {
-        (line_addr % self.nsets as u64) as usize * self.assoc
+    fn set_of(&self, line_addr: u64) -> usize {
+        (line_addr & self.set_mask) as usize
     }
 
-    /// Index of the way holding `line_addr`, if resident.
+    /// The set of `line_addr` and the way holding it, if resident.
     #[inline]
-    fn find(&self, line_addr: u64) -> Option<usize> {
+    fn find(&self, line_addr: u64) -> Option<(usize, usize)> {
         if self.resident == 0 {
             return None;
         }
-        let base = self.set_base(line_addr);
-        let hint = base + self.hints[base / self.assoc] as usize;
+        let set = self.set_of(line_addr);
+        let base = set * self.assoc;
+        let hint = base + self.hints[set] as usize;
         if self.tags[hint] == line_addr {
-            return Some(hint);
+            return Some((set, hint));
         }
-        match_way(&self.tags[base..base + self.assoc], line_addr).map(|i| base + i)
+        match_way(&self.tags[base..base + self.assoc], line_addr).map(|i| (set, base + i))
     }
 
-    /// Records `w` as its set's most-recently-matched way.
+    /// Records way `w` as `set`'s most-recently-matched way.
     #[inline]
-    fn remember(&mut self, w: usize) {
-        self.hints[w / self.assoc] = (w % self.assoc) as u32;
+    fn remember(&mut self, set: usize, w: usize) {
+        self.hints[set] = (w - set * self.assoc) as u32;
     }
 
     /// Probes for the sector containing `pa`, updating LRU on any hit.
@@ -181,8 +209,8 @@ impl SectorCache {
         let line_addr = pa.line();
         let shift = 4 * pa.sector_in_line() as u16;
         self.stamp += 1;
-        if let Some(w) = self.find(line_addr) {
-            self.remember(w);
+        if let Some((set, w)) = self.find(line_addr) {
+            self.remember(set, w);
             let bits = self.meta[w] >> shift;
             if bits & B_VALID != 0 {
                 self.stamps[w] = self.stamp;
@@ -204,7 +232,7 @@ impl SectorCache {
 
     /// Reads the sector flags without touching LRU.
     pub fn peek(&self, pa: PhysAddr) -> Option<SectorFlags> {
-        let w = self.find(pa.line())?;
+        let (_, w) = self.find(pa.line())?;
         let bits = (self.meta[w] >> (4 * pa.sector_in_line() as u16)) & 0xF;
         if bits & B_VALID != 0 {
             Some(SectorFlags::unpack(bits))
@@ -221,29 +249,30 @@ impl SectorCache {
         let shift = 4 * pa.sector_in_line() as u16;
         self.stamp += 1;
         let stamp = self.stamp;
-        let base = self.set_base(line_addr);
-        // Two batched mask scans (resident match, then first empty way)
-        // replace the fused early-exit loop: the masks vectorize, and the
-        // empty scan only runs on the miss path.
-        if let Some(i) = match_way(&self.tags[base..base + self.assoc], line_addr) {
-            let w = base + i;
-            // A refill must not lose an earlier dirtying of the sector.
-            let old = (self.meta[w] >> shift) & 0xF;
-            let keep_dirty = old & (B_VALID | B_DIRTY) == (B_VALID | B_DIRTY);
-            let mut bits = flags.pack() | B_VALID;
-            if keep_dirty {
-                bits |= B_DIRTY;
+        let set = self.set_of(line_addr);
+        let base = set * self.assoc;
+        // One batched mask scan finds the resident match or, failing that,
+        // the first empty way: the masks vectorize where the fused
+        // early-exit loop did not.
+        let (w, evicted) = match match_or_empty_way(&self.tags[base..base + self.assoc], line_addr)
+        {
+            Some((i, true)) => {
+                let w = base + i;
+                // A refill must not lose an earlier dirtying of the sector.
+                let old = (self.meta[w] >> shift) & 0xF;
+                let keep_dirty = old & (B_VALID | B_DIRTY) == (B_VALID | B_DIRTY);
+                let mut bits = flags.pack() | B_VALID;
+                if keep_dirty {
+                    bits |= B_DIRTY;
+                }
+                self.meta[w] = (self.meta[w] & !(0xF << shift)) | (bits << shift);
+                self.stamps[w] = stamp;
+                self.remember(set, w);
+                return None;
             }
-            self.meta[w] = (self.meta[w] & !(0xF << shift)) | (bits << shift);
-            self.stamps[w] = stamp;
-            self.remember(w);
-            return None;
-        }
-        let empty = match_way(&self.tags[base..base + self.assoc], TAG_EMPTY).map(|i| base + i);
-        let (w, evicted) = match empty {
-            Some(w) => {
+            Some((i, false)) => {
                 self.resident += 1;
-                (w, None)
+                (base + i, None)
             }
             None => {
                 let w = (base..base + self.assoc)
@@ -259,15 +288,15 @@ impl SectorCache {
         self.tags[w] = line_addr;
         self.stamps[w] = stamp;
         self.meta[w] = (flags.pack() | B_VALID) << shift;
-        self.remember(w);
+        self.remember(set, w);
         evicted
     }
 
     /// Marks a present sector dirty (store hit). Returns `false` if absent.
     pub fn mark_dirty(&mut self, pa: PhysAddr) -> bool {
         let shift = 4 * pa.sector_in_line() as u16;
-        if let Some(w) = self.find(pa.line()) {
-            self.remember(w);
+        if let Some((set, w)) = self.find(pa.line()) {
+            self.remember(set, w);
             if self.meta[w] >> shift & B_VALID != 0 {
                 self.meta[w] |= B_DIRTY << shift;
                 return true;
@@ -281,8 +310,8 @@ impl SectorCache {
     /// Returns `false` if the sector is no longer cached.
     pub fn set_guarantee(&mut self, pa: PhysAddr, guaranteed: bool) -> bool {
         let shift = 4 * pa.sector_in_line() as u16;
-        if let Some(w) = self.find(pa.line()) {
-            self.remember(w);
+        if let Some((set, w)) = self.find(pa.line()) {
+            self.remember(set, w);
             if self.meta[w] >> shift & B_VALID != 0 {
                 if guaranteed {
                     self.meta[w] |= B_GUAR << shift;
@@ -299,7 +328,7 @@ impl SectorCache {
     /// was present.
     pub fn invalidate_sector(&mut self, pa: PhysAddr) -> bool {
         let shift = 4 * pa.sector_in_line() as u16;
-        if let Some(w) = self.find(pa.line()) {
+        if let Some((_, w)) = self.find(pa.line()) {
             let was = self.meta[w] >> shift & B_VALID != 0;
             self.meta[w] &= !(0xF << shift);
             return was;
@@ -361,14 +390,15 @@ impl SectorCache {
     ///
     /// Panics on the first violated invariant.
     pub fn audit_invariants(&self) {
-        assert_eq!(self.tags.len(), self.nsets * self.assoc);
-        assert_eq!(self.hints.len(), self.nsets, "one scan hint per set");
+        let nsets = self.hints.len();
+        assert_eq!(self.tags.len(), nsets * self.assoc, "one scan hint per set");
+        assert_eq!(self.set_mask, nsets as u64 - 1, "set mask disagrees with the set count");
         assert!(
             self.hints.iter().all(|&h| (h as usize) < self.assoc),
             "scan hint points past the last way"
         );
         let mut occupied = 0usize;
-        for set in 0..self.nsets {
+        for set in 0..nsets {
             let base = set * self.assoc;
             for w in base..base + self.assoc {
                 let t = self.tags[w];
@@ -378,7 +408,7 @@ impl SectorCache {
                 }
                 occupied += 1;
                 assert_eq!(
-                    (t % self.nsets as u64) as usize,
+                    (t % nsets as u64) as usize,
                     set,
                     "line {t} resident in set {set}, indexes elsewhere"
                 );
@@ -551,6 +581,34 @@ mod tests {
         wide[67] = 42;
         assert_eq!(match_way(&wide, 42), Some(67));
         assert_eq!(match_way(&wide, 0), Some(0));
+    }
+
+    #[test]
+    fn fused_fill_scan_agrees_with_two_scans() {
+        // The fill's one pass must pick what the resident-match scan, then
+        // the empty-way scan, would: a match anywhere beats an earlier
+        // empty way, across 64-way chunks too.
+        let two_scans = |tags: &[u64], tag: u64| {
+            match_way(tags, tag)
+                .map(|w| (w, true))
+                .or_else(|| match_way(tags, TAG_EMPTY).map(|w| (w, false)))
+        };
+        let mut wide = vec![TAG_EMPTY; 70];
+        wide[1] = 5;
+        wide[67] = 42;
+        let cases: &[(&[u64], u64)] = &[
+            (&[], 5),
+            (&[1, 2, 3], 9),
+            (&[1, 2, 3], 2),
+            (&[TAG_EMPTY, 7, TAG_EMPTY], 7),
+            (&[7, TAG_EMPTY, 9], 3),
+            (&wide, 42),
+            (&wide, 5),
+            (&wide, 8),
+        ];
+        for &(tags, tag) in cases {
+            assert_eq!(match_or_empty_way(tags, tag), two_scans(tags, tag), "{tags:?} {tag}");
+        }
     }
 
     #[test]

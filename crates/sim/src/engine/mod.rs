@@ -78,6 +78,20 @@ fn unsalt(svpn: u64) -> Vpn {
     Vpn(svpn & ((1 << ASID_SHIFT) - 1))
 }
 
+/// The cycle bit 0 of a window's busy mask stands for. A lane draining
+/// the window that ends at `horizon` sets bit `t - window_base(horizon)`
+/// for each cycle `t` at which it processes an event. Every such `t` lies
+/// in `[horizon - W, horizon)` (the window opens at the earliest pending
+/// event, at most `W` before its horizon), so the bits fit one `u64`.
+fn window_base(horizon: Cycle) -> Cycle {
+    horizon.saturating_sub(DEFAULT_RESPONSE_LOOKAHEAD)
+}
+
+const _: () = assert!(
+    DEFAULT_RESPONSE_LOOKAHEAD <= u64::BITS as Cycle,
+    "a window's busy mask is one u64"
+);
+
 /// Counts a TLB hit in its coverage bucket.
 fn record_coverage(stats: &mut Stats, pages: u64) {
     let bucket = CoverageBucket::of_pages(pages);
@@ -113,13 +127,11 @@ pub struct Engine<'a> {
     timed_out: bool,
     /// Global idle accounting: the last processed cycle across both
     /// domains, and the accumulated strictly-idle cycles between
-    /// processed cycles. Folded from the per-domain `times` buffers at
-    /// every barrier.
+    /// processed cycles. Folded from the two lanes' busy masks at every
+    /// barrier.
     idle_prev: Cycle,
     idle_acc: u64,
     barriers: u64,
-    /// Scratch for `merge_idle` (reused across barriers).
-    time_merge: Vec<Cycle>,
     /// Checked-mode audit cadence (`invariants` feature): interval in
     /// events, read once at construction, and the countdown to the next
     /// audit. Host-side only: never affects simulated state.
@@ -164,7 +176,6 @@ impl<'a> Engine<'a> {
             idle_prev: 0,
             idle_acc: 0,
             barriers: 0,
-            time_merge: Vec::new(),
             #[cfg(feature = "invariants")]
             audit_every: crate::invariant::audit_interval(),
             #[cfg(feature = "invariants")]
@@ -245,7 +256,7 @@ impl<'a> Engine<'a> {
             // Phase A: the SM lane advances to the horizon. Cross-domain
             // effects only accumulate in its outbox; every lane→shared
             // edge carries ≥1 cycle of latency.
-            let mut total = if self.cfg.ideal_tlb {
+            let (mut total, mut busy) = if self.cfg.ideal_tlb {
                 self.lane.drain(horizon, &NOSPEC, Some(&mut self.shared.ideal_tlb()))
             } else {
                 self.lane.drain(horizon, self.shared.policy(), None)
@@ -256,13 +267,15 @@ impl<'a> Engine<'a> {
             self.shared.deliver(self.lane.outbox());
             // Phase B, step 2: the shared lane catches up to the same
             // horizon, seeing every +1-cycle lane emission of this window.
-            total += self.shared.drain(horizon);
+            let (events, shared_busy) = self.shared.drain(horizon);
+            total += events;
+            busy |= shared_busy;
             // Phase B, step 3: deliver shared emissions (all timed at or
             // beyond the horizon) to the SM lane.
             self.lane.deliver(self.shared.outbox());
 
             self.barriers += 1;
-            self.merge_idle();
+            self.fold_idle(horizon, busy);
             done += total;
 
             #[cfg(feature = "invariants")]
@@ -277,21 +290,18 @@ impl<'a> Engine<'a> {
         true
     }
 
-    /// Folds both domains' processed-cycle buffers into the global idle
-    /// accumulator. The merged, deduped cycle sequence is a pure
-    /// function of the global event set.
-    fn merge_idle(&mut self) {
-        let mut buf = std::mem::take(&mut self.time_merge);
-        self.lane.take_times(&mut buf);
-        self.shared.take_times(&mut buf);
-        buf.sort_unstable();
-        buf.dedup();
-        for &t in &buf {
+    /// Folds one window's busy mask (both lanes' masks ORed, see
+    /// [`window_base`]) into the global idle accumulator, lowest cycle
+    /// first. The set bits are the window's distinct processed cycles, a
+    /// pure function of the global event set.
+    fn fold_idle(&mut self, horizon: Cycle, mut busy: u64) {
+        let base = window_base(horizon);
+        while busy != 0 {
+            let t = base + Cycle::from(busy.trailing_zeros());
+            busy &= busy - 1;
             self.idle_acc += (t - self.idle_prev).saturating_sub(1);
             self.idle_prev = t;
         }
-        buf.clear();
-        self.time_merge = buf;
     }
 
     /// Runs the program to completion and returns the statistics.
@@ -309,7 +319,6 @@ impl<'a> Engine<'a> {
     pub fn finish(mut self) -> Stats {
         #[cfg(feature = "invariants")]
         self.audit_invariants();
-        self.merge_idle();
         let now = self.now();
         #[cfg(feature = "probes")]
         if let Some(sink) = self.sink.as_mut() {

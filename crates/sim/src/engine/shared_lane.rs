@@ -9,7 +9,7 @@
 //! way in: ideal-TLB mode models instant translation.
 
 use super::sm_lane::LaneEv;
-use super::{asid_of, record_coverage, tenant_of_sm, unsalt, Outbox, ASID_SHIFT};
+use super::{asid_of, record_coverage, tenant_of_sm, unsalt, window_base, Outbox, ASID_SHIFT};
 use crate::addr::{PhysAddr, Ppn, Vpn, SECTOR_BYTES};
 use crate::cache::{Probe, SectorCache, SectorFlags};
 use crate::config::{Cycle, GpuConfig, DEFAULT_RESPONSE_LOOKAHEAD};
@@ -122,9 +122,6 @@ pub(super) struct SharedLane<'a> {
     stats: Stats,
     /// Events bound for the SM lane, delivered at the end of Phase B.
     outbox: Outbox<LaneEv>,
-    /// Distinct cycles at which this lane processed events in the
-    /// current window (see the SM lane's twin).
-    times: Vec<Cycle>,
     /// Deferred probe records, replayed into the engine sink at
     /// `finish`, after the SM lane's.
     #[cfg(feature = "probes")]
@@ -209,7 +206,6 @@ impl<'a> SharedLane<'a> {
             pending_resolve: FxHashSet::default(),
             stats: Stats::default(),
             outbox: Vec::new(),
-            times: Vec::new(),
             #[cfg(feature = "probes")]
             log: crate::probe::RecordLog::default(),
         }
@@ -232,18 +228,18 @@ impl<'a> SharedLane<'a> {
     }
 
     /// Drains the shared queue up to (strictly before) `horizon`.
-    /// Returns the number of events processed.
-    pub(super) fn drain(&mut self, horizon: Cycle) -> u64 {
-        let mut n = 0;
+    /// Returns the number of events processed and the window's busy mask
+    /// (see `window_base`).
+    pub(super) fn drain(&mut self, horizon: Cycle) -> (u64, u64) {
+        let base = window_base(horizon);
+        let (mut n, mut busy) = (0, 0u64);
         while let Some((now, ev)) = self.q.pop_before(horizon) {
             n += 1;
-            if self.times.last() != Some(&now) {
-                self.times.push(now);
-            }
+            busy |= 1 << (now - base);
             self.handle(now, ev);
         }
         self.stats.events_processed += n;
-        n
+        (n, busy)
     }
 
     /// Schedules the SM lane's emissions of this window, every one timed
@@ -257,11 +253,6 @@ impl<'a> SharedLane<'a> {
     /// The events this window emitted for the SM lane.
     pub(super) fn outbox(&mut self) -> &mut Outbox<LaneEv> {
         &mut self.outbox
-    }
-
-    /// Moves this window's processed cycles into `into`.
-    pub(super) fn take_times(&mut self, into: &mut Vec<Cycle>) {
-        into.append(&mut self.times);
     }
 
     /// The deferred probe log.

@@ -11,7 +11,7 @@
 //! call nothing else of the shared lane (DESIGN.md §11.3).
 
 use super::shared_lane::{IdealTlb, SharedEv};
-use super::{asid_of, record_coverage, salt, tenant_of_sm, Outbox};
+use super::{asid_of, record_coverage, salt, tenant_of_sm, window_base, Outbox};
 use crate::addr::{translate, PhysAddr, Ppn, VirtAddr, Vpn, SECTOR_BYTES};
 use crate::cache::{Probe, SectorCache, SectorFlags};
 use crate::config::{Cycle, GpuConfig};
@@ -147,10 +147,6 @@ pub(super) struct SmLane<'a> {
     /// Scratch key list for shootdown wakes (reused, see
     /// `wake_all_unguaranteed`).
     scratch_keys: Vec<u64>,
-    /// Distinct cycles at which this lane processed events in the
-    /// current window (consecutively deduped; merged with the shared
-    /// lane's at each barrier for global idle accounting).
-    times: Vec<Cycle>,
     /// Deferred probe records, replayed into the engine sink at
     /// `finish`, before the shared lane's.
     #[cfg(feature = "probes")]
@@ -189,7 +185,6 @@ impl<'a> SmLane<'a> {
             outbox: Vec::new(),
             coalesce_buf: Vec::new(),
             scratch_keys: Vec::new(),
-            times: Vec::new(),
             #[cfg(feature = "probes")]
             log: crate::probe::RecordLog::default(),
         }
@@ -223,23 +218,22 @@ impl<'a> SmLane<'a> {
     /// policy. `ideal` is `Some` only in ideal-TLB mode, which resolves
     /// translations synchronously against the shared lane's page tables
     /// instead of paying the window latency. Returns the number of
-    /// events processed.
+    /// events processed and the window's busy mask (see `window_base`).
     pub(super) fn drain(
         &mut self,
         horizon: Cycle,
         accel: &dyn TranslationPolicy,
         mut ideal: Option<&mut IdealTlb<'_, '_>>,
-    ) -> u64 {
-        let mut n = 0;
+    ) -> (u64, u64) {
+        let base = window_base(horizon);
+        let (mut n, mut busy) = (0, 0u64);
         while let Some((now, ev)) = self.q.pop_before(horizon) {
             n += 1;
-            if self.times.last() != Some(&now) {
-                self.times.push(now);
-            }
+            busy |= 1 << (now - base);
             self.handle(now, ev, accel, ideal.as_deref_mut());
         }
         self.stats.events_processed += n;
-        n
+        (n, busy)
     }
 
     /// Schedules the shared lane's emissions, all timed at or beyond the
@@ -253,11 +247,6 @@ impl<'a> SmLane<'a> {
     /// The events this window emitted for the shared lane.
     pub(super) fn outbox(&mut self) -> &mut Outbox<SharedEv> {
         &mut self.outbox
-    }
-
-    /// Moves this window's processed cycles into `into`.
-    pub(super) fn take_times(&mut self, into: &mut Vec<Cycle>) {
-        into.append(&mut self.times);
     }
 
     /// The deferred probe log.
@@ -1323,6 +1312,7 @@ impl<'a> SmLane<'a> {
                 }
                 self.req_unref(id);
             }
+            self.l1_mshrs[li].recycle(waiters);
         } else {
             // No waiters (e.g. a refill after invalidation): plain data.
             guarantee = true;

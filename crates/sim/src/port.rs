@@ -121,12 +121,6 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
         self.entries.remove(&key)
     }
 
-    /// Drops the entry for `key` without waking waiters (EAF release path).
-    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
-    pub fn release(&mut self, key: K) -> Option<Vec<W>> {
-        self.complete(key)
-    }
-
     /// Removes one waiter equal to `w` from the entry for `key`,
     /// dropping the entry when its waiter list empties. Returns whether
     /// a waiter was removed. Tolerates both a missing entry and a
@@ -153,9 +147,10 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
 
     /// Returns a drained waiter vector to the file's spare pool.
     ///
-    /// Callers that `complete` an entry, drain its waiters, and hand the
-    /// empty vector back here make the allocate/complete cycle
-    /// allocation-free in steady state. Non-empty vectors are cleared.
+    /// Every engine caller of [`MshrFile::complete`] drains the waiters
+    /// and hands the empty vector back here, which makes the
+    /// allocate/complete cycle allocation-free in steady state. Non-empty
+    /// vectors are cleared.
     pub fn recycle(&mut self, mut waiters: Vec<W>) {
         waiters.clear();
         if self.spare.len() < self.capacity && waiters.capacity() > 0 {
@@ -168,23 +163,9 @@ impl<K: std::hash::Hash + Eq + Copy, W> MshrFile<K, W> {
         self.entries.len()
     }
 
-    /// Whether the file has no live entries.
-    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Whether the file is at capacity.
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
-    }
-
-    /// Total waiters across all live entries (checked-mode conservation
-    /// audits compare this against the requests known to be in flight).
-    #[cfg_attr(not(test), allow(dead_code, reason = "crate-private; test-exercised API completeness"))]
-    #[allow(clippy::disallowed_methods, reason = "a sum of list lengths is order-free")]
-    pub fn waiter_count(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
     }
 
     /// Visits every waiter of every live entry (checked-mode reference
@@ -307,19 +288,18 @@ mod tests {
     }
 
     #[test]
-    fn mshr_release_drops_waiters_and_waiter_count_tracks() {
+    fn mshr_complete_hands_back_waiters_and_frees_the_entry() {
         let mut m: MshrFile<u64, u32> = MshrFile::new(4);
         m.request(1, 10);
         m.merge(1, 11);
         m.request(2, 20);
-        assert_eq!(m.waiter_count(), 3);
-        // EAF release: entry goes away, waiters are handed back unwoken.
-        assert_eq!(m.release(1), Some(vec![10, 11]));
-        assert_eq!(m.waiter_count(), 1);
-        assert!(!m.is_empty());
-        m.complete(2);
-        assert!(m.is_empty());
-        assert_eq!(m.waiter_count(), 0);
+        assert_eq!(m.len(), 2);
+        // The entry goes away; its waiters come back in arrival order.
+        assert_eq!(m.complete(1), Some(vec![10, 11]));
+        assert_eq!(m.len(), 1);
+        assert!(!m.contains(1) && m.contains(2));
+        assert_eq!(m.complete(2), Some(vec![20]));
+        assert_eq!(m.len(), 0);
     }
 
     #[test]
@@ -424,7 +404,7 @@ mod tests {
             let total_waiters: usize =
                 live.iter().map(|k| m.complete(*k).map(|w| w.len()).unwrap_or(0)).sum();
             assert!(total_waiters <= keys.len(), "trial {trial}");
-            assert!(m.is_empty(), "trial {trial}");
+            assert_eq!(m.len(), 0, "trial {trial}");
         }
     }
 }

@@ -324,7 +324,8 @@ stats_table! {
     /// throughput denominator: events per wall-second, not a GPU metric).
     sim events_processed: u64,
     /// Cycles in which neither engine domain processed an event, counted
-    /// from the domains' merged processed-cycle lists at each barrier.
+    /// at each barrier from the window's busy mask (one bit per cycle,
+    /// the two domains' masks ORed).
     /// The calendars jump over these cycles; they still count in
     /// `cycles`, so skipping them is invisible to every simulated metric.
     sim idle_cycles_skipped: u64,

@@ -158,8 +158,12 @@ pub(crate) struct EntryArray {
     nsets: usize,
     ways: usize,
     stamp: u64,
-    /// Granularity used for set indexing (pages per entry).
-    index_pages: u64,
+    /// log2 of the set-indexing granularity in pages per entry (1, 16 or
+    /// 512 pages).
+    index_shift: u32,
+    /// `nsets - 1` when the set count is a power of two, as in every
+    /// shipped geometry; other geometries index with `%`.
+    set_mask: Option<u64>,
     live: usize,
     /// Last way that hit, per set — checked first on the next lookup.
     /// Coalesced sectors land in the same page back to back, so this
@@ -193,12 +197,21 @@ fn mask_scan(n: usize, mut pred: impl FnMut(usize) -> bool) -> Option<usize> {
 }
 
 impl EntryArray {
+    /// An array of `entries` entries in sets of `assoc` ways (0: fully
+    /// associative), each set indexed by the VPN divided by `index_pages`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index_pages` is not a power of two (entries are aligned
+    /// on their span; see [`BaseTlb::fill_reach`]).
     pub(crate) fn new(entries: usize, assoc: usize, index_pages: u64) -> Self {
         let (nsets, ways) = if assoc == 0 || assoc >= entries {
             (1, entries.max(1))
         } else {
             ((entries / assoc).max(1), assoc)
         };
+        let index_pages = index_pages.max(1);
+        assert!(index_pages.is_power_of_two(), "{index_pages} pages per entry, not a power of two");
         let cap = nsets * ways;
         Self {
             vpns: vec![VPN_EMPTY; cap],
@@ -208,7 +221,8 @@ impl EntryArray {
             nsets,
             ways,
             stamp: 0,
-            index_pages: index_pages.max(1),
+            index_shift: index_pages.trailing_zeros(),
+            set_mask: nsets.is_power_of_two().then_some(nsets as u64 - 1),
             live: 0,
             hints: vec![0; nsets],
         }
@@ -223,8 +237,12 @@ impl EntryArray {
     }
 
     #[inline]
-    fn set_base(&self, vpn: u64) -> usize {
-        ((vpn / self.index_pages) % self.nsets as u64) as usize * self.ways
+    fn set_of(&self, vpn: u64) -> usize {
+        let index = vpn >> self.index_shift;
+        (match self.set_mask {
+            Some(mask) => index & mask,
+            None => index % self.nsets as u64,
+        }) as usize
     }
 
     #[inline]
@@ -238,41 +256,44 @@ impl EntryArray {
         }
     }
 
-    /// The way holding `vpn`, if any. Checks the set's last-hit hint
-    /// first — coalesced sector streams resolve in one compare — then
-    /// falls back to the way scan. Empty arrays return immediately
-    /// (the 2MB side of a [`BaseTlb`] is empty in every non-promotion
-    /// configuration, and it used to pay a full scan per lookup).
+    /// The set of `vpn` and the way holding it, if any. Checks the set's
+    /// last-hit hint first — coalesced sector streams resolve in one
+    /// compare — then falls back to the way scan. Empty arrays return
+    /// immediately (the 2MB side of a [`BaseTlb`] is empty in every
+    /// non-promotion configuration, and it used to pay a full scan per
+    /// lookup).
     #[inline]
-    fn find(&self, vpn: u64) -> Option<usize> {
+    fn find(&self, vpn: u64) -> Option<(usize, usize)> {
         if self.live == 0 {
             return None;
         }
-        let base = self.set_base(vpn);
-        let hint = base + self.hints[base / self.ways] as usize;
+        let set = self.set_of(vpn);
+        let base = set * self.ways;
+        let hint = base + self.hints[set] as usize;
         if Self::covers(self.vpns[hint], self.spans[hint], vpn) {
-            return Some(hint);
+            return Some((set, hint));
         }
         mask_scan(self.ways, |i| Self::covers(self.vpns[base + i], self.spans[base + i], vpn))
-            .map(|i| base + i)
+            .map(|i| (set, base + i))
     }
 
     fn lookup(&mut self, vpn: u64) -> Option<TlbHit> {
         self.stamp += 1;
-        let w = self.find(vpn)?;
+        let (set, w) = self.find(vpn)?;
         self.stamps[w] = self.stamp;
-        self.hints[w / self.ways] = (w % self.ways) as u32;
+        self.hints[set] = (w - set * self.ways) as u32;
         Some(self.hit_at(w, vpn))
     }
 
     /// The hit [`EntryArray::lookup`] would return, with no LRU update.
     fn probe(&self, vpn: u64) -> Option<TlbHit> {
-        self.find(vpn).map(|w| self.hit_at(w, vpn))
+        self.find(vpn).map(|(_, w)| self.hit_at(w, vpn))
     }
 
     fn insert(&mut self, vpn: u64, ppn: u64, pages: u64) {
         self.stamp += 1;
-        let base = self.set_base(vpn);
+        let set = self.set_of(vpn);
+        let base = set * self.ways;
         // Two batched scans (exact-entry refresh, then first empty way)
         // replace the fused early-exit loop; the empty scan only runs on
         // the install path.
@@ -299,7 +320,7 @@ impl EntryArray {
         self.spans[w] = pages;
         self.stamps[w] = self.stamp;
         // A fill is usually followed by the lookup that wanted it.
-        self.hints[w / self.ways] = (w % self.ways) as u32;
+        self.hints[set] = (w - base) as u32;
     }
 
     fn invalidate(&mut self, vpn: u64, pages: u64) -> u64 {
@@ -338,6 +359,11 @@ impl EntryArray {
     pub(crate) fn audit_invariants(&self) {
         assert_eq!(self.vpns.len(), self.nsets * self.ways);
         assert_eq!(self.hints.len(), self.nsets);
+        assert_eq!(
+            self.set_mask,
+            self.nsets.is_power_of_two().then_some(self.nsets as u64 - 1),
+            "set mask disagrees with the set count"
+        );
         for (set, &h) in self.hints.iter().enumerate() {
             assert!(
                 (h as usize) < self.ways,
@@ -355,7 +381,7 @@ impl EntryArray {
             let set = w / self.ways;
             assert!(self.spans[w] > 0, "way {w} live with zero reach");
             assert_eq!(
-                self.set_base(vpn) / self.ways,
+                ((vpn >> self.index_shift) % self.nsets as u64) as usize,
                 set,
                 "entry for vpn {vpn} resident in set {set}, indexes elsewhere"
             );

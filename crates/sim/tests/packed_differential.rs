@@ -467,3 +467,12 @@ fn packed_tlb_matches_seed_reference_l2_geometry() {
         drive_tlb_pair(1024, 128, 8, 16, 0x2B1B + seed, 20_000);
     }
 }
+
+#[test]
+fn packed_tlb_matches_seed_reference_uneven_set_count() {
+    // 24/12 4-way: 6 and 3 sets, which the array indexes with `%` instead
+    // of its power-of-two set mask.
+    for seed in 0..4 {
+        drive_tlb_pair(24, 12, 4, 1, 0x5E75 + seed, 20_000);
+    }
+}

@@ -6,9 +6,11 @@
 # std hash collections, the clock types and the hash-map iteration
 # methods; the [workspace.lints] table of the root Cargo.toml requires docs
 # and a reason on every #[allow]; sim and core warn on unwrap and the panic
-# family), any test fails (including the probes-off build, the
-# checked-mode `--features invariants` suite, and the repository
-# benchmark's own tests built against this workspace), a host-side
+# family), any test fails (including the probes-off build, whose
+# crates/core/tests/alloc_budget.rs fails if `Engine::run_steps` makes
+# 0.8 or more heap allocations per sector request, the checked-mode
+# `--features invariants` suite, and the repository benchmark's own
+# tests built against this workspace), a host-side
 # variation of a run (chunked stepping, an attached probe sink) changes
 # any simulated statistic in a release build (the equivalence matrix),
 # the latency breakdown loses a cycle (observability conservation), the
